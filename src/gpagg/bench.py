@@ -33,12 +33,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import bcm, collect_predictions, gpoe, grbcm_aggregate, grbcm_base_index, poe, rbcm
+from .baselines import (
+    ExpertPredictions,
+    bcm,
+    collect_predictions,
+    gpoe,
+    grbcm_aggregate,
+    grbcm_base_index,
+    poe,
+    rbcm,
+)
 from .emggm import EmggmConfig, emggm_aggregate
 from .errors import DimensionError
-from .gp import Dataset, FitOptions, Hyperparameters, NormalizationState, fit_shared_hyperparameters, predict, train_expert
+from .gp import (
+    Dataset,
+    FitOptions,
+    Hyperparameters,
+    NormalizationState,
+    TrainedExpert,
+    fit_shared_hyperparameters,
+    predict,
+    train_expert,
+)
 from .npae import npae_aggregate
-from .partition import kmeans_partition, random_partition
+from .partition import Partitioning, kmeans_partition, random_partition
 from .svg import render_line_chart
 
 log = logging.getLogger(__name__)
@@ -260,6 +278,52 @@ def _bytes(*entries: int) -> int:
     return 8 * max(entries)
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """What one (seed, M) cell hands to every aggregator."""
+
+    cfg: BenchmarkConfig
+    M: int
+    seed: int
+    parts: Partitioning
+    hp: Hyperparameters
+    experts: list[TrainedExpert]
+    preds: ExpertPredictions
+    X: np.ndarray
+    max_n_i: int
+
+
+def _ci_rule(rule):
+    return lambda c: (rule(c.preds)[0], None)
+
+
+def _ci_peak(c: _Cell) -> int:
+    return _bytes(c.cfg.n_t * c.M, c.max_n_i * c.cfg.n_t)
+
+
+def _grbcm_peak(c: _Cell) -> int:
+    base_n = c.parts.subsets[grbcm_base_index(c.M, c.seed)].n
+    return _bytes((base_n + c.max_n_i) ** 2)
+
+
+# method -> (call returning (normalized means, diagnostics or None),
+#            whether the shared expert-prediction time counts toward it,
+#            peak-matrix-bytes rule)
+_AGGREGATORS = {
+    "poe": (_ci_rule(poe), True, _ci_peak),
+    "gpoe": (_ci_rule(gpoe), True, _ci_peak),
+    "bcm": (_ci_rule(bcm), True, _ci_peak),
+    "rbcm": (_ci_rule(rbcm), True, _ci_peak),
+    "grbcm": (lambda c: (grbcm_aggregate(c.parts, c.hp, c.X, c.seed)[0], None), False, _grbcm_peak),
+    "npae": (lambda c: (npae_aggregate(c.experts, c.hp, c.X), None), False, lambda c: _bytes(c.cfg.n**2)),
+    "emggm": (
+        lambda c: emggm_aggregate(c.preds, c.cfg.emggm),
+        True,
+        lambda c: _bytes(c.cfg.n_t * (c.M + 1), (c.M + 1) ** 2, c.max_n_i * c.cfg.n_t),
+    ),
+}
+
+
 def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     """Run every (seed, M, method) cell and write results.csv (plus
     emggm_diagnostics.json and optional SVG charts) to the output dir.
@@ -305,48 +369,23 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
             tic = time.perf_counter()
             preds = collect_predictions(experts, test.X, hp)
             t_shared_pred = time.perf_counter() - tic
-            max_n_i = max(s.n for s in parts.subsets)
+            cell = _Cell(cfg, M, seed, parts, hp, experts, preds, test.X, max(s.n for s in parts.subsets))
 
             for method in cfg.methods:
                 if method == "full_gp":
                     mae, rmse, t_tr, t_pr, peak = full_gp_result
                     rows.append(BenchmarkRow("full_gp", M, seed, mae, rmse, t_tr, t_pr, peak))
                     continue
+                call, shares_preds, peak_rule = _AGGREGATORS[method]
                 try:
                     tic = time.perf_counter()
-                    if method == "poe":
-                        mean_n, _ = poe(preds)
-                        t_pred = t_shared_pred + time.perf_counter() - tic
-                        peak = _bytes(cfg.n_t * M, max_n_i * cfg.n_t)
-                    elif method == "gpoe":
-                        mean_n, _ = gpoe(preds)
-                        t_pred = t_shared_pred + time.perf_counter() - tic
-                        peak = _bytes(cfg.n_t * M, max_n_i * cfg.n_t)
-                    elif method == "bcm":
-                        mean_n, _ = bcm(preds)
-                        t_pred = t_shared_pred + time.perf_counter() - tic
-                        peak = _bytes(cfg.n_t * M, max_n_i * cfg.n_t)
-                    elif method == "rbcm":
-                        mean_n, _ = rbcm(preds)
-                        t_pred = t_shared_pred + time.perf_counter() - tic
-                        peak = _bytes(cfg.n_t * M, max_n_i * cfg.n_t)
-                    elif method == "grbcm":
-                        mean_n, _ = grbcm_aggregate(parts, hp, test.X, seed)
-                        t_pred = time.perf_counter() - tic
-                        base_n = parts.subsets[grbcm_base_index(M, seed)].n
-                        peak = _bytes((base_n + max_n_i) ** 2)
-                    elif method == "npae":
-                        mean_n = npae_aggregate(experts, hp, test.X)
-                        t_pred = time.perf_counter() - tic
-                        peak = _bytes(cfg.n * cfg.n)
-                    elif method == "emggm":
-                        mean_n, diag = emggm_aggregate(preds, cfg.emggm)
-                        t_pred = t_shared_pred + time.perf_counter() - tic
-                        peak = _bytes(cfg.n_t * (M + 1), (M + 1) ** 2, max_n_i * cfg.n_t)
+                    mean_n, diag = call(cell)
+                    t_pred = time.perf_counter() - tic + (t_shared_pred if shares_preds else 0.0)
+                    if diag is not None:
                         emggm_log.append({"seed": seed, "M": M, **diag})
                     mae, rmse = metrics(denormalize_y(mean_n, state), test_raw.y)
                     rows.append(
-                        BenchmarkRow(method, M, seed, mae, rmse, train_time, t_pred, peak)
+                        BenchmarkRow(method, M, seed, mae, rmse, train_time, t_pred, peak_rule(cell))
                     )
                 except Exception as exc:  # noqa: BLE001
                     log.warning("method %s failed (M=%d seed=%d): %s", method, M, seed, exc)

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -150,8 +152,11 @@ def kernel_matrix(X: np.ndarray, X2: np.ndarray, hp: Hyperparameters) -> np.ndar
     if X.shape[1] != X2.shape[1]:
         raise DimensionError(f"inputs have {X.shape[1]} and {X2.shape[1]} columns")
     ls = _check_lengthscale(hp, X.shape[1])
-    sq = cdist(X / ls, X2 / ls, "sqeuclidean")
-    return hp.signal_variance * np.exp(-0.5 * sq)
+    K = cdist(X / ls, X2 / ls, "sqeuclidean")
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= hp.signal_variance
+    return K
 
 
 def kernel_eval(x: np.ndarray, x2: np.ndarray, hp: Hyperparameters) -> float:
@@ -178,12 +183,26 @@ class TrainedExpert:
     jitter: float = 0.0
 
 
+def _factor(C: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lower Cholesky factor L of C = K + sigma^2 I and alpha = C^-1 y.
+
+    The factorization every consumer of C shares: LAPACK dpotrf, with
+    ``chol_jitter`` as the fallback when dpotrf reports failure. Returns
+    ``(L, alpha, jitter)``; ``C`` is left intact for the fallback.
+    """
+    L, info = dpotrf(C, lower=1)
+    jitter = 0.0
+    if info != 0:
+        L, jitter = chol_jitter(C)
+    alpha, _ = dpotrs(L, y, lower=1)
+    return L, alpha, jitter
+
+
 def train_expert(data: Dataset, hp: Hyperparameters) -> TrainedExpert:
     """Factorize one partition's covariance for O(n^2) prediction."""
-    K = kernel_matrix(data.X, data.X, hp)
-    C = K + hp.noise_variance * np.eye(data.n)
-    L, jitter = chol_jitter(C)
-    alpha = cho_solve((L, True), data.y)
+    C = kernel_matrix(data.X, data.X, hp)
+    C.flat[:: data.n + 1] += hp.noise_variance
+    L, alpha, jitter = _factor(C, data.y)
     return TrainedExpert(data=data, hp=hp, chol_C=L, alpha=alpha, jitter=jitter)
 
 
@@ -202,32 +221,59 @@ def log_marginal_likelihood(data: Dataset, hp: Hyperparameters) -> float:
     return _lml_from_factors(expert.chol_C, expert.alpha, data.y)
 
 
-def _lml_and_grad(data: Dataset, hp: Hyperparameters) -> tuple[float, np.ndarray]:
+def _sq_dists(X: np.ndarray, k: int) -> np.ndarray:
+    """Squared distances of X to itself that the lml needs for k lengthscales.
+
+    Shape (1, n, n) summed over dimensions when k == 1 (isotropic), or
+    (d, n, n) with one slice per dimension (ARD). They do not depend on
+    the hyperparameters, so a fit computes them once per partition.
+    """
+    if k == 1:
+        return cdist(X, X, "sqeuclidean")[None]
+    return np.stack([cdist(x, x, "sqeuclidean") for x in X.T[:, :, None]])
+
+
+def _lml_and_grad(
+    data: Dataset, hp: Hyperparameters, sq: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """Value and gradient of the lml over (log l_k.., log sigma_f^2, log sigma^2).
 
-    Each component is 1/2 tr((alpha alpha' - C^-1) dC/dtheta_j).
+    Each component is 1/2 tr((alpha alpha' - C^-1) dC/dtheta_j)
+    (Rasmussen & Williams 2006, eq. 5.9). ``sq`` is ``_sq_dists`` of
+    ``data.X``, computed here when not given.
     """
     X, y = data.X, data.y
     n = data.n
-    K = kernel_matrix(X, X, hp)
-    C = K + hp.noise_variance * np.eye(n)
-    L, _ = chol_jitter(C)
-    alpha = cho_solve((L, True), y)
+    ls = _check_lengthscale(hp, data.d)
+    if sq is None:
+        sq = _sq_dists(X, ls.size)
+    K = np.tensordot(-0.5 / ls**2, sq, axes=1)
+    np.exp(K, out=K)
+    K *= hp.signal_variance
+    C = K.copy()
+    C.flat[:: n + 1] += hp.noise_variance
+    L, alpha, _ = _factor(C, y)
     value = _lml_from_factors(L, alpha, y)
 
-    Cinv = cho_solve((L, True), np.eye(n))
-    A = np.outer(alpha, alpha) - Cinv
-    k = hp.lengthscale.size
+    # dpotri leaves the lower triangle of C^-1 over L's zero upper
+    # triangle. A becomes W = 2 tril(Q) - diag(Q) for Q = alpha alpha' - C^-1:
+    # sum(W * B) equals sum(Q * B) for every symmetric B, which is all
+    # that each trace below needs.
+    A, info = dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"dpotri failed with info={info}")
+    A *= -2.0
+    A = dsyr(2.0, alpha, lower=1, a=A, overwrite_a=1)
+    A[np.diag_indices(n)] *= 0.5
+    k = ls.size
     grad = np.empty(k + 2)
-    if k == 1:
-        D = cdist(X, X, "sqeuclidean") / hp.lengthscale[0] ** 2
-        grad[0] = 0.5 * np.sum(A * (K * D))
-    else:
-        for j in range(k):
-            Dj = cdist(X[:, j : j + 1], X[:, j : j + 1], "sqeuclidean") / hp.lengthscale[j] ** 2
-            grad[j] = 0.5 * np.sum(A * (K * Dj))
-    grad[k] = 0.5 * np.sum(A * K)
     grad[k + 1] = 0.5 * hp.noise_variance * np.trace(A)
+    # A is in LAPACK's column-major order; K and sq are symmetric, so
+    # their transposes are the same matrices laid out in that order.
+    A *= K.T
+    grad[k] = 0.5 * np.sum(A)
+    for j in range(k):
+        grad[j] = 0.5 * np.einsum("ij,ij->", A, sq[j].T) / ls[j] ** 2
     return value, grad
 
 
@@ -273,17 +319,24 @@ def fit_shared_hyperparameters(
         raise DimensionError("partitions disagree on input dimension")
     if opts.ard and init.lengthscale.size == 1:
         init = Hyperparameters(np.full(d, init.lengthscale[0]), init.signal_variance, init.noise_variance)
-    _check_lengthscale(init, d)
+    k = _check_lengthscale(init, d).size
+    sqs = [_sq_dists(ds.X, k) for ds in datasets]
+    last: list = []  # the latest point evaluated, its value and gradient
 
     def objective(logv: np.ndarray) -> tuple[float, np.ndarray]:
+        # L-BFGS-B starts by evaluating its x0, which the init check below
+        # has already scored.
+        if last and np.array_equal(last[0], logv):
+            return last[1], last[2].copy()
         hp = Hyperparameters.from_log_vector(logv)
         total = 0.0
         grad = np.zeros(logv.size)
-        for ds in datasets:  # fixed order keeps the reduction deterministic
-            v, g = _lml_and_grad(ds, hp)
+        for ds, sq in zip(datasets, sqs):  # fixed order keeps the reduction deterministic
+            v, g = _lml_and_grad(ds, hp, sq)
             total += v
             grad += g
-        return -total, -grad
+        last[:] = [logv.copy(), -total, -grad]
+        return -total, -grad.copy()
 
     x0 = init.log_vector()
     rng = np.random.default_rng(opts.seed)

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import gpagg.gp as gp
 from gpagg import (
     Dataset,
     DimensionError,
     FitOptions,
     Hyperparameters,
+    NumericalError,
     fit_shared_hyperparameters,
     kernel_eval,
     kernel_matrix,
@@ -42,6 +45,21 @@ def fd_gradient_oracle(data, hp, step=1e-5):
         fm = log_marginal_likelihood(data, Hyperparameters.from_log_vector(vm))
         grad[j] = (fp - fm) / (2 * step)
     return grad
+
+
+def dense_grad_oracle(data, hp):
+    """1/2 tr((alpha alpha' - C^-1) dC/dtheta_j) with an explicit dense inverse."""
+    X, ls = data.X, hp.lengthscale
+    K = kernel_matrix(X, X, hp)
+    Cinv = np.linalg.inv(K + hp.noise_variance * np.eye(data.n))
+    alpha = Cinv @ data.y
+    A = np.outer(alpha, alpha) - Cinv
+    if ls.size == 1:
+        dists = [cdist(X, X, "sqeuclidean") / ls[0] ** 2]
+    else:
+        dists = [cdist(X[:, [j]], X[:, [j]], "sqeuclidean") / ls[j] ** 2 for j in range(ls.size)]
+    dK = [K * D for D in dists] + [K, hp.noise_variance * np.eye(data.n)]
+    return np.array([0.5 * np.sum(A * B) for B in dK])
 
 
 def random_dataset(rng, n, d=1):
@@ -91,6 +109,14 @@ class TestKernel:
         hp = Hyperparameters([1.0, 2.0, 3.0], 1.0, 0.1)
         with pytest.raises(DimensionError):
             kernel_matrix(np.zeros((3, 2)), np.zeros((3, 2)), hp)
+
+    def test_matches_closed_form_bitwise(self):
+        rng = np.random.default_rng(16)
+        for ard in (False, True):
+            hp = random_hp(rng, d=3, ard=ard)
+            X, X2 = rng.standard_normal((7, 3)), rng.standard_normal((5, 3))
+            D = cdist(X / hp.lengthscale, X2 / hp.lengthscale, "sqeuclidean")
+            assert np.array_equal(kernel_matrix(X, X2, hp), hp.signal_variance * np.exp(-0.5 * D))
 
 
 class TestTypes:
@@ -181,6 +207,40 @@ class TestGradient:
         fd = fd_gradient_oracle(data, hp)
         assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
+    def test_cached_distances_match_uncached_and_dense_oracles(self):
+        rng = np.random.default_rng(17)
+        for d, ard in [(1, False), (3, False), (3, True)]:
+            data = random_dataset(rng, 25, d=d)
+            hp = random_hp(rng, d=d, ard=ard)
+            sq = gp._sq_dists(data.X, hp.lengthscale.size)
+            cached = gp._lml_and_grad(data, hp, sq)
+            uncached = gp._lml_and_grad(data, hp)
+            assert cached[0] == uncached[0]
+            assert np.array_equal(cached[1], uncached[1])
+            assert cached[0] == pytest.approx(dense_lml_oracle(data, hp), abs=1e-8)
+            oracle = dense_grad_oracle(data, hp)
+            assert np.linalg.norm(cached[1] - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
+
+    def test_failed_cholesky_falls_back_to_jitter(self, monkeypatch):
+        # noise far below the roundoff of sigma_f^2 on near-duplicate inputs
+        rng = np.random.default_rng(18)
+        base = rng.uniform(-1, 1, 10)
+        data = Dataset(np.concatenate([base, base + 1e-9]), rng.standard_normal(20))
+        hp = Hyperparameters([1.0], 1e4, 1e-12)
+        jitters = []
+
+        def recording(A):
+            L, jitter = gp_chol_jitter(A)
+            jitters.append(jitter)
+            return L, jitter
+
+        gp_chol_jitter = gp.chol_jitter
+        monkeypatch.setattr(gp, "chol_jitter", recording)
+        value, grad = gp._lml_and_grad(data, hp)
+        assert jitters and jitters[0] > 0
+        assert math.isfinite(value) and np.all(np.isfinite(grad))
+        assert train_expert(data, hp).jitter == jitters[-1] > 0
+
     def test_gradient_small_at_found_optimum(self):
         rng = np.random.default_rng(6)
         data = random_dataset(rng, 40)
@@ -237,6 +297,38 @@ class TestFit:
         f2 = sum(log_marginal_likelihood(p, double) for p in [data, data])
         assert f2 == pytest.approx(2 * log_marginal_likelihood(data, double), rel=1e-12)
         assert f2 <= 2 * f1 + 1e-9
+
+    def test_each_point_evaluated_once(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        parts = [random_dataset(rng, 15) for _ in range(3)]
+        init = Hyperparameters([0.5], 1.0, 0.1)
+        evaluated, nfev = [], []
+
+        def lml(data, hp, *args):
+            evaluated.append(hp.log_vector())
+            return real_lml(data, hp, *args)
+
+        def counted_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        real_lml, real_minimize = gp._lml_and_grad, gp.minimize
+        monkeypatch.setattr(gp, "_lml_and_grad", lml)
+        monkeypatch.setattr(gp, "minimize", counted_minimize)
+        fit_shared_hyperparameters(parts, init, FitOptions(restarts=2))
+        assert len(evaluated) == len(parts) * sum(nfev)
+        assert sum(np.array_equal(v, init.log_vector()) for v in evaluated) == len(parts)
+
+    def test_init_kept_when_every_restart_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("restart failed")
+
+        monkeypatch.setattr(gp, "minimize", failing)
+        rng = np.random.default_rng(20)
+        init = Hyperparameters([0.5], 1.0, 0.1)
+        hp = fit_shared_hyperparameters([random_dataset(rng, 10)], init)
+        assert np.allclose(hp.log_vector(), init.log_vector(), rtol=0, atol=1e-12)
 
     def test_empty_partition_list_raises(self):
         with pytest.raises(ValueError):
