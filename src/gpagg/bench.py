@@ -329,13 +329,28 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     emggm_diagnostics.json and optional SVG charts) to the output dir.
 
     A method failure is logged and recorded as a NaN row; the run
-    continues. The full GP ignores partitioning, so its row is computed
-    once per seed and repeated for every M.
+    continues. Every NaN row is also listed in failures.json with its
+    exception class and message; that file is written only when a cell
+    fails. The full GP ignores partitioning, so its row is computed once
+    per seed and repeated for every M.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "failures.json").unlink(missing_ok=True)  # never a stale one from an earlier run
     rows: list[BenchmarkRow] = []
     emggm_log: list[dict] = []
+    failures: list[dict] = []
+
+    def fail(method: str, M: int, seed: int, exc: Exception) -> None:
+        failures.append(
+            {
+                "method": method,
+                "M": M,
+                "seed": seed,
+                "exception": type(exc).__name__,
+                "message": str(exc),
+            }
+        )
 
     for seed in cfg.seeds:
         train_raw = generate_synthetic(cfg.n, cfg.train_range, cfg.noise_sd, seed)
@@ -343,7 +358,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
         train, test, state = normalize(train_raw, test_raw)
         fit_opts = FitOptions(seed=seed)
 
-        full_gp_result = None
+        full_gp_result = full_gp_error = None
         if "full_gp" in cfg.methods:
             try:
                 tic = time.perf_counter()
@@ -358,6 +373,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
             except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the run
                 log.warning("full_gp failed (seed=%d): %s", seed, exc)
                 full_gp_result = (math.nan, math.nan, math.nan, math.nan, 0)
+                full_gp_error = exc
 
         for M in cfg.M_list:
             partition = kmeans_partition if cfg.partitioner == "kmeans" else random_partition
@@ -375,6 +391,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                 if method == "full_gp":
                     mae, rmse, t_tr, t_pr, peak = full_gp_result
                     rows.append(BenchmarkRow("full_gp", M, seed, mae, rmse, t_tr, t_pr, peak))
+                    if full_gp_error is not None:
+                        fail("full_gp", M, seed, full_gp_error)
                     continue
                 call, shares_preds, peak_rule = _AGGREGATORS[method]
                 try:
@@ -389,6 +407,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                     )
                 except Exception as exc:  # noqa: BLE001
                     log.warning("method %s failed (M=%d seed=%d): %s", method, M, seed, exc)
+                    fail(method, M, seed, exc)
                     rows.append(
                         BenchmarkRow(method, M, seed, math.nan, math.nan, train_time, math.nan, 0)
                     )
@@ -398,6 +417,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
         (out / "emggm_diagnostics.json").write_text(
             json.dumps(emggm_log, indent=2), encoding="utf-8"
         )
+    if failures:
+        (out / "failures.json").write_text(json.dumps(failures, indent=2), encoding="utf-8")
     if cfg.make_svg:
         render_benchmark_charts(rows, out)
     return rows

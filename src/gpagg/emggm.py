@@ -76,6 +76,8 @@ class JointCovarianceModel:
     Only the latent row/column of S changes across E-steps; the
     expert-expert block is fixed by the observed predictions. Column
     means removed during centering are kept for the final un-centering.
+    ``e_step_jitter`` is the diagonal jitter the latest E-step needed to
+    factor Sigma_mm (0.0 when the plain Cholesky succeeded).
     """
 
     S: np.ndarray
@@ -84,6 +86,7 @@ class JointCovarianceModel:
     Omega: np.ndarray | None = None
     Sigma: np.ndarray | None = None
     iteration: int = 0
+    e_step_jitter: float = 0.0
 
 
 def resolve_lambda(lam: float | str, n_experts: int, n_test: int) -> float:
@@ -148,7 +151,7 @@ def e_step(model: JointCovarianceModel) -> JointCovarianceModel:
     Sigma_yy = model.Sigma[LATENT, LATENT]
     S_mm = model.S[1:, 1:]
 
-    L, _ = chol_jitter(Sigma_mm)
+    L, model.e_step_jitter = chol_jitter(Sigma_mm)
     A = cho_solve((L, True), Sigma_my)
     S_my = S_mm @ A
     S_yy = Sigma_yy - Sigma_my @ A + A @ (S_mm @ A)
@@ -192,6 +195,15 @@ def m_step(
     return est
 
 
+def _solve_stats(est: PrecisionEstimate) -> dict:
+    """How one M-step's graphical-lasso solve ended, JSON-ready."""
+    return {
+        "n_sweeps": int(est.n_sweeps),
+        "converged": bool(est.converged),
+        "dual_gap": float(est.dual_gap),
+    }
+
+
 def emggm_aggregate(
     preds: ExpertPredictions, cfg: EmggmConfig | None = None
 ) -> tuple[np.ndarray, dict]:
@@ -199,7 +211,10 @@ def emggm_aggregate(
 
     Returns the per-test-point means and a JSON-serializable diagnostics
     dict: resolved lambda, per-iteration penalized objective before and
-    after each M-step, precision change, and wall time. Iterations stop
+    after each M-step, precision change, wall time, the M-step solver's
+    iterations, convergence and dual gap, and the E-step's jitter; the
+    initial M-step's solver stats and the jitter of the final weight
+    solve sit at the top level. Iterations stop
     at ``max_iters`` or when the relative max-norm change of Omega drops
     below ``conv_tol``; if the loop exhausts its budget the last iterate
     is returned with ``converged`` set to False.
@@ -210,7 +225,7 @@ def emggm_aggregate(
     model = joint_sample_covariance(y0, preds)
     lam = resolve_lambda(cfg.lam, M, n_t)
 
-    m_step(model, lam, cfg.glasso_tol, cfg.glasso_max_iter, cfg.penalize_latent)
+    initial = m_step(model, lam, cfg.glasso_tol, cfg.glasso_max_iter, cfg.penalize_latent)
     iterations: list[dict] = []
     converged = False
     for t in range(1, cfg.max_iters + 1):
@@ -228,6 +243,8 @@ def emggm_aggregate(
                 "objective": est.objective_trace[-1],
                 "omega_change": change,
                 "wall_time_s": time.perf_counter() - tic,
+                **_solve_stats(est),
+                "e_step_jitter": model.e_step_jitter,
             }
         )
         if change < cfg.conv_tol:
@@ -236,7 +253,7 @@ def emggm_aggregate(
 
     Sigma_mm = model.Sigma[1:, 1:]
     Sigma_my = model.Sigma[1:, LATENT]
-    L, _ = chol_jitter(Sigma_mm)
+    L, weight_jitter = chol_jitter(Sigma_mm)
     w = cho_solve((L, True), Sigma_my)
     means = model.latent_mean + (preds.means - model.expert_means) @ w
 
@@ -245,5 +262,7 @@ def emggm_aggregate(
         "converged": converged,
         "n_iterations": len(iterations),
         "iterations": iterations,
+        "initial_m_step": _solve_stats(initial),
+        "weight_jitter": weight_jitter,
     }
     return means, diagnostics

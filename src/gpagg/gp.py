@@ -18,8 +18,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 
 from ._linalg import chol_jitter
 from .errors import DimensionError, FitError, NumericalError
@@ -142,6 +140,23 @@ def _check_lengthscale(hp: Hyperparameters, d: int) -> np.ndarray:
     return ls
 
 
+def sq_dists(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of X and of X2.
+
+    For 1-D inputs this is one outer subtraction squared in place,
+    bitwise equal to ``cdist(X, X2, "sqeuclidean")`` and faster. Wider
+    inputs go to ``cdist``, imported on first use, so a process that
+    only sees 1-D inputs never loads ``scipy.spatial``.
+    """
+    if X.shape[1] == 1:
+        D = np.subtract.outer(X[:, 0], X2[:, 0])
+        D *= D
+        return D
+    from scipy.spatial.distance import cdist
+
+    return cdist(X, X2, "sqeuclidean")
+
+
 def kernel_matrix(X: np.ndarray, X2: np.ndarray, hp: Hyperparameters) -> np.ndarray:
     """Squared-exponential kernel matrix.
 
@@ -152,7 +167,7 @@ def kernel_matrix(X: np.ndarray, X2: np.ndarray, hp: Hyperparameters) -> np.ndar
     if X.shape[1] != X2.shape[1]:
         raise DimensionError(f"inputs have {X.shape[1]} and {X2.shape[1]} columns")
     ls = _check_lengthscale(hp, X.shape[1])
-    K = cdist(X / ls, X2 / ls, "sqeuclidean")
+    K = sq_dists(X / ls, X2 / ls)
     K *= -0.5
     np.exp(K, out=K)
     K *= hp.signal_variance
@@ -229,8 +244,8 @@ def _sq_dists(X: np.ndarray, k: int) -> np.ndarray:
     the hyperparameters, so a fit computes them once per partition.
     """
     if k == 1:
-        return cdist(X, X, "sqeuclidean")[None]
-    return np.stack([cdist(x, x, "sqeuclidean") for x in X.T[:, :, None]])
+        return sq_dists(X, X)[None]
+    return np.stack([sq_dists(x, x) for x in X.T[:, :, None]])
 
 
 def _lml_and_grad(
@@ -280,6 +295,16 @@ def _lml_and_grad(
 def lml_gradient(data: Dataset, hp: Hyperparameters) -> np.ndarray:
     """Analytic lml gradient in log-parameter space."""
     return _lml_and_grad(data, hp)[1]
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first fit.
+
+    A process that only predicts never pays for loading the optimizer.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

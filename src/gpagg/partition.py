@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .gp import Dataset
+from .gp import Dataset, sq_dists
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,7 +23,7 @@ def _kmeanspp_init(X: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarra
     n = X.shape[0]
     centers = np.empty((M, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = cdist(X, centers[:1], "sqeuclidean")[:, 0]
+    d2 = sq_dists(X, centers[:1])[:, 0]
     for k in range(1, M):
         total = d2.sum()
         if total <= 0.0:
@@ -32,7 +31,7 @@ def _kmeanspp_init(X: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = rng.choice(n, p=d2 / total)
         centers[k] = X[idx]
-        d2 = np.minimum(d2, cdist(X, centers[k : k + 1], "sqeuclidean")[:, 0])
+        d2 = np.minimum(d2, sq_dists(X, centers[k : k + 1])[:, 0])
     return centers
 
 
@@ -42,7 +41,7 @@ def _steal_for_empty(assign: np.ndarray, X: np.ndarray, centers: np.ndarray, M: 
     for k in np.where(counts == 0)[0]:
         big = int(counts.argmax())
         members = np.where(assign == big)[0]
-        far = cdist(X[members], centers[big : big + 1], "sqeuclidean")[:, 0].argmax()
+        far = sq_dists(X[members], centers[big : big + 1])[:, 0].argmax()
         assign[members[far]] = k
         counts = np.bincount(assign, minlength=M)
     return assign
@@ -57,7 +56,7 @@ def _lloyd(
     assign = None
     wcss_trace: list[float] = []
     for _ in range(max_iter):
-        d2 = cdist(X, centers, "sqeuclidean")
+        d2 = sq_dists(X, centers)
         new_assign = d2.argmin(axis=1)
         wcss_trace.append(float(d2[np.arange(n), new_assign].sum()))
         new_assign = _steal_for_empty(new_assign, X, centers, M)

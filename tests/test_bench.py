@@ -15,6 +15,7 @@ from gpagg import (
     normalize,
     run_benchmark,
 )
+import gpagg.bench as bench
 from gpagg.bench import CSV_HEADER, BenchmarkRow, denormalize_y, emit_csv, parse_csv, write_dataset_csv
 from gpagg.cli import main as cli_main
 from gpagg.emggm import EmggmConfig
@@ -168,6 +169,41 @@ class TestRunBenchmark:
         assert fg[0].rmse == fg[1].rmse
         assert fg[0].train_time_s == fg[1].train_time_s
         assert fg[0].peak_matrix_bytes == fg[1].peak_matrix_bytes
+
+    def test_failed_cells_listed_in_failures_sidecar(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, M_list=(2, 3), methods=("full_gp", "gpoe", "npae"), seeds=(0,))
+        clean = run_benchmark(cfg)
+        assert not (tmp_path / "out" / "failures.json").exists()
+
+        def broken(c):
+            raise ValueError(f"broken npae at M={c.M}")
+
+        def broken_predict(*args, **kwargs):
+            raise FloatingPointError("broken full GP")
+
+        _, shares_preds, peak_rule = bench._AGGREGATORS["npae"]
+        monkeypatch.setitem(bench._AGGREGATORS, "npae", (broken, shares_preds, peak_rule))
+        monkeypatch.setattr(bench, "predict", broken_predict)
+        rows = run_benchmark(cfg)
+        failures = json.loads((tmp_path / "out" / "failures.json").read_text())
+        expected = []
+        for M in (2, 3):
+            expected += [
+                ("full_gp", M, 0, "FloatingPointError", "broken full GP"),
+                ("npae", M, 0, "ValueError", f"broken npae at M={M}"),
+            ]
+        keys = ("method", "M", "seed", "exception", "message")
+        assert failures == [dict(zip(keys, entry)) for entry in expected]
+        nan_rows = [(r.method, r.M, r.seed) for r in rows if math.isnan(r.mae)]
+        assert nan_rows == [(f["method"], f["M"], f["seed"]) for f in failures]
+        # the surviving cells are untouched
+        for a, b in zip(clean, rows):
+            if a.method == "gpoe":
+                assert (a.mae, a.rmse) == (b.mae, b.rmse)
+        # a clean rerun into the same directory leaves no stale sidecar
+        monkeypatch.undo()
+        run_benchmark(cfg)
+        assert not (tmp_path / "out" / "failures.json").exists()
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -4,16 +4,19 @@ import math
 import numpy as np
 import pytest
 
+import gpagg.emggm as emggm
 from gpagg import (
     EmggmConfig,
     ExpertPredictions,
     e_step,
     emggm_aggregate,
+    glasso_solve,
     gpoe,
     init_latent,
     joint_sample_covariance,
     m_step,
 )
+from gpagg._linalg import chol_jitter
 from gpagg.emggm import resolve_lambda
 
 
@@ -259,6 +262,41 @@ class TestAggregate:
         assert {"iteration", "objective_start", "objective", "omega_change", "wall_time_s"} <= set(
             payload["iterations"][0]
         )
+
+    def test_diagnostics_report_every_solve_and_jitter(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))
+        solves = []
+
+        def recording_solve(*args, **kwargs):
+            solves.append(glasso_solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(emggm, "glasso_solve", recording_solve)
+        _, diag = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
+        stats = [diag["initial_m_step"]] + diag["iterations"]
+        assert len(stats) == len(solves)
+        for entry, est in zip(stats, solves):
+            assert entry["n_sweeps"] == est.n_sweeps
+            assert entry["converged"] == est.converged
+            assert entry["dual_gap"] == est.dual_gap
+        assert all(it["e_step_jitter"] >= 0.0 for it in diag["iterations"])
+        assert diag["weight_jitter"] >= 0.0
+
+    def test_jitter_reported_when_cholesky_needs_it(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))
+        plain, _ = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
+
+        def jittered(A):
+            L, _ = chol_jitter(A)
+            return L, 1e-9
+
+        monkeypatch.setattr(emggm, "chol_jitter", jittered)
+        means, diag = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
+        assert np.array_equal(means, plain)
+        assert [it["e_step_jitter"] for it in diag["iterations"]] == [1e-9] * diag["n_iterations"]
+        assert diag["weight_jitter"] == 1e-9
 
     def test_auto_lambda_resolution(self):
         assert resolve_lambda("auto", 4, 100) == pytest.approx(0.5 * math.sqrt(math.log(5) / 100))

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +120,42 @@ class TestKernel:
             X, X2 = rng.standard_normal((7, 3)), rng.standard_normal((5, 3))
             D = cdist(X / hp.lengthscale, X2 / hp.lengthscale, "sqeuclidean")
             assert np.array_equal(kernel_matrix(X, X2, hp), hp.signal_variance * np.exp(-0.5 * D))
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n, m", [(1, 6), (6, 1), (1, 1), (40, 25)])
+    def test_equals_cdist_bitwise(self, d, n, m):
+        rng = np.random.default_rng(100 * d + n + m)
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        X2 = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+        got = gp.sq_dists(X, X2)
+        want = cdist(X, X2, "sqeuclidean")
+        assert got.shape == want.shape == (n, m)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_import_loads_neither_optimizer_nor_spatial(self):
+        # a prediction-only process must not pay for scipy.optimize or
+        # scipy.spatial; the first fit still loads the optimizer
+        src = Path(gp.__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import numpy as np, gpagg\n"
+            "loaded = sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.uniform(0, 1, 40)\n"
+            "data = gpagg.Dataset(x[:, None], np.sin(6 * x) + 0.1 * rng.standard_normal(40))\n"
+            "hp = gpagg.fit_shared_hyperparameters([data], gpagg.Hyperparameters([0.3], 1.0, 0.1),\n"
+            "                                      gpagg.FitOptions(restarts=1))\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "print(hp.to_json())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert Hyperparameters.from_json(proc.stdout.strip().splitlines()[-1]).noise_variance > 0
 
 
 class TestTypes:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import gpagg.partition as partition
 from gpagg import Dataset, kmeans_partition, random_partition
 from gpagg.partition import _lloyd
 
@@ -72,6 +74,17 @@ class TestKmeans:
         a = kmeans_partition(ds, 4, seed=9)
         b = kmeans_partition(ds, 4, seed=9)
         assert np.array_equal(a.assignments, b.assignments)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_assignments_equal_cdist_oracle(self, monkeypatch, d):
+        rng = np.random.default_rng(20 + d)
+        ds = Dataset(rng.standard_normal((300, d)) * [3.0, 1.0, 0.3][:d], rng.standard_normal(300))
+        got = [kmeans_partition(ds, M, seed).assignments for M in (2, 5, 9) for seed in (0, 1)]
+        monkeypatch.setattr(partition, "sq_dists", lambda A, B: cdist(A, B, "sqeuclidean"))
+        want = [kmeans_partition(ds, M, seed).assignments for M in (2, 5, 9) for seed in (0, 1)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 class TestRandomPartition:
