@@ -135,20 +135,24 @@ class TestSqDists:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
-    def test_import_loads_neither_optimizer_nor_spatial(self):
-        # a prediction-only process must not pay for scipy.optimize or
-        # scipy.spatial; the first fit still loads the optimizer
+    def test_one_d_prediction_loads_neither_optimizer_nor_spatial(self):
+        # a process that partitions, trains and predicts on 1-D inputs
+        # must not pay for scipy.optimize or scipy.spatial; the first fit
+        # still loads the optimizer
         src = Path(gp.__file__).resolve().parent.parent
         code = (
             "import sys\n"
             f"sys.path.insert(0, {str(src)!r})\n"
             "import numpy as np, gpagg\n"
-            "loaded = sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules)\n"
-            "assert not loaded, loaded\n"
             "rng = np.random.default_rng(0)\n"
             "x = rng.uniform(0, 1, 40)\n"
             "data = gpagg.Dataset(x[:, None], np.sin(6 * x) + 0.1 * rng.standard_normal(40))\n"
-            "hp = gpagg.fit_shared_hyperparameters([data], gpagg.Hyperparameters([0.3], 1.0, 0.1),\n"
+            "hp0 = gpagg.Hyperparameters([0.3], 1.0, 0.1)\n"
+            "part = gpagg.kmeans_partition(data, 2, seed=0)\n"
+            "gpagg.predict(gpagg.train_expert(part.subsets[0], hp0), np.array([[0.5]]), hp0)\n"
+            "loaded = sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules)\n"
+            "assert not loaded, loaded\n"
+            "hp = gpagg.fit_shared_hyperparameters([data], hp0,\n"
             "                                      gpagg.FitOptions(restarts=1))\n"
             "assert 'scipy.optimize' in sys.modules\n"
             "print(hp.to_json())\n"
