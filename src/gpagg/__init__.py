@@ -27,7 +27,6 @@ from .gp import (
 from .partition import Partitioning, kmeans_partition, random_partition
 from .baselines import (
     ExpertPredictions,
-    Weights,
     bcm,
     collect_predictions,
     compute_weights,
@@ -77,7 +76,6 @@ __all__ = [
     "PointwiseCovariances",
     "PrecisionEstimate",
     "TrainedExpert",
-    "Weights",
     "bcm",
     "collect_predictions",
     "compute_weights",

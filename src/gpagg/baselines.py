@@ -1,14 +1,16 @@
 """Conditional-independence aggregation baselines: PoE, GPoE, BCM, RBCM, GRBCM.
 
 All rules combine per-test-point expert means and variances through
-weighted precision sums:
+weighted precision sums over a prior N(prior_mean, prior_var):
 
-    precision = sum_i beta_i / var_i   [+ (1 - sum_i beta_i) / prior_var]
-    mean      = (1 / precision) * sum_i beta_i * mean_i / var_i
+    c         = (1 - sum_i beta_i) / prior_var
+    precision = sum_i beta_i / var_i                          [+ c]
+    mean      = (1 / precision) * (sum_i beta_i * mean_i / var_i  [+ c * prior_mean])
 
-The bracketed prior-correction term distinguishes the committee-machine
-family (BCM, RBCM) from the plain products (PoE, GPoE). GRBCM replaces
-the experts with base-augmented ones and the prior with the base expert.
+The bracketed prior-correction terms distinguish the committee-machine
+family (BCM, RBCM) from the plain products (PoE, GPoE); the GP prior has
+prior_mean = 0. GRBCM is RBCM's rule over base-augmented experts with
+the base expert (its mean and its variance) as the prior.
 """
 
 from __future__ import annotations
@@ -26,31 +28,41 @@ WEIGHT_SCHEMES = ("uniform_one", "uniform_inv_M", "diff_entropy")
 
 @dataclass(frozen=True, eq=False)
 class ExpertPredictions:
-    """Per-expert posterior means/variances plus the shared prior variance.
+    """Per-expert posterior means/variances plus the prior they combine over.
 
-    ``means`` and ``variances`` are n_t x M (one column per expert);
-    ``prior_variance`` is k(x*,x*) + sigma^2 per test point. Variances
-    must be strictly positive; prior >= posterior is deliberately not
-    required (it can fail under model mismatch).
+    ``means`` and ``variances`` are n_t x M (one column per expert).
+    ``prior_variance`` and ``prior_mean`` describe the prior per test
+    point: for the GP prior, k(x*,x*) + sigma^2 and zero (a scalar is
+    broadcast); GRBCM puts its base expert's prediction there. Means must
+    be finite and variances finite and strictly positive; prior >=
+    posterior is deliberately not required (it can fail under model
+    mismatch).
     """
 
     means: np.ndarray
     variances: np.ndarray
     prior_variance: np.ndarray
+    prior_mean: np.ndarray | float = 0.0
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         variances = np.atleast_2d(np.asarray(self.variances, dtype=float))
         prior = np.asarray(self.prior_variance, dtype=float).ravel()
+        prior_mean = np.asarray(self.prior_mean, dtype=float).ravel()
         if means.shape != variances.shape:
             raise DimensionError("means and variances must have identical shape")
         if prior.size != means.shape[0]:
             raise DimensionError("prior_variance length must equal the number of test points")
-        if not (np.all(variances > 0) and np.all(prior > 0)):
-            raise ValueError("variances must be strictly positive")
+        if prior_mean.size not in (1, prior.size):
+            raise DimensionError("prior_mean must be a scalar or one entry per test point")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(prior_mean))):
+            raise ValueError("means and prior_mean must be finite")
+        if not all(np.all(np.isfinite(v) & (v > 0)) for v in (variances, prior)):
+            raise ValueError("variances must be finite and strictly positive")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "prior_variance", prior)
+        object.__setattr__(self, "prior_mean", np.broadcast_to(prior_mean, prior.shape))
 
     @property
     def n_test(self) -> int:
@@ -75,16 +87,8 @@ def collect_predictions(
     return ExpertPredictions(means, variances, prior)
 
 
-@dataclass(frozen=True, eq=False)
-class Weights:
-    """Per-test-point expert importances beta (n_t x M)."""
-
-    beta: np.ndarray
-    scheme: str
-
-
-def compute_weights(preds: ExpertPredictions, scheme: str) -> Weights:
-    """Expert importance weights.
+def compute_weights(preds: ExpertPredictions, scheme: str) -> np.ndarray:
+    """Expert importance weights beta (n_t x M).
 
     uniform_one: all ones; uniform_inv_M: all 1/M; diff_entropy: the
     differential-entropy gain 1/2 (log prior_var - log var_i) per point.
@@ -93,35 +97,34 @@ def compute_weights(preds: ExpertPredictions, scheme: str) -> Weights:
         raise ValueError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
     shape = preds.means.shape
     if scheme == "uniform_one":
-        beta = np.ones(shape)
-    elif scheme == "uniform_inv_M":
-        beta = np.full(shape, 1.0 / preds.n_experts)
-    else:
-        beta = 0.5 * (np.log(preds.prior_variance)[:, None] - np.log(preds.variances))
-    return Weights(beta=beta, scheme=scheme)
+        return np.ones(shape)
+    if scheme == "uniform_inv_M":
+        return np.full(shape, 1.0 / preds.n_experts)
+    return 0.5 * (np.log(preds.prior_variance)[:, None] - np.log(preds.variances))
 
 
 def poe_family_aggregate(
-    preds: ExpertPredictions, weights: Weights, use_prior_correction: bool
+    preds: ExpertPredictions, beta: np.ndarray, use_prior_correction: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted product of expert Gaussians, optionally prior-corrected.
 
-    Without the correction this is PoE/GPoE; with it, BCM/RBCM. The
-    combined precision must stay positive at every test point.
+    Without the correction this is PoE/GPoE; with it, BCM/RBCM/GRBCM.
+    The combined precision must stay positive at every test point.
     """
-    beta = weights.beta
     if beta.shape != preds.means.shape:
         raise DimensionError("weights shape does not match predictions")
     prec = beta / preds.variances
     agg_prec = prec.sum(axis=1)
+    numerator = np.sum(prec * preds.means, axis=1)
     if use_prior_correction:
-        agg_prec = agg_prec + (1.0 - beta.sum(axis=1)) / preds.prior_variance
+        prior_prec = (1.0 - beta.sum(axis=1)) / preds.prior_variance
+        agg_prec = agg_prec + prior_prec
+        numerator = numerator + prior_prec * preds.prior_mean
     bad = np.where(agg_prec <= 0)[0]
     if bad.size:
         raise NumericalError(f"non-positive aggregated precision at test index {bad[0]}")
     variance = 1.0 / agg_prec
-    mean = variance * np.sum(prec * preds.means, axis=1)
-    return mean, variance
+    return variance * numerator, variance
 
 
 def poe(preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
@@ -157,44 +160,23 @@ def grbcm_aggregate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized robust BCM over base-augmented experts.
 
-    A base partition is drawn by ``seed``; every other partition i is
-    merged with it and an expert trained on the union predicts with
-    weight beta (first augmented expert: 1; the rest: entropy gain
-    relative to the base expert). The base expert itself plays the role
-    the prior plays in RBCM.
+    A base partition is drawn by ``seed``; every other partition is
+    merged with it and an expert trained on the union. The augmented
+    experts are combined by RBCM's rule with the base expert as the
+    prior: beta is the entropy gain relative to the base expert, except
+    1 for the first augmented expert.
     """
     M = len(partitioning.subsets)
     if M < 2:
         raise ValueError("GRBCM needs at least 2 partitions")
     base_idx = grbcm_base_index(M, seed)
-    base_data = partitioning.subsets[base_idx]
-    base_expert = train_expert(base_data, hp)
-    mu_b, var_b = predict(base_expert, X_star, hp)
-
-    mu_cols, var_cols = [], []
-    for i, subset in enumerate(partitioning.subsets):
-        if i == base_idx:
-            continue
-        merged = Dataset(
-            np.vstack([base_data.X, subset.X]),
-            np.concatenate([base_data.y, subset.y]),
-        )
-        expert = train_expert(merged, hp)
-        m, v = predict(expert, X_star, hp)
-        mu_cols.append(m)
-        var_cols.append(v)
-    mu = np.column_stack(mu_cols)
-    var = np.column_stack(var_cols)
-
-    beta = 0.5 * (np.log(var_b)[:, None] - np.log(var))
-    beta[:, 0] = 1.0
-    prec = beta / var
-    agg_prec = prec.sum(axis=1) + (1.0 - beta.sum(axis=1)) / var_b
-    bad = np.where(agg_prec <= 0)[0]
-    if bad.size:
-        raise NumericalError(f"non-positive aggregated precision at test index {bad[0]}")
-    variance = 1.0 / agg_prec
-    mean = variance * (
-        np.sum(prec * mu, axis=1) + (1.0 - beta.sum(axis=1)) / var_b * mu_b
+    base = partitioning.subsets[base_idx]
+    others = [s for i, s in enumerate(partitioning.subsets) if i != base_idx]
+    merged = [Dataset(np.vstack([base.X, s.X]), np.concatenate([base.y, s.y])) for s in others]
+    joint = collect_predictions([train_expert(d, hp) for d in [base, *merged]], X_star, hp)
+    preds = ExpertPredictions(
+        joint.means[:, 1:], joint.variances[:, 1:], joint.variances[:, 0], joint.means[:, 0]
     )
-    return mean, variance
+    beta = compute_weights(preds, "diff_entropy")
+    beta[:, 0] = 1.0
+    return poe_family_aggregate(preds, beta, True)

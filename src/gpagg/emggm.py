@@ -136,6 +136,13 @@ def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> JointCo
     )
 
 
+def _regression(Sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """A = Sigma_mm^-1 Sigma_my under the covariance ``Sigma``, and the
+    diagonal jitter the Cholesky factorization of Sigma_mm needed."""
+    L, jitter = chol_jitter(Sigma[1:, 1:])
+    return cho_solve((L, True), Sigma[1:, LATENT]), jitter
+
+
 def e_step(model: JointCovarianceModel) -> JointCovarianceModel:
     """Replace the latent blocks of S with their conditional expectations.
 
@@ -146,13 +153,11 @@ def e_step(model: JointCovarianceModel) -> JointCovarianceModel:
     """
     if model.Sigma is None:
         raise ValueError("model has no covariance estimate yet; run an M-step first")
-    Sigma_mm = model.Sigma[1:, 1:]
     Sigma_my = model.Sigma[1:, LATENT]
     Sigma_yy = model.Sigma[LATENT, LATENT]
     S_mm = model.S[1:, 1:]
 
-    L, model.e_step_jitter = chol_jitter(Sigma_mm)
-    A = cho_solve((L, True), Sigma_my)
+    A, model.e_step_jitter = _regression(model.Sigma)
     S_my = S_mm @ A
     S_yy = Sigma_yy - Sigma_my @ A + A @ (S_mm @ A)
 
@@ -251,10 +256,7 @@ def emggm_aggregate(
             converged = True
             break
 
-    Sigma_mm = model.Sigma[1:, 1:]
-    Sigma_my = model.Sigma[1:, LATENT]
-    L, weight_jitter = chol_jitter(Sigma_mm)
-    w = cho_solve((L, True), Sigma_my)
+    w, weight_jitter = _regression(model.Sigma)
     means = model.latent_mean + (preds.means - model.expert_means) @ w
 
     diagnostics = {

@@ -73,17 +73,18 @@ def effective_covariance(S: np.ndarray) -> np.ndarray:
 
 def penalty_matrix(lam: float | np.ndarray, p: int) -> np.ndarray:
     """Per-entry penalty weights: scalar lambda on every off-diagonal, or a
-    caller-supplied symmetric non-negative matrix (diagonal forced to zero)."""
+    caller-supplied symmetric non-negative matrix (diagonal forced to zero).
+    Every value must be finite."""
     if np.isscalar(lam):
-        if lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lambda must be finite and non-negative, got {lam!r}")
         Lam = np.full((p, p), float(lam))
     else:
         Lam = np.asarray(lam, dtype=float).copy()
         if Lam.shape != (p, p):
             raise DimensionError(f"penalty matrix must be {p}x{p}, got {Lam.shape}")
-        if np.any(Lam < 0) or not np.allclose(Lam, Lam.T):
-            raise ValueError("penalty matrix must be symmetric and non-negative")
+        if not np.all(np.isfinite(Lam)) or np.any(Lam < 0) or not np.allclose(Lam, Lam.T):
+            raise ValueError("penalty matrix must be finite, symmetric and non-negative")
     Lam[np.diag_indices_from(Lam)] = 0.0
     return Lam
 

@@ -5,6 +5,7 @@ import pytest
 
 from gpagg import (
     Dataset,
+    DimensionError,
     ExpertPredictions,
     Hyperparameters,
     NumericalError,
@@ -21,7 +22,6 @@ from gpagg import (
     rbcm,
     train_expert,
 )
-from gpagg.baselines import Weights
 
 
 def make_preds(means, variances, prior=None):
@@ -35,22 +35,21 @@ def make_preds(means, variances, prior=None):
 class TestWeights:
     def test_uniform_inv_m(self):
         preds = make_preds(np.zeros((3, 4)), np.ones((3, 4)))
-        w = compute_weights(preds, "uniform_inv_M")
-        assert np.all(w.beta == 0.25)
+        assert np.all(compute_weights(preds, "uniform_inv_M") == 0.25)
 
     def test_uniform_one(self):
         preds = make_preds(np.zeros((2, 3)), np.ones((2, 3)))
-        assert np.all(compute_weights(preds, "uniform_one").beta == 1.0)
+        assert np.all(compute_weights(preds, "uniform_one") == 1.0)
 
     def test_entropy_zero_when_posterior_equals_prior(self):
         prior = np.full(5, 1.7)
         preds = make_preds(np.zeros((5, 2)), np.full((5, 2), 1.7), prior)
-        assert np.allclose(compute_weights(preds, "diff_entropy").beta, 0.0)
+        assert np.allclose(compute_weights(preds, "diff_entropy"), 0.0)
 
     def test_entropy_half_at_log_ratio_one(self):
         prior = np.full(4, math.e * 0.9)
         preds = make_preds(np.zeros((4, 3)), np.full((4, 3), 0.9), prior)
-        assert np.allclose(compute_weights(preds, "diff_entropy").beta, 0.5)
+        assert np.allclose(compute_weights(preds, "diff_entropy"), 0.5)
 
     def test_unknown_scheme_raises(self):
         preds = make_preds(np.zeros((2, 2)), np.ones((2, 2)))
@@ -60,6 +59,28 @@ class TestWeights:
     def test_variances_must_be_positive(self):
         with pytest.raises(ValueError):
             make_preds(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_prior_mean_needs_one_entry_per_test_point(self):
+        with pytest.raises(DimensionError):
+            ExpertPredictions(np.zeros((3, 2)), np.ones((3, 2)), np.full(3, 2.0), [0.0, 1.0])
+
+
+class TestNonFinitePredictions:
+    def test_nan_mean_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_preds(np.array([[0.0, np.nan], [1.0, 1.0]]), np.ones((2, 2)))
+
+    def test_inf_variance_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_preds(np.zeros((2, 2)), np.array([[1.0, np.inf], [1.0, np.inf]]))
+
+    def test_nan_prior_mean_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            ExpertPredictions(np.zeros((2, 2)), np.ones((2, 2)), np.full(2, 2.0), [0.0, np.nan])
+
+    def test_inf_prior_variance_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            make_preds(np.zeros((2, 2)), np.ones((2, 2)), prior=np.array([2.0, np.inf]))
 
 
 class TestPoeFamily:
@@ -71,7 +92,7 @@ class TestPoeFamily:
 
     def test_single_expert_recovered_exactly(self):
         preds = make_preds([[1.3], [-0.4]], [[0.7], [0.9]])
-        w = Weights(np.ones((2, 1)), "uniform_one")
+        w = np.ones((2, 1))
         for flag in (False, True):
             mean, var = poe_family_aggregate(preds, w, flag)
             # exact up to one float rounding from the 1/(1/x) round trip
@@ -123,14 +144,14 @@ class TestPoeFamily:
     def test_non_positive_precision_names_test_index(self):
         # large weights on weak experts push the corrected precision negative
         preds = make_preds([[0.0, 0.0]], [[1e6, 1e6]], prior=np.array([1.0]))
-        w = Weights(np.full((1, 2), 2.5), "uniform_one")
+        w = np.full((1, 2), 2.5)
         with pytest.raises(NumericalError, match="test index 0"):
             poe_family_aggregate(preds, w, True)
 
     def test_weight_shape_mismatch_raises(self):
         preds = make_preds(np.zeros((2, 2)), np.ones((2, 2)))
         with pytest.raises(Exception):
-            poe_family_aggregate(preds, Weights(np.ones((3, 2)), "uniform_one"), False)
+            poe_family_aggregate(preds, np.ones((3, 2)), False)
 
 
 class TestCollectPredictions:
@@ -148,6 +169,7 @@ class TestCollectPredictions:
             assert np.array_equal(preds.means[:, i], m)
             assert np.array_equal(preds.variances[:, i], v)
         assert np.allclose(preds.prior_variance, 1.1)
+        assert np.all(preds.prior_mean == 0.0)
 
 
 class TestGrbcm:

@@ -298,6 +298,12 @@ class TestAggregate:
         assert [it["e_step_jitter"] for it in diag["iterations"]] == [1e-9] * diag["n_iterations"]
         assert diag["weight_jitter"] == 1e-9
 
+    def test_nan_lambda_raises(self):
+        rng = np.random.default_rng(16)
+        preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))
+        with pytest.raises(ValueError, match="finite"):
+            emggm_aggregate(preds, EmggmConfig(lam=math.nan))
+
     def test_auto_lambda_resolution(self):
         assert resolve_lambda("auto", 4, 100) == pytest.approx(0.5 * math.sqrt(math.log(5) / 100))
         assert resolve_lambda(0.3, 4, 100) == 0.3

@@ -173,6 +173,18 @@ class TestSolve:
         with pytest.raises(ValueError):
             glasso_solve(np.eye(3), -0.1)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_scalar_lambda_raises(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            glasso_solve(np.eye(3), lam)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_penalty_matrix_entry_raises(self, bad):
+        Lam = np.full((3, 3), 0.1)
+        Lam[0, 1] = Lam[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            glasso_solve(np.eye(3), Lam)
+
     def test_max_iter_flags_unconverged(self):
         rng = np.random.default_rng(10)
         S = random_spd(rng, 8)
