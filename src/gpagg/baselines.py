@@ -15,6 +15,7 @@ the base expert (its mean and its variance) as the prior.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,20 @@ class ExpertPredictions:
 
 
 def collect_predictions(
-    experts: list[TrainedExpert], X_star: np.ndarray, hp: Hyperparameters | None = None
+    experts: Iterable[TrainedExpert], X_star: np.ndarray, hp: Hyperparameters | None = None
 ) -> ExpertPredictions:
-    """Run every expert on the test inputs and stack the results."""
-    if not experts:
+    """Run every expert on the test inputs and stack the results.
+
+    ``experts`` may be a generator: each expert is released once it has
+    predicted, before the next one is built.
+    """
+    cols = []
+    for expert in experts:
+        hp = hp or expert.hp
+        cols.append(predict(expert, X_star, hp))
+        del expert
+    if not cols:
         raise ValueError("need at least one expert")
-    hp = hp or experts[0].hp
-    cols = [predict(e, X_star, hp) for e in experts]
     means = np.column_stack([m for m, _ in cols])
     variances = np.column_stack([v for _, v in cols])
     prior = np.full(means.shape[0], hp.signal_variance + hp.noise_variance)
@@ -161,10 +169,11 @@ def grbcm_aggregate(
     """Generalized robust BCM over base-augmented experts.
 
     A base partition is drawn by ``seed``; every other partition is
-    merged with it and an expert trained on the union. The augmented
-    experts are combined by RBCM's rule with the base expert as the
-    prior: beta is the entropy gain relative to the base expert, except
-    1 for the first augmented expert.
+    merged with it and an expert trained on the union; the experts are
+    trained one at a time, each released once it has predicted. The
+    augmented experts are combined by RBCM's rule with the base expert
+    as the prior: beta is the entropy gain relative to the base expert,
+    except 1 for the first augmented expert.
     """
     M = len(partitioning.subsets)
     if M < 2:
@@ -173,7 +182,7 @@ def grbcm_aggregate(
     base = partitioning.subsets[base_idx]
     others = [s for i, s in enumerate(partitioning.subsets) if i != base_idx]
     merged = [Dataset(np.vstack([base.X, s.X]), np.concatenate([base.y, s.y])) for s in others]
-    joint = collect_predictions([train_expert(d, hp) for d in [base, *merged]], X_star, hp)
+    joint = collect_predictions((train_expert(d, hp) for d in [base, *merged]), X_star, hp)
     preds = ExpertPredictions(
         joint.means[:, 1:], joint.variances[:, 1:], joint.variances[:, 0], joint.means[:, 0]
     )

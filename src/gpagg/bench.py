@@ -329,7 +329,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     emggm_diagnostics.json and optional SVG charts) to the output dir.
 
     A method failure is logged and recorded as a NaN row; the run
-    continues. Every NaN row is also listed in failures.json with its
+    continues. A failure in a cell's shared stage (partition, fit, expert
+    training or expert predictions) makes a NaN row of every method that
+    uses it. Every NaN row is also listed in failures.json with its
     exception class and message; that file is written only when a cell
     fails. The full GP ignores partitioning, so its row is computed once
     per seed and repeated for every M.
@@ -375,17 +377,22 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                 full_gp_result = (math.nan, math.nan, math.nan, math.nan, 0)
                 full_gp_error = exc
 
+        partition = kmeans_partition if cfg.partitioner == "kmeans" else random_partition
         for M in cfg.M_list:
-            partition = kmeans_partition if cfg.partitioner == "kmeans" else random_partition
-            parts = partition(train, M, seed)
-            tic = time.perf_counter()
-            hp = fit_shared_hyperparameters(parts.subsets, _default_init(train), fit_opts)
-            experts = [train_expert(s, hp) for s in parts.subsets]
-            train_time = time.perf_counter() - tic
-            tic = time.perf_counter()
-            preds = collect_predictions(experts, test.X, hp)
-            t_shared_pred = time.perf_counter() - tic
-            cell = _Cell(cfg, M, seed, parts, hp, experts, preds, test.X, max(s.n for s in parts.subsets))
+            cell = cell_error = None
+            try:
+                parts = partition(train, M, seed)
+                tic = time.perf_counter()
+                hp = fit_shared_hyperparameters(parts.subsets, _default_init(train), fit_opts)
+                experts = [train_expert(s, hp) for s in parts.subsets]
+                train_time = time.perf_counter() - tic
+                tic = time.perf_counter()
+                preds = collect_predictions(experts, test.X, hp)
+                t_shared_pred = time.perf_counter() - tic
+                cell = _Cell(cfg, M, seed, parts, hp, experts, preds, test.X, max(s.n for s in parts.subsets))
+            except Exception as exc:  # noqa: BLE001 - fails this cell's methods, not the run
+                log.warning("shared stage failed (M=%d seed=%d): %s", M, seed, exc)
+                cell_error = exc
 
             for method in cfg.methods:
                 if method == "full_gp":
@@ -393,6 +400,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                     rows.append(BenchmarkRow("full_gp", M, seed, mae, rmse, t_tr, t_pr, peak))
                     if full_gp_error is not None:
                         fail("full_gp", M, seed, full_gp_error)
+                    continue
+                if cell is None:
+                    fail(method, M, seed, cell_error)
+                    rows.append(BenchmarkRow(method, M, seed, math.nan, math.nan, math.nan, math.nan, 0))
                     continue
                 call, shares_preds, peak_rule = _AGGREGATORS[method]
                 try:

@@ -25,47 +25,32 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from ._linalg import chol_jitter
-from .baselines import ExpertPredictions, gpoe
+from .baselines import ExpertPredictions
 from .errors import DimensionError
-from .glasso import PrecisionEstimate, glasso_solve
+from .glasso import DEFAULT_TOL, PrecisionEstimate, glasso_solve
 
 LATENT = 0
 
-INIT_SCHEMES = ("mean_of_experts", "gpoe")
+CONV_TOL = 1e-4  # EM stops once Omega's relative max-norm change falls below this
 
 
 @dataclass(frozen=True)
 class EmggmConfig:
-    """Aggregation settings: penalty, iteration budget, and initialization.
+    """Aggregation settings: the penalty ``lam`` and the EM budget ``max_iters``.
 
-    ``lam`` may be the string "auto", which resolves to
-    0.5 * sqrt(log(M+1) / n_t) at aggregation time.
-
-    ``penalize_latent`` keeps the sparsity penalty off the latent
-    row/column by default: the latent target is there to absorb the
-    experts' common covariance, and penalizing its edges makes the
-    unidentified latent blocks bleed toward zero (one KKT shrink of
-    size lambda per M-step) until the target decouples entirely. With
-    the penalty restricted to expert-expert edges the objective is
-    invariant to the latent scale, so the iteration stays anchored to
-    the initialization.
+    ``lam`` is a finite number >= 0 or the string "auto", which resolves
+    to 0.5 * sqrt(log(M+1) / n_t) at aggregation time. The latent target
+    starts at the mean of the experts; the penalty stays off its edges
+    (see ``m_step``).
     """
 
     lam: float | str = "auto"
     max_iters: int = 20
-    conv_tol: float = 1e-4
-    init_scheme: str = "mean_of_experts"
-    glasso_tol: float = 1e-6
-    glasso_max_iter: int = 500
-    penalize_latent: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.conv_tol <= 0:
-            raise ValueError("conv_tol must be positive")
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}; choose from {INIT_SCHEMES}")
+        _check_lambda(self.lam)
 
 
 @dataclass(eq=False)
@@ -85,28 +70,25 @@ class JointCovarianceModel:
     latent_mean: float
     Omega: np.ndarray | None = None
     Sigma: np.ndarray | None = None
-    iteration: int = 0
     e_step_jitter: float = 0.0
 
 
+def _check_lambda(lam: float | str) -> None:
+    if lam != "auto" and (isinstance(lam, str) or not (math.isfinite(lam) and lam >= 0)):
+        raise ValueError(f"lambda must be 'auto' or a finite number >= 0, got {lam!r}")
+
+
 def resolve_lambda(lam: float | str, n_experts: int, n_test: int) -> float:
-    if isinstance(lam, str):
-        if lam != "auto":
-            raise ValueError(f"lambda must be a number or 'auto', got {lam!r}")
+    _check_lambda(lam)
+    if lam == "auto":
         return 0.5 * math.sqrt(math.log(n_experts + 1) / n_test)
-    value = float(lam)
-    if value < 0:
-        raise ValueError("lambda must be non-negative")
-    return value
+    return float(lam)
 
 
-def init_latent(preds: ExpertPredictions, scheme: str = "mean_of_experts") -> np.ndarray:
-    """Starting guess for the unobserved target at each test point."""
-    if scheme == "mean_of_experts":
-        return preds.means.mean(axis=1)
-    if scheme == "gpoe":
-        return gpoe(preds)[0]
-    raise ValueError(f"unknown init scheme {scheme!r}; choose from {INIT_SCHEMES}")
+def init_latent(preds: ExpertPredictions) -> np.ndarray:
+    """Starting guess for the unobserved target at each test point: the
+    mean of the experts."""
+    return preds.means.mean(axis=1)
 
 
 def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> JointCovarianceModel:
@@ -167,24 +149,23 @@ def e_step(model: JointCovarianceModel) -> JointCovarianceModel:
     return model
 
 
-def m_step(
-    model: JointCovarianceModel,
-    lam: float,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    penalize_latent: bool = False,
-) -> PrecisionEstimate:
+def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
     """Refresh Omega/Sigma by solving the penalized likelihood on the
     current S, warm-starting from the previous precision.
 
-    Unless ``penalize_latent`` is set, the penalty applies to the
-    expert-expert off-diagonals only (see EmggmConfig)."""
+    Only the expert-expert off-diagonals are penalized. The latent target
+    absorbs the experts' common covariance; penalizing its edges shrinks
+    the unidentified latent blocks by lambda per M-step until the target
+    decouples. Unpenalized, the objective is invariant to the latent
+    scale, so the iteration stays anchored to the initialization.
+    """
+    tol = DEFAULT_TOL
     if model.Omega is not None:
         # near-singular S means huge precision entries; scale the solver's
         # absolute tolerance on the Newton step so iterations stop at a sane
         # relative accuracy
         tol = tol * max(1.0, float(np.max(np.abs(model.Omega))))
-    if lam > 0 and not penalize_latent:
+    if lam > 0:
         p = model.S.shape[0]
         penalty = np.full((p, p), float(lam))
         penalty[LATENT, :] = 0.0
@@ -192,9 +173,7 @@ def m_step(
         lam_arg: float | np.ndarray = penalty
     else:
         lam_arg = lam
-    est = glasso_solve(
-        model.S, lam_arg, tol=tol, max_iter=max_iter, init=model.Omega, plateau_tol=1e-9
-    )
+    est = glasso_solve(model.S, lam_arg, tol=tol, init=model.Omega, plateau_tol=1e-9)
     model.Omega = est.Omega
     model.Sigma = est.Sigma
     return est
@@ -220,27 +199,26 @@ def emggm_aggregate(
     iterations, convergence and dual gap, and the E-step's jitter; the
     initial M-step's solver stats and the jitter of the final weight
     solve sit at the top level. Iterations stop
-    at ``max_iters`` or when the relative max-norm change of Omega drops
-    below ``conv_tol``; if the loop exhausts its budget the last iterate
-    is returned with ``converged`` set to False.
+    at ``cfg.max_iters`` or when the relative max-norm change of Omega
+    drops below ``CONV_TOL`` (1e-4); if the loop exhausts its budget the
+    last iterate is returned with ``converged`` set to False.
     """
     cfg = cfg or EmggmConfig()
     n_t, M = preds.means.shape
-    y0 = init_latent(preds, cfg.init_scheme)
+    y0 = init_latent(preds)
     model = joint_sample_covariance(y0, preds)
     lam = resolve_lambda(cfg.lam, M, n_t)
 
-    initial = m_step(model, lam, cfg.glasso_tol, cfg.glasso_max_iter, cfg.penalize_latent)
+    initial = m_step(model, lam)
     iterations: list[dict] = []
     converged = False
     for t in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
         e_step(model)
         previous = model.Omega.copy()
-        est = m_step(model, lam, cfg.glasso_tol, cfg.glasso_max_iter, cfg.penalize_latent)
+        est = m_step(model, lam)
         scale = max(float(np.max(np.abs(previous))), 1e-300)
         change = float(np.max(np.abs(model.Omega - previous))) / scale
-        model.iteration = t
         iterations.append(
             {
                 "iteration": t,
@@ -252,7 +230,7 @@ def emggm_aggregate(
                 "e_step_jitter": model.e_step_jitter,
             }
         )
-        if change < cfg.conv_tol:
+        if change < CONV_TOL:
             converged = True
             break
 

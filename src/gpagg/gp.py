@@ -27,6 +27,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Bounds (in log space) for the optimizer; wide enough to be inactive for
 # any sane problem, tight enough to keep exp() finite.
 _LOG_BOUNDS = (-15.0, 15.0)
+_MAX_ITER = 200  # L-BFGS-B iterations per restart
+_GRAD_TOL = 1e-5
+_PERTURB_SCALE = 0.5  # sd of the log-space perturbation seeding each extra restart
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +319,7 @@ class FitOptions:
     """
 
     restarts: int = 3
-    max_iter: int = 200
-    grad_tol: float = 1e-5
     seed: int = 0
-    perturb_scale: float = 0.5
-    ard: bool = False
 
 
 def fit_shared_hyperparameters(
@@ -332,8 +331,9 @@ def fit_shared_hyperparameters(
 
     All experts share a single theta; the objective is the factorized
     marginal likelihood sum_i log p(y_i | X_i, theta), optimized with
-    L-BFGS-B in log-parameter space. The returned theta never scores
-    worse than ``init``.
+    L-BFGS-B in log-parameter space. The kernel is ARD when ``init``
+    carries d lengthscales and isotropic when it carries one. The
+    returned theta never scores worse than ``init``.
     """
     opts = opts or FitOptions()
     datasets = list(partitions)
@@ -342,8 +342,6 @@ def fit_shared_hyperparameters(
     d = datasets[0].d
     if any(ds.d != d for ds in datasets):
         raise DimensionError("partitions disagree on input dimension")
-    if opts.ard and init.lengthscale.size == 1:
-        init = Hyperparameters(np.full(d, init.lengthscale[0]), init.signal_variance, init.noise_variance)
     k = _check_lengthscale(init, d).size
     sqs = [_sq_dists(ds.X, k) for ds in datasets]
     last: list = []  # the latest point evaluated, its value and gradient
@@ -366,7 +364,7 @@ def fit_shared_hyperparameters(
     x0 = init.log_vector()
     rng = np.random.default_rng(opts.seed)
     starts = [x0] + [
-        x0 + opts.perturb_scale * rng.standard_normal(x0.size) for _ in range(opts.restarts - 1)
+        x0 + _PERTURB_SCALE * rng.standard_normal(x0.size) for _ in range(opts.restarts - 1)
     ]
     bounds = [_LOG_BOUNDS] * x0.size
 
@@ -385,7 +383,7 @@ def fit_shared_hyperparameters(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={"maxiter": opts.max_iter, "gtol": opts.grad_tol},
+                options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL},
             )
         except (NumericalError, FloatingPointError) as exc:
             failures.append({"start": start.tolist(), "error": str(exc)})

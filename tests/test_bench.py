@@ -15,10 +15,12 @@ from gpagg import (
     normalize,
     run_benchmark,
 )
+import gpagg.baselines as baselines
 import gpagg.bench as bench
 from gpagg.bench import CSV_HEADER, BenchmarkRow, denormalize_y, emit_csv, parse_csv, write_dataset_csv
 from gpagg.cli import main as cli_main
 from gpagg.emggm import EmggmConfig
+from gpagg.gp import predict as gp_predict
 
 
 class TestLatentFunction:
@@ -205,6 +207,31 @@ class TestRunBenchmark:
         run_benchmark(cfg)
         assert not (tmp_path / "out" / "failures.json").exists()
 
+    def test_shared_stage_failure_fails_its_cell(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, M_list=(2, 3), methods=bench.METHODS)
+
+        def nan_predict(*args, **kwargs):
+            means, variances = gp_predict(*args, **kwargs)
+            means[0] = math.nan
+            return means, variances
+
+        # collect_predictions runs in every cell's shared stage; the full
+        # GP predicts through its own import and needs no partition
+        monkeypatch.setattr(baselines, "predict", nan_predict)
+        rows = run_benchmark(cfg)
+        assert parse_csv(tmp_path / "out" / "results.csv") == rows
+        failures = json.loads((tmp_path / "out" / "failures.json").read_text())
+        listed = [(f["method"], f["M"], f["seed"]) for f in failures]
+        shared = [m for m in cfg.methods if m != "full_gp"]
+        assert listed == [(m, M, s) for s in cfg.seeds for M in cfg.M_list for m in shared]
+        assert {f["exception"] for f in failures} == {"ValueError"}
+        for row in rows:
+            assert math.isnan(row.mae) == (row.method != "full_gp")
+
+    def test_unknown_emggm_setting_rejected(self):
+        with pytest.raises(TypeError, match="conv_tol"):
+            BenchmarkConfig.from_dict({"emggm": {"conv_tol": 1e-3}})
+
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, methods=("gpoe", "voting"))
@@ -293,3 +320,9 @@ class TestCli:
         rows = parse_csv(tmp_path / "y" / "results.csv")
         assert {r.method for r in rows} == {"gpoe", "emggm"}
         assert {r.seed for r in rows} == {3}
+
+    def test_nan_lambda_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "nan"
+        with pytest.raises(ValueError, match="lambda"):
+            cli_main(["bench", "--lambda", "nan", "--methods", "gpoe,emggm", "--out", str(out)])
+        assert not (out / "results.csv").exists()

@@ -11,7 +11,6 @@ from gpagg import (
     e_step,
     emggm_aggregate,
     glasso_solve,
-    gpoe,
     init_latent,
     joint_sample_covariance,
     m_step,
@@ -40,21 +39,12 @@ def factor_model_preds(rng, n_t, loadings, noise_sd):
 class TestInitLatent:
     def test_single_expert_returns_its_means(self):
         preds = make_preds(np.arange(6.0)[:, None])
-        assert np.array_equal(init_latent(preds, "mean_of_experts"), np.arange(6.0))
+        assert np.array_equal(init_latent(preds), np.arange(6.0))
 
     def test_opposite_experts_cancel(self):
         v = np.array([1.0, -2.0, 3.0])
         preds = make_preds(np.column_stack([v, -v]))
-        assert np.array_equal(init_latent(preds, "mean_of_experts"), np.zeros(3))
-
-    def test_gpoe_scheme_delegates_bitwise(self):
-        rng = np.random.default_rng(0)
-        preds = make_preds(rng.standard_normal((7, 3)), rng.uniform(0.3, 1.5, (7, 3)))
-        assert np.array_equal(init_latent(preds, "gpoe"), gpoe(preds)[0])
-
-    def test_unknown_scheme_raises(self):
-        with pytest.raises(ValueError):
-            init_latent(make_preds(np.zeros((3, 1))), "oracle")
+        assert np.array_equal(init_latent(preds), np.zeros(3))
 
 
 class TestJointSampleCovariance:
@@ -179,16 +169,12 @@ class TestMStep:
     def test_large_lambda_fully_shrinks_penalized_block(self):
         rng = np.random.default_rng(8)
         preds = make_preds(rng.standard_normal((40, 3)))
+        # the penalty spares the latent row, so its edges survive
         model = joint_sample_covariance(rng.standard_normal(40), preds)
-        m_step(model, 100.0, penalize_latent=True)
-        off = model.Omega - np.diag(np.diag(model.Omega))
-        assert np.max(np.abs(off)) == 0.0
-        # default layout spares the latent row, so its edges survive
-        model2 = joint_sample_covariance(rng.standard_normal(40), preds)
-        m_step(model2, 100.0)
-        inner = model2.Omega[1:, 1:]
+        m_step(model, 100.0)
+        inner = model.Omega[1:, 1:]
         assert np.max(np.abs(inner - np.diag(np.diag(inner)))) == 0.0
-        assert np.max(np.abs(model2.Omega[0, 1:])) > 0.0
+        assert np.max(np.abs(model.Omega[0, 1:])) > 0.0
 
 
 class TestAggregate:
@@ -214,7 +200,7 @@ class TestAggregate:
         Sigma_mm = np.outer(loadings, loadings) + np.diag(noise**2)
         beta = np.linalg.solve(Sigma_mm, loadings)
         blup_mse = float(np.mean((f - preds.means @ beta) ** 2))
-        means, _ = emggm_aggregate(preds, EmggmConfig(lam=0.02, init_scheme="mean_of_experts"))
+        means, _ = emggm_aggregate(preds, EmggmConfig(lam=0.02))
         em_mse = float(np.mean((f - means) ** 2))
         assert em_mse <= blup_mse * 1.05
 
@@ -303,6 +289,11 @@ class TestAggregate:
         preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))
         with pytest.raises(ValueError, match="finite"):
             emggm_aggregate(preds, EmggmConfig(lam=math.nan))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, "grid"])
+    def test_config_rejects_invalid_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            EmggmConfig(lam=lam)
 
     def test_auto_lambda_resolution(self):
         assert resolve_lambda("auto", 4, 100) == pytest.approx(0.5 * math.sqrt(math.log(5) / 100))

@@ -380,8 +380,8 @@ class TestFit:
     def test_ard_flag_expands_lengthscale(self):
         rng = np.random.default_rng(11)
         data = random_dataset(rng, 20, d=2)
-        init = Hyperparameters([0.5], 1.0, 0.1)
-        hp = fit_shared_hyperparameters([data], init, FitOptions(restarts=1, ard=True))
+        init = Hyperparameters([0.5, 0.5], 1.0, 0.1)
+        hp = fit_shared_hyperparameters([data], init, FitOptions(restarts=1))
         assert hp.lengthscale.size == 2
 
 
