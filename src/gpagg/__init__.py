@@ -36,7 +36,7 @@ from .baselines import (
     poe_family_aggregate,
     rbcm,
 )
-from .npae import PointwiseCovariances, npae_aggregate, npae_pointwise_cov
+from .npae import npae_aggregate
 from .glasso import PrecisionEstimate, effective_covariance, glasso_objective, glasso_solve
 from .emggm import (
     EmggmConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "NormalizationState",
     "NumericalError",
     "Partitioning",
-    "PointwiseCovariances",
     "PrecisionEstimate",
     "TrainedExpert",
     "bcm",
@@ -101,7 +100,6 @@ __all__ = [
     "metrics",
     "normalize",
     "npae_aggregate",
-    "npae_pointwise_cov",
     "poe",
     "poe_family_aggregate",
     "predict",

@@ -17,9 +17,11 @@ per-method prediction cost. For methods consuming stacked expert
 predictions, the shared per-expert predict time is included in their
 prediction cost so the comparison against self-contained methods (NPAE,
 GRBCM) stays fair. ``peak_matrix_bytes`` is the largest dense matrix a
-method materializes: n^2 entries for the full GP and for NPAE's joint
-observation covariance, the largest merged-expert covariance for GRBCM,
-and the stacked prediction/precision matrices for the rest.
+method materializes: n^2 entries for the full GP; for NPAE the largest
+of a cross block (max n_i^2), its per-point K_A stack (n_t M^2) and one
+expert's weight matrix (max n_i n_t); the largest merged-expert
+covariance for GRBCM; and the stacked prediction/precision matrices for
+the rest.
 """
 
 from __future__ import annotations
@@ -301,6 +303,10 @@ def _ci_peak(c: _Cell) -> int:
     return _bytes(c.cfg.n_t * c.M, c.max_n_i * c.cfg.n_t)
 
 
+def _npae_peak(c: _Cell) -> int:
+    return _bytes(c.max_n_i**2, c.cfg.n_t * c.M**2, c.max_n_i * c.cfg.n_t)
+
+
 def _grbcm_peak(c: _Cell) -> int:
     base_n = c.parts.subsets[grbcm_base_index(c.M, c.seed)].n
     return _bytes((base_n + c.max_n_i) ** 2)
@@ -315,7 +321,7 @@ _AGGREGATORS = {
     "bcm": (_ci_rule(bcm), True, _ci_peak),
     "rbcm": (_ci_rule(rbcm), True, _ci_peak),
     "grbcm": (lambda c: (grbcm_aggregate(c.parts, c.hp, c.X, c.seed)[0], None), False, _grbcm_peak),
-    "npae": (lambda c: (npae_aggregate(c.experts, c.hp, c.X), None), False, lambda c: _bytes(c.cfg.n**2)),
+    "npae": (lambda c: (npae_aggregate(c.experts, c.hp, c.X), None), False, _npae_peak),
     "emggm": (
         lambda c: emggm_aggregate(c.preds, c.cfg.emggm),
         True,

@@ -9,61 +9,23 @@ target: mu_i(x*) = Gamma_i y_i with Gamma_i = k(X_i, x*)' C_i^-1, so
 and the aggregated mean is the conditional mean k_A' K_A^-1 mu(x*),
 solved fresh at every test point (an M x M system each time, so the
 aggregation cost scales with n_t * M^3 plus the covariance assembly).
-Diagonal blocks of Cov(y_i, y_i) carry the noise term: they equal
-C_i = K_i + sigma^2 I, not the bare kernel.
+A diagonal entry needs no block of Cov(y_i, y_i): Gamma_i C_i Gamma_i'
+cancels one inverse and reduces to k_A[i]. Only the cross blocks
+Cov(y_i, y_j) = k(X_i, X_j), i != j, are built, and never all at once.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
 
 from ._linalg import chol_jitter
-from .errors import DimensionError
 from .gp import Hyperparameters, TrainedExpert, kernel_matrix
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, eq=False)
-class PointwiseCovariances:
-    """Inter-expert covariance K_A (M x M) and target cross-covariance k_A (M,)
-    at a single test point."""
-
-    K_A: np.ndarray
-    k_A: np.ndarray
-
-
-def npae_pointwise_cov(
-    experts: list[TrainedExpert], hp: Hyperparameters, x_star: np.ndarray
-) -> PointwiseCovariances:
-    """Assemble K_A and k_A at one test point from scratch.
-
-    Diagonal entries reduce to k_i' C_i^-1 k_i because the C_i in
-    Gamma_i C_i Gamma_i' cancels one inverse; they coincide with k_A.
-    """
-    x = np.asarray(x_star, dtype=float).reshape(1, -1)
-    if x.shape[1] != experts[0].data.d:
-        raise DimensionError(f"test point has dimension {x.shape[1]}, experts use {experts[0].data.d}")
-    M = len(experts)
-    gammas = []
-    k_A = np.empty(M)
-    K_A = np.empty((M, M))
-    for i, e in enumerate(experts):
-        k_i = kernel_matrix(e.data.X, x, hp)[:, 0]
-        gamma = cho_solve((e.chol_C, True), k_i)
-        gammas.append(gamma)
-        k_A[i] = gamma @ k_i
-        K_A[i, i] = k_A[i]
-    for i in range(M):
-        for j in range(i + 1, M):
-            cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
-            K_A[i, j] = K_A[j, i] = gammas[i] @ (cross @ gammas[j])
-    return PointwiseCovariances(K_A=K_A, k_A=k_A)
 
 
 def npae_aggregate(
@@ -71,10 +33,14 @@ def npae_aggregate(
 ) -> np.ndarray:
     """Aggregated means k_A' K_A^-1 mu(x*) over all test points.
 
-    The joint observation covariance (every auto- and cross-covariance
-    block, i.e. k(X, X) + sigma^2 I over the concatenated partitions) is
-    materialized once per call; K_A itself is rebuilt fresh at each test
-    point and solved with the shared jitter policy.
+    The loop is pair-major: each cross block k(X_i, X_j), i < j, is built
+    once per call and used for every test point while it is still in
+    cache. The call holds the M weight matrices Gamma_i' (n x n_t in
+    total; every pair needs both of its own, so all M stay alive), the
+    K_A stack (n_t x M x M) and one cross block at a time; no n x n
+    joint covariance exists. K_A is solved per test point with
+    the shared jitter policy, and a jittered call logs one warning with
+    the number of test points that needed it and the largest jitter.
     """
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
@@ -83,28 +49,39 @@ def npae_aggregate(
     n_t = X_star.shape[0]
     started = time.perf_counter()
 
-    X_cat = np.vstack([e.data.X for e in experts])
-    C_joint = kernel_matrix(X_cat, X_cat, hp)
-    C_joint[np.diag_indices_from(C_joint)] += hp.noise_variance
-    bounds = np.cumsum([0] + [e.data.n for e in experts])
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(M)]
+    gammas = []
+    k_A = np.empty((n_t, M))
+    for i, e in enumerate(experts):
+        k_star = kernel_matrix(e.data.X, X_star, hp)
+        gamma = cho_solve((e.chol_C, True), k_star)
+        for t in range(n_t):
+            k_A[t, i] = gamma[:, t] @ k_star[:, t]
+        gammas.append(gamma)
+    local_means = np.column_stack([g.T @ e.data.y for g, e in zip(gammas, experts)])
 
-    K_star = kernel_matrix(X_cat, X_star, hp)
-    gammas = [cho_solve((e.chol_C, True), K_star[slices[i]]) for i, e in enumerate(experts)]
-    local_means = np.column_stack([gammas[i].T @ experts[i].data.y for i in range(M)])
+    K_A = np.empty((n_t, M, M))
+    diag = np.arange(M)
+    K_A[:, diag, diag] = k_A
+    for i in range(M):
+        for j in range(i + 1, M):
+            cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
+            g_i, g_j = gammas[i], gammas[j]
+            for t in range(n_t):
+                K_A[t, i, j] = K_A[t, j, i] = g_i[:, t] @ (cross @ g_j[:, t])
 
     means = np.empty(n_t)
-    K_A = np.empty((M, M))
-    k_A = np.empty(M)
+    jittered, max_jitter = 0, 0.0
     for t in range(n_t):
-        g = [gammas[i][:, t] for i in range(M)]
-        for i in range(M):
-            k_A[i] = g[i] @ K_star[slices[i], t]
-            K_A[i, i] = k_A[i]
-            for j in range(i + 1, M):
-                K_A[i, j] = K_A[j, i] = g[i] @ (C_joint[slices[i], slices[j]] @ g[j])
-        L, _ = chol_jitter(K_A)
-        w = cho_solve((L, True), k_A)
+        L, jitter = chol_jitter(K_A[t])
+        if jitter > 0.0:
+            jittered += 1
+            max_jitter = max(max_jitter, jitter)
+        w = cho_solve((L, True), k_A[t])
         means[t] = w @ local_means[t]
+    if jittered:
+        log.warning(
+            "npae_aggregate: %d of %d test points needed Cholesky jitter on K_A (largest %.3e)",
+            jittered, n_t, max_jitter,
+        )
     log.debug("npae_aggregate: M=%d n_t=%d took %.3fs", M, n_t, time.perf_counter() - started)
     return means

@@ -172,6 +172,23 @@ class TestRunBenchmark:
         assert fg[0].train_time_s == fg[1].train_time_s
         assert fg[0].peak_matrix_bytes == fg[1].peak_matrix_bytes
 
+    def test_npae_peak_is_its_largest_block_not_the_joint(self, tmp_path, monkeypatch):
+        sizes = []
+        kmeans_partition = bench.kmeans_partition
+
+        def recording_partition(data, M, seed):
+            parts = kmeans_partition(data, M, seed)
+            sizes.append(max(s.n for s in parts.subsets))
+            return parts
+
+        monkeypatch.setattr(bench, "kmeans_partition", recording_partition)
+        cfg = tiny_config(tmp_path, n_t=60, M_list=(2, 6), methods=("npae",), seeds=(0,))
+        rows = run_benchmark(cfg)
+        assert len(rows) == len(sizes) == 2
+        for row, max_n_i in zip(rows, sizes):
+            expected = 8 * max(max_n_i**2, cfg.n_t * row.M**2, max_n_i * cfg.n_t)
+            assert row.peak_matrix_bytes == expected < 8 * cfg.n**2
+
     def test_failed_cells_listed_in_failures_sidecar(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, M_list=(2, 3), methods=("full_gp", "gpoe", "npae"), seeds=(0,))
         clean = run_benchmark(cfg)

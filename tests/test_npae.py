@@ -1,17 +1,23 @@
+import logging
 import time
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from gpagg import (
     Dataset,
     Hyperparameters,
     kernel_matrix,
+    kmeans_partition,
     npae_aggregate,
-    npae_pointwise_cov,
     predict,
     train_expert,
 )
+from gpagg import npae
+from gpagg._linalg import chol_jitter
 
 
 def make_experts(rng, hp, M, n_per):
@@ -19,6 +25,41 @@ def make_experts(rng, hp, M, n_per):
         Dataset(rng.uniform(0, 1, (n_per, 1)), rng.standard_normal(n_per)) for _ in range(M)
     ]
     return parts, [train_expert(p, hp) for p in parts]
+
+
+@dataclass(frozen=True, eq=False)
+class PointwiseCovariances:
+    """Inter-expert covariance K_A (M x M) and target cross-covariance k_A (M,)
+    at a single test point."""
+
+    K_A: np.ndarray
+    k_A: np.ndarray
+
+
+def npae_pointwise_cov(experts, hp, x_star) -> PointwiseCovariances:
+    """Assemble K_A and k_A at one test point from scratch, one point at a
+    time with a fresh cross block per pair: the per-point oracle for
+    ``npae_aggregate``.
+
+    Diagonal entries reduce to k_i' C_i^-1 k_i because the C_i in
+    Gamma_i C_i Gamma_i' cancels one inverse; they coincide with k_A.
+    """
+    x = np.asarray(x_star, dtype=float).reshape(1, -1)
+    M = len(experts)
+    gammas = []
+    k_A = np.empty(M)
+    K_A = np.empty((M, M))
+    for i, e in enumerate(experts):
+        k_i = kernel_matrix(e.data.X, x, hp)[:, 0]
+        gamma = cho_solve((e.chol_C, True), k_i)
+        gammas.append(gamma)
+        k_A[i] = gamma @ k_i
+        K_A[i, i] = k_A[i]
+    for i in range(M):
+        for j in range(i + 1, M):
+            cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
+            K_A[i, j] = K_A[j, i] = gammas[i] @ (cross @ gammas[j])
+    return PointwiseCovariances(K_A=K_A, k_A=k_A)
 
 
 def joint_oracle(parts, hp, x_star):
@@ -77,10 +118,47 @@ class TestPointwiseCov:
         pc = npae_pointwise_cov(experts, hp, np.array([0.5]))
         # noise-free duplicates make K_A essentially rank one with equal entries
         assert np.allclose(pc.K_A, pc.K_A[0, 0], rtol=1e-6)
-        # the aggregate still returns the shared expert's mean via the jitter path
+        # the aggregate still returns the shared expert's mean; the 1e-12
+        # noise keeps the off-diagonal ~1e-9 below the diagonal, so K_A
+        # factorizes without jitter
         mean = npae_aggregate(experts, hp, np.array([[0.5]]))
         expert_mean, _ = predict(experts[0], np.array([[0.5]]), hp)
         assert mean[0] == pytest.approx(expert_mean[0], abs=1e-6)
+
+    def test_duplicated_experts_jitter_is_reported(self, caplog, monkeypatch):
+        # at 1e-16 noise the duplicates' K_A is singular to rounding at most
+        # points; each call counts those points and warns once
+        rng = np.random.default_rng(2)
+        hp = Hyperparameters([0.5], 1.0, 1e-16)
+        data = Dataset(rng.uniform(0, 1, (6, 1)), rng.standard_normal(6))
+        experts = [train_expert(data, hp), train_expert(data, hp)]
+        jitters = []
+
+        def recording(A):
+            L, jitter = chol_jitter(A)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(npae, "chol_jitter", recording)
+        X_star = np.linspace(0, 1, 11)[:, None]
+        with caplog.at_level(logging.WARNING, logger="gpagg.npae"):
+            mean = npae_aggregate(experts, hp, X_star)
+        expert_mean, _ = predict(experts[0], X_star, hp)
+        assert np.allclose(mean, expert_mean, atol=1e-6)
+        jittered = [j for j in jitters if j > 0.0]
+        assert len(jitters) == 11 and jittered
+        assert [r.getMessage() for r in caplog.records] == [
+            f"npae_aggregate: {len(jittered)} of 11 test points needed Cholesky jitter"
+            f" on K_A (largest {max(jittered):.3e})"
+        ]
+
+    def test_well_conditioned_call_logs_no_warning(self, caplog):
+        rng = np.random.default_rng(12)
+        hp = Hyperparameters([0.3], 1.0, 0.1)
+        _, experts = make_experts(rng, hp, 3, 8)
+        with caplog.at_level(logging.WARNING, logger="gpagg.npae"):
+            npae_aggregate(experts, hp, rng.uniform(0, 1, (5, 1)))
+        assert not caplog.records
 
 
 class TestAggregate:
@@ -122,10 +200,65 @@ class TestAggregate:
         b = npae_aggregate([experts[i] for i in perm], hp, X_star)
         assert np.allclose(a, b, atol=1e-10)
 
+    def test_batch_matches_per_point_calls(self):
+        # A query's prediction must not depend on the batch it shares. It
+        # agrees to rounding, not bit for bit: for n_t > 1 the k_A dot products
+        # read strided columns of k(X_i, X*) and the local means come from one
+        # matrix-vector product, both of which BLAS may round differently
+        # from the n_t = 1 call.
+        rng = np.random.default_rng(8)
+        hp = Hyperparameters([0.25], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 5, 30)
+        X_star = rng.uniform(-0.2, 1.2, (23, 1))
+        batch = npae_aggregate(experts, hp, X_star)
+        single = np.array([npae_aggregate(experts, hp, X_star[t : t + 1])[0] for t in range(23)])
+        split = np.concatenate([npae_aggregate(experts, hp, X_star[a:b]) for a, b in ((0, 2), (2, 9), (9, 23))])
+        scale = np.max(np.abs(batch))
+        assert np.max(np.abs(single - batch)) <= 1e-12 * scale
+        assert np.max(np.abs(split - batch)) <= 1e-12 * scale
+
+    def test_matches_pointwise_oracle_on_2d_inputs(self):
+        # wider inputs take the cdist route through kernel_matrix
+        rng = np.random.default_rng(9)
+        hp = Hyperparameters([0.3, 0.5], 1.0, 0.05)
+        X = rng.uniform(0, 1, (160, 2))
+        data = Dataset(X, np.sin(4 * X[:, 0]) * np.cos(3 * X[:, 1]) + 0.1 * rng.standard_normal(160))
+        experts = [train_expert(s, hp) for s in kmeans_partition(data, 5, seed=0).subsets]
+        X_star = rng.uniform(-0.1, 1.1, (12, 2))
+        agg = npae_aggregate(experts, hp, X_star)
+        for t, x in enumerate(X_star):
+            pc = npae_pointwise_cov(experts, hp, x)
+            mus = np.array([predict(e, x[None, :], hp)[0][0] for e in experts])
+            oracle = np.linalg.solve(pc.K_A, pc.k_A) @ mus
+            assert abs(agg[t] - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+    def test_traced_peak_stays_off_the_joint(self):
+        # The call keeps the M weight matrices Gamma_i (n x n_t together)
+        # plus the largest matrix of run_benchmark's npae rule: one expert's
+        # block, a cross block or the K_A stack. The old n x n joint was
+        # 8 n^2 bytes, 32 MB here.
+        rng = np.random.default_rng(10)
+        hp = Hyperparameters([0.1], 1.0, 0.01)
+        n, M, n_t = 2000, 20, 200
+        data = Dataset(rng.uniform(0, 1, (n, 1)), rng.standard_normal(n))
+        experts = [train_expert(s, hp) for s in kmeans_partition(data, M, seed=0).subsets]
+        X_star = rng.uniform(0, 1, (n_t, 1))
+        max_n_i = max(e.data.n for e in experts)
+        rule = 8 * max(max_n_i**2, n_t * M * M, max_n_i * n_t)
+        tracemalloc.start()
+        try:
+            npae_aggregate(experts, hp, X_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (8 * n * n_t + rule)
+        assert peak < 8 * n * n / 5
+
     @pytest.mark.slow
     def test_cost_scales_superlinearly_in_expert_count(self):
-        # per-point work grows like M^2 pair assemblies plus an M^3 solve;
-        # quadrupling M should cost well over 4x
+        # with n fixed the cross-block flops stay near n^2 n_t, but the calls
+        # grow like M^2 matrix-vector products per test point plus an M^3
+        # solve; quadrupling M should cost well over 4x
         rng = np.random.default_rng(7)
         hp = Hyperparameters([0.3], 1.0, 0.1)
         data = Dataset(rng.uniform(0, 1, (200, 1)), rng.standard_normal(200))
