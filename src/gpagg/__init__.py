@@ -14,7 +14,6 @@ from .gp import (
     Dataset,
     FitOptions,
     Hyperparameters,
-    NormalizationState,
     TrainedExpert,
     fit_shared_hyperparameters,
     kernel_eval,
@@ -50,6 +49,7 @@ from .emggm import (
 from .bench import (
     BenchmarkConfig,
     BenchmarkRow,
+    NormalizationState,
     generate_synthetic,
     latent_function,
     load_dataset_csv,

@@ -51,7 +51,6 @@ from .gp import (
     Dataset,
     FitOptions,
     Hyperparameters,
-    NormalizationState,
     TrainedExpert,
     fit_shared_hyperparameters,
     predict,
@@ -94,6 +93,16 @@ def generate_synthetic(n: int, value_range: tuple[float, float], noise_sd: float
     return Dataset(x[:, None], y)
 
 
+@dataclass(frozen=True)
+class NormalizationState:
+    """Per-column offsets and scales applied to a dataset."""
+
+    x_mean: np.ndarray
+    x_scale: np.ndarray
+    y_mean: float
+    y_scale: float
+
+
 def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, NormalizationState]:
     """Standardize both sets by the training mean/std, column-wise."""
     if train.n == 0:
@@ -105,8 +114,8 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset, Normaliz
     if np.any(x_scale <= 0) or y_scale <= 0:
         raise ValueError("cannot normalize a constant column")
     state = NormalizationState(x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
-    train_n = Dataset((train.X - x_mean) / x_scale, (train.y - y_mean) / y_scale, state)
-    test_n = Dataset((test.X - x_mean) / x_scale, (test.y - y_mean) / y_scale, state)
+    train_n = Dataset((train.X - x_mean) / x_scale, (train.y - y_mean) / y_scale)
+    test_n = Dataset((test.X - x_mean) / x_scale, (test.y - y_mean) / y_scale)
     return train_n, test_n, state
 
 

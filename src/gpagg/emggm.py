@@ -22,9 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ._linalg import chol_jitter
+from ._linalg import cho_solve, chol_jitter
 from .baselines import ExpertPredictions
 from .errors import DimensionError
 from .glasso import DEFAULT_TOL, PrecisionEstimate, glasso_solve
@@ -122,7 +121,7 @@ def _regression(Sigma: np.ndarray) -> tuple[np.ndarray, float]:
     """A = Sigma_mm^-1 Sigma_my under the covariance ``Sigma``, and the
     diagonal jitter the Cholesky factorization of Sigma_mm needed."""
     L, jitter = chol_jitter(Sigma[1:, 1:])
-    return cho_solve((L, True), Sigma[1:, LATENT]), jitter
+    return cho_solve(L, Sigma[1:, LATENT]), jitter
 
 
 def e_step(model: JointCovarianceModel) -> JointCovarianceModel:

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ._linalg import chol_jitter, spd_inverse
+from ._linalg import cho_solve, chol_jitter, cholesky, spd_inverse
 from .errors import DimensionError, NumericalError
 
 DEFAULT_TOL = 1e-6
@@ -91,10 +90,9 @@ def penalty_matrix(lam: float | np.ndarray, p: int) -> np.ndarray:
 
 def _objective(Omega: np.ndarray, S: np.ndarray, Lam: np.ndarray) -> float:
     """Objective with a prebuilt penalty matrix; no input validation."""
-    try:
-        L = np.linalg.cholesky(Omega)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("Omega must be symmetric positive definite") from exc
+    L = cholesky(Omega)
+    if L is None:
+        raise NumericalError("Omega must be symmetric positive definite")
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -logdet + float(np.sum(S * Omega)) + float(np.sum(Lam * np.abs(Omega)))
 
@@ -114,7 +112,7 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for SPD A, Jacobi-scaled so Cholesky jitter is relative."""
     s = 1.0 / np.sqrt(np.diag(A))
     L, _ = chol_jitter(s[:, None] * A * s[None, :])
-    return s * cho_solve((L, True), s * b)
+    return s * cho_solve(L, s * b)
 
 
 def _newton_step(
@@ -271,24 +269,20 @@ def glasso_solve(
 
     if not Lam.any():
         try:
-            Sigma = S_eff.copy()
             Omega = spd_inverse(S_eff)
         except NumericalError as exc:
             raise NumericalError(
                 "sample covariance is singular with lambda=0; add diagonal jitter or use lambda>0"
             ) from exc
-        Omega = 0.5 * (Omega + Omega.T)
         trace = []
         if init is not None:
             trace.append(glasso_objective(init, S_eff, Lam))
         trace.append(glasso_objective(Omega, S_eff, Lam))
         return PrecisionEstimate(
             Omega=Omega,
-            Sigma=Sigma,
+            Sigma=S_eff,
             lam=0.0,
             dual_gap=_dual_gap(S_eff, Omega, Lam),
-            converged=True,
-            n_sweeps=0,
             objective_trace=trace,
         )
 
@@ -299,10 +293,8 @@ def glasso_solve(
         Omega = np.asarray(init, dtype=float).copy()
         if Omega.shape != (p, p):
             raise DimensionError("init has wrong shape")
-        try:
-            np.linalg.cholesky(Omega)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("init must be positive definite") from exc
+        if cholesky(Omega) is None:
+            raise ValueError("init must be positive definite")
     else:
         Omega = np.diag(1.0 / np.diag(S_eff))
 
@@ -329,10 +321,9 @@ def glasso_solve(
             converged = True
             break
 
-    Sigma = spd_inverse(Omega)
     return PrecisionEstimate(
         Omega=Omega,
-        Sigma=0.5 * (Sigma + Sigma.T),
+        Sigma=spd_inverse(Omega),
         lam=scalar_lam,
         dual_gap=_dual_gap(S_eff, Omega, Lam),
         converged=converged,

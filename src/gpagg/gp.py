@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyr
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotri
 
-from ._linalg import chol_jitter
+from ._linalg import cho_solve, chol_jitter, solve_lower
 from .errors import DimensionError, FitError, NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -95,23 +94,12 @@ class Hyperparameters:
         return cls(np.asarray(obj["lengthscale"], dtype=float), obj["signal_variance"], obj["noise_variance"])
 
 
-@dataclass(frozen=True)
-class NormalizationState:
-    """Per-column offsets and scales applied to a dataset."""
-
-    x_mean: np.ndarray
-    x_scale: np.ndarray
-    y_mean: float
-    y_scale: float
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Inputs X (n x d) and targets y (n,), with no NaN/Inf entries."""
 
     X: np.ndarray
     y: np.ndarray
-    normalization_state: NormalizationState | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -201,27 +189,12 @@ class TrainedExpert:
     jitter: float = 0.0
 
 
-def _factor(C: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lower Cholesky factor L of C = K + sigma^2 I and alpha = C^-1 y.
-
-    The factorization every consumer of C shares: LAPACK dpotrf, with
-    ``chol_jitter`` as the fallback when dpotrf reports failure. Returns
-    ``(L, alpha, jitter)``; ``C`` is left intact for the fallback.
-    """
-    L, info = dpotrf(C, lower=1)
-    jitter = 0.0
-    if info != 0:
-        L, jitter = chol_jitter(C)
-    alpha, _ = dpotrs(L, y, lower=1)
-    return L, alpha, jitter
-
-
 def train_expert(data: Dataset, hp: Hyperparameters) -> TrainedExpert:
     """Factorize one partition's covariance for O(n^2) prediction."""
     C = kernel_matrix(data.X, data.X, hp)
     C.flat[:: data.n + 1] += hp.noise_variance
-    L, alpha, jitter = _factor(C, data.y)
-    return TrainedExpert(data=data, hp=hp, chol_C=L, alpha=alpha, jitter=jitter)
+    L, jitter = chol_jitter(C)
+    return TrainedExpert(data=data, hp=hp, chol_C=L, alpha=cho_solve(L, data.y), jitter=jitter)
 
 
 def _lml_from_factors(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
@@ -270,16 +243,15 @@ def _lml_and_grad(
     K *= hp.signal_variance
     C = K.copy()
     C.flat[:: n + 1] += hp.noise_variance
-    L, alpha, _ = _factor(C, y)
+    L, _ = chol_jitter(C)
+    alpha = cho_solve(L, y)
     value = _lml_from_factors(L, alpha, y)
 
-    # dpotri leaves the lower triangle of C^-1 over L's zero upper
-    # triangle. A becomes W = 2 tril(Q) - diag(Q) for Q = alpha alpha' - C^-1:
-    # sum(W * B) equals sum(Q * B) for every symmetric B, which is all
-    # that each trace below needs.
-    A, info = dpotri(L, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError(f"dpotri failed with info={info}")
+    # dpotri (it cannot fail on L's positive diagonal) leaves the lower
+    # triangle of C^-1 over L's zero upper triangle. A becomes W = 2 tril(Q)
+    # - diag(Q) for Q = alpha alpha' - C^-1: sum(W * B) equals sum(Q * B)
+    # for every symmetric B, which is all that each trace below needs.
+    A = dpotri(L, lower=1, overwrite_c=1)[0]
     A *= -2.0
     A = dsyr(2.0, alpha, lower=1, a=A, overwrite_a=1)
     A[np.diag_indices(n)] *= 0.5
@@ -398,6 +370,18 @@ def fit_shared_hyperparameters(
     return Hyperparameters.from_log_vector(best[1])
 
 
+def check_test_inputs(X_star: np.ndarray, d: int) -> np.ndarray:
+    """Test inputs as a finite n_t x d array; a 1-D array is one column."""
+    X_star = np.asarray(X_star, dtype=float)
+    if X_star.ndim == 1:
+        X_star = X_star[:, None]
+    if X_star.shape[1] != d:
+        raise DimensionError(f"test inputs have {X_star.shape[1]} columns, experts were trained on {d}")
+    if not np.all(np.isfinite(X_star)):
+        raise ValueError("test inputs contain NaN or Inf entries")
+    return X_star
+
+
 def predict(
     expert: TrainedExpert,
     X_star: np.ndarray,
@@ -412,16 +396,9 @@ def predict(
     if hp is not None and hp != expert.hp:
         raise ValueError("hyperparameters differ from those used to factorize the expert")
     hp = expert.hp
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star[:, None]
-    if X_star.shape[1] != expert.data.d:
-        raise DimensionError(
-            f"test inputs have {X_star.shape[1]} columns, expert was trained on {expert.data.d}"
-        )
-    k_star = kernel_matrix(expert.data.X, X_star, hp)
+    k_star = kernel_matrix(expert.data.X, check_test_inputs(X_star, expert.data.d), hp)
     means = k_star.T @ expert.alpha
-    w = solve_triangular(expert.chol_C, k_star, lower=True)
+    w = solve_lower(expert.chol_C, k_star)
     variances = hp.signal_variance + hp.noise_variance - np.sum(w * w, axis=0)
     floor = hp.noise_variance * (1.0 - 1e-10)
     return means, np.maximum(variances, floor)

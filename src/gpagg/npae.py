@@ -20,10 +20,9 @@ import logging
 import time
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from ._linalg import chol_jitter
-from .gp import Hyperparameters, TrainedExpert, kernel_matrix
+from ._linalg import cho_solve, chol_jitter
+from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
 
 log = logging.getLogger(__name__)
 
@@ -35,39 +34,37 @@ def npae_aggregate(
 
     The loop is pair-major: each cross block k(X_i, X_j), i < j, is built
     once per call and used for every test point while it is still in
-    cache. The call holds the M weight matrices Gamma_i' (n x n_t in
+    cache. The call holds the M weight matrices Gamma_i (n_t x n in
     total; every pair needs both of its own, so all M stay alive), the
     K_A stack (n_t x M x M) and one cross block at a time; no n x n
     joint covariance exists. K_A is solved per test point with
     the shared jitter policy, and a jittered call logs one warning with
     the number of test points that needed it and the largest jitter.
     """
-    X_star = np.asarray(X_star, dtype=float)
-    if X_star.ndim == 1:
-        X_star = X_star[:, None]
+    X_star = check_test_inputs(X_star, experts[0].data.d)
     M = len(experts)
     n_t = X_star.shape[0]
     started = time.perf_counter()
 
+    # Per-point products read contiguous rows (one per test point), so no
+    # prediction depends on the rest of the batch. K_A's diagonal is k_A.
     gammas = []
-    k_A = np.empty((n_t, M))
-    for i, e in enumerate(experts):
-        k_star = kernel_matrix(e.data.X, X_star, hp)
-        gamma = cho_solve((e.chol_C, True), k_star)
-        for t in range(n_t):
-            k_A[t, i] = gamma[:, t] @ k_star[:, t]
-        gammas.append(gamma)
-    local_means = np.column_stack([g.T @ e.data.y for g, e in zip(gammas, experts)])
-
     K_A = np.empty((n_t, M, M))
-    diag = np.arange(M)
-    K_A[:, diag, diag] = k_A
+    local_means = np.empty((n_t, M))
+    for i, e in enumerate(experts):
+        k_star = kernel_matrix(X_star, e.data.X, hp)
+        gamma = np.ascontiguousarray(cho_solve(e.chol_C, k_star.T).T)
+        for t in range(n_t):
+            K_A[t, i, i] = gamma[t] @ k_star[t]
+            local_means[t, i] = gamma[t] @ e.data.y
+        gammas.append(gamma)
+
     for i in range(M):
         for j in range(i + 1, M):
             cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
             g_i, g_j = gammas[i], gammas[j]
             for t in range(n_t):
-                K_A[t, i, j] = K_A[t, j, i] = g_i[:, t] @ (cross @ g_j[:, t])
+                K_A[t, i, j] = K_A[t, j, i] = g_i[t] @ (cross @ g_j[t])
 
     means = np.empty(n_t)
     jittered, max_jitter = 0, 0.0
@@ -76,7 +73,7 @@ def npae_aggregate(
         if jitter > 0.0:
             jittered += 1
             max_jitter = max(max_jitter, jitter)
-        w = cho_solve((L, True), k_A[t])
+        w = cho_solve(L, K_A[t].diagonal())
         means[t] = w @ local_means[t]
     if jittered:
         log.warning(

@@ -87,6 +87,7 @@ def timing_run(tmp_path_factory):
     return rows, out
 
 
+@pytest.mark.slow
 class TestCriterion1:
     def test_dependency_aware_methods_beat_ci_baselines(self, ordering_run):
         rows, wall, _ = ordering_run
@@ -120,6 +121,7 @@ class TestCriterion1:
         _report("1 (ordering reproduction)", ok, "; ".join(lines))
 
 
+@pytest.mark.slow
 class TestCriterion2:
     def test_emggm_runs_in_a_fraction_of_npae_time(self, timing_run):
         rows, _ = timing_run
@@ -200,6 +202,7 @@ class TestCriterion4:
         )
 
 
+@pytest.mark.slow
 class TestCriterion5:
     def test_m_step_descent_on_every_benchmark_run(self, ordering_run, timing_run):
         checked = 0

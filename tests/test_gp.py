@@ -15,11 +15,15 @@ from gpagg import (
     FitOptions,
     Hyperparameters,
     NumericalError,
+    collect_predictions,
     fit_shared_hyperparameters,
+    grbcm_aggregate,
     kernel_eval,
     kernel_matrix,
+    kmeans_partition,
     lml_gradient,
     log_marginal_likelihood,
+    npae_aggregate,
     predict,
     train_expert,
 )
@@ -445,3 +449,21 @@ class TestPredict:
         expert = train_expert(data, Hyperparameters([1.0], 1.0, 0.1))
         with pytest.raises(DimensionError):
             predict(expert, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["predict", "collect_predictions", "npae_aggregate", "grbcm_aggregate"])
+    def test_non_finite_test_inputs_raise(self, entry, bad):
+        rng = np.random.default_rng(16)
+        data = random_dataset(rng, 12)
+        hp = Hyperparameters([0.5], 1.0, 0.1)
+        parts = kmeans_partition(data, 2, seed=0)
+        experts = [train_expert(s, hp) for s in parts.subsets]
+        X_star = np.array([[0.1], [bad], [0.3]])
+        calls = {
+            "predict": lambda: predict(experts[0], X_star),
+            "collect_predictions": lambda: collect_predictions(experts, X_star, hp),
+            "npae_aggregate": lambda: npae_aggregate(experts, hp, X_star),
+            "grbcm_aggregate": lambda: grbcm_aggregate(parts, hp, X_star, seed=0),
+        }
+        with pytest.raises(ValueError, match="test inputs contain NaN or Inf"):
+            calls[entry]()

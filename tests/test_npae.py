@@ -201,11 +201,9 @@ class TestAggregate:
         assert np.allclose(a, b, atol=1e-10)
 
     def test_batch_matches_per_point_calls(self):
-        # A query's prediction must not depend on the batch it shares. It
-        # agrees to rounding, not bit for bit: for n_t > 1 the k_A dot products
-        # read strided columns of k(X_i, X*) and the local means come from one
-        # matrix-vector product, both of which BLAS may round differently
-        # from the n_t = 1 call.
+        # A query's prediction must not depend on the batch it shares: every
+        # per-point product reads contiguous rows, so it is bit for bit the
+        # same in a batch, in pieces and one point at a time.
         rng = np.random.default_rng(8)
         hp = Hyperparameters([0.25], 1.0, 0.05)
         _, experts = make_experts(rng, hp, 5, 30)
@@ -213,9 +211,20 @@ class TestAggregate:
         batch = npae_aggregate(experts, hp, X_star)
         single = np.array([npae_aggregate(experts, hp, X_star[t : t + 1])[0] for t in range(23)])
         split = np.concatenate([npae_aggregate(experts, hp, X_star[a:b]) for a, b in ((0, 2), (2, 9), (9, 23))])
-        scale = np.max(np.abs(batch))
-        assert np.max(np.abs(single - batch)) <= 1e-12 * scale
-        assert np.max(np.abs(split - batch)) <= 1e-12 * scale
+        assert np.array_equal(single, batch)
+        assert np.array_equal(split, batch)
+
+    def test_split_and_permuted_batches_match_on_2d_inputs(self):
+        rng = np.random.default_rng(11)
+        hp = Hyperparameters([0.3, 0.4], 1.0, 0.05)
+        X = rng.uniform(0, 1, (150, 2))
+        data = Dataset(X, np.sin(4 * X[:, 0]) + 0.1 * rng.standard_normal(150))
+        experts = [train_expert(s, hp) for s in kmeans_partition(data, 4, seed=0).subsets]
+        X_star = rng.uniform(-0.2, 1.2, (40, 2))
+        batch = npae_aggregate(experts, hp, X_star)
+        perm = rng.permutation(40)
+        shuffled = np.concatenate([npae_aggregate(experts, hp, X_star[perm[a:b]]) for a, b in ((0, 13), (13, 14), (14, 40))])
+        assert np.array_equal(shuffled, batch[perm])
 
     def test_matches_pointwise_oracle_on_2d_inputs(self):
         # wider inputs take the cdist route through kernel_matrix
