@@ -26,7 +26,7 @@ import numpy as np
 from ._linalg import cho_solve, chol_jitter
 from .baselines import ExpertPredictions
 from .errors import DimensionError
-from .glasso import DEFAULT_TOL, PrecisionEstimate, glasso_solve
+from .glasso import PrecisionEstimate, glasso_solve
 
 LATENT = 0
 
@@ -150,7 +150,8 @@ def e_step(model: JointCovarianceModel) -> JointCovarianceModel:
 
 def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
     """Refresh Omega/Sigma by solving the penalized likelihood on the
-    current S, warm-starting from the previous precision.
+    current S, warm-starting from the previous precision. The solver's own
+    stopping rule decides when the solve is done.
 
     Only the expert-expert off-diagonals are penalized. The latent target
     absorbs the experts' common covariance; penalizing its edges shrinks
@@ -158,12 +159,6 @@ def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
     decouples. Unpenalized, the objective is invariant to the latent
     scale, so the iteration stays anchored to the initialization.
     """
-    tol = DEFAULT_TOL
-    if model.Omega is not None:
-        # near-singular S means huge precision entries; scale the solver's
-        # absolute tolerance on the Newton step so iterations stop at a sane
-        # relative accuracy
-        tol = tol * max(1.0, float(np.max(np.abs(model.Omega))))
     if lam > 0:
         p = model.S.shape[0]
         penalty = np.full((p, p), float(lam))
@@ -172,7 +167,7 @@ def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
         lam_arg: float | np.ndarray = penalty
     else:
         lam_arg = lam
-    est = glasso_solve(model.S, lam_arg, tol=tol, init=model.Omega, plateau_tol=1e-9)
+    est = glasso_solve(model.S, lam_arg, init=model.Omega)
     model.Omega = est.Omega
     model.Sigma = est.Sigma
     return est

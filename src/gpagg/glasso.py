@@ -19,6 +19,15 @@ iteration by iteration, the last iterate is the best one seen and a
 warm start can only be improved on. Only off-diagonal entries are
 penalized, which keeps the lambda = 0 and full-shrinkage solutions
 exact.
+
+The solve has one stopping rule, on the decrease the model predicts
+(the Newton decrement; Lee, Sun & Saunders, "Proximal Newton-type
+methods for minimizing composite functions", SIAM J. Optim. 2014): it
+has converged once that decrease is at most TOL * (1 + |objective|).
+The decrement, unlike the entries of the step, does not change when S
+and the penalty are scaled together, so the rule needs no rescaling by
+the caller. A line search that finds no acceptable step, or MAX_ITER
+iterations, end the solve unconverged.
 """
 
 from __future__ import annotations
@@ -31,12 +40,11 @@ import numpy as np
 from ._linalg import cho_solve, chol_jitter, cholesky, spd_inverse
 from .errors import DimensionError, NumericalError
 
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 500
+TOL = 1e-9
+MAX_ITER = 500
 COVARIANCE_JITTER = 1e-8
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 50
-_ROUNDING = 1e-13
 
 
 @dataclass(eq=False)
@@ -46,12 +54,11 @@ class PrecisionEstimate:
     ``objective_trace`` starts at the initial point and records one value
     per accepted Newton iteration, all evaluated on the preprocessed
     covariance actually solved against (see ``effective_covariance``).
-    ``n_sweeps`` counts solver iterations.
+    ``n_sweeps`` counts solver iterations, each one Newton direction.
     """
 
     Omega: np.ndarray
     Sigma: np.ndarray
-    lam: float
     dual_gap: float
     converged: bool = True
     n_sweeps: int = 0
@@ -232,30 +239,16 @@ def _dual_gap(S: np.ndarray, Omega: np.ndarray, Lam: np.ndarray) -> float:
 
 
 def glasso_solve(
-    S: np.ndarray,
-    lam: float | np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    init: np.ndarray | None = None,
-    plateau_tol: float | None = None,
+    S: np.ndarray, lam: float | np.ndarray, init: np.ndarray | None = None
 ) -> PrecisionEstimate:
     """Solve the penalized problem on sample covariance ``S``.
 
     ``lam`` is a scalar penalty on every off-diagonal entry or a full
-    per-entry penalty matrix. Newton iterations stop when the largest
-    absolute entry of the Newton step falls below ``tol``, or after
-    ``max_iter`` iterations (the result is then flagged unconverged, with
-    the dual gap reported). ``init`` warm-starts from a positive-definite
-    precision, e.g. the previous EM iterate.
-
-    When no step along the Newton direction lowers the objective, the
-    solve ends; it counts as converged if the decrease the quadratic
-    model predicts is within rounding of the objective (1e-13 relative).
-
-    ``plateau_tol``, when set, adds an objective-based stop: once an
-    iteration improves the objective by less than plateau_tol * (1 + |obj|),
-    or finds no decrease at all, the iterate counts as converged even if
-    ill conditioning keeps individual entries drifting.
+    per-entry penalty matrix. ``init`` warm-starts from a positive-definite
+    precision, e.g. the previous EM iterate. The solve has converged once
+    the Newton direction's predicted decrease is at most
+    TOL * (1 + |objective|); a failed line search or MAX_ITER iterations
+    leave the result flagged unconverged, with the dual gap reported.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -265,7 +258,12 @@ def glasso_solve(
     S_eff = effective_covariance(S)
     p = S_eff.shape[0]
     Lam = penalty_matrix(lam, p)
-    scalar_lam = float(lam) if np.isscalar(lam) else float(np.max(Lam))
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (p, p):
+            raise DimensionError(f"init must be {p}x{p}, got {init.shape}")
+        if cholesky(init) is None:
+            raise ValueError("init must be positive definite")
 
     if not Lam.any():
         try:
@@ -274,57 +272,34 @@ def glasso_solve(
             raise NumericalError(
                 "sample covariance is singular with lambda=0; add diagonal jitter or use lambda>0"
             ) from exc
-        trace = []
-        if init is not None:
-            trace.append(glasso_objective(init, S_eff, Lam))
-        trace.append(glasso_objective(Omega, S_eff, Lam))
+        trace = [] if init is None else [_objective(init, S_eff, Lam)]
+        trace.append(_objective(Omega, S_eff, Lam))
         return PrecisionEstimate(
-            Omega=Omega,
-            Sigma=S_eff,
-            lam=0.0,
-            dual_gap=_dual_gap(S_eff, Omega, Lam),
-            objective_trace=trace,
+            Omega=Omega, Sigma=S_eff, dual_gap=_dual_gap(S_eff, Omega, Lam), objective_trace=trace
         )
 
     if np.any(np.diag(S_eff) <= 0):
         raise NumericalError("S must have positive diagonal entries")
 
-    if init is not None:
-        Omega = np.asarray(init, dtype=float).copy()
-        if Omega.shape != (p, p):
-            raise DimensionError("init has wrong shape")
-        if cholesky(Omega) is None:
-            raise ValueError("init must be positive definite")
-    else:
-        Omega = np.diag(1.0 / np.diag(S_eff))
-
+    Omega = np.diag(1.0 / np.diag(S_eff)) if init is None else init.copy()
     trace = [_objective(Omega, S_eff, Lam)]
     converged = False
     iters = 0
-    for _ in range(max_iter):
+    while iters < MAX_ITER:
         iters += 1
         D, decrease = _newton_step(Omega, S_eff, Lam)
+        if -decrease <= TOL * (1.0 + abs(trace[-1])):
+            converged = True
+            break
         step = _line_search(Omega, trace[-1], D, decrease, S_eff, Lam)
-        if step is not None:
-            Omega = step[0]
-            trace.append(step[1])
-        if float(np.max(np.abs(D))) < tol:
-            converged = True
-            break
         if step is None:
-            # no step lowers the objective: converged when the model, too,
-            # predicts no decrease beyond rounding (or under plateau_tol)
-            stalled = -decrease <= _ROUNDING * (1.0 + abs(trace[-1]))
-            converged = stalled or plateau_tol is not None
             break
-        if plateau_tol is not None and trace[-2] - trace[-1] < plateau_tol * (1.0 + abs(trace[-1])):
-            converged = True
-            break
+        Omega = step[0]
+        trace.append(step[1])
 
     return PrecisionEstimate(
         Omega=Omega,
         Sigma=spd_inverse(Omega),
-        lam=scalar_lam,
         dual_gap=_dual_gap(S_eff, Omega, Lam),
         converged=converged,
         n_sweeps=iters,

@@ -8,6 +8,8 @@ import numpy as np
 
 from .gp import Dataset, sq_dists
 
+_LLOYD_ITERS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class Partitioning:
@@ -48,14 +50,15 @@ def _steal_for_empty(assign: np.ndarray, X: np.ndarray, centers: np.ndarray, M: 
 
 
 def _lloyd(
-    X: np.ndarray, M: int, rng: np.random.Generator, max_iter: int = 100
+    X: np.ndarray, M: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd iterations; returns (assignments, centers, per-iteration WCSS)."""
+    """At most _LLOYD_ITERS Lloyd iterations; returns (assignments, centers,
+    per-iteration WCSS)."""
     n = X.shape[0]
     centers = _kmeanspp_init(X, M, rng)
     assign = None
     wcss_trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_ITERS):
         d2 = sq_dists(X, centers)
         new_assign = d2.argmin(axis=1)
         wcss_trace.append(float(d2[np.arange(n), new_assign].sum()))

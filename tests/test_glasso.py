@@ -3,7 +3,14 @@ import logging
 import numpy as np
 import pytest
 
-from gpagg import NumericalError, effective_covariance, glasso_objective, glasso_solve
+from gpagg import (
+    DimensionError,
+    NumericalError,
+    effective_covariance,
+    glasso,
+    glasso_objective,
+    glasso_solve,
+)
 from gpagg.emggm import resolve_lambda
 
 log = logging.getLogger(__name__)
@@ -185,10 +192,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             glasso_solve(np.eye(3), Lam)
 
-    def test_max_iter_flags_unconverged(self):
+    def test_max_iter_flags_unconverged(self, monkeypatch):
         rng = np.random.default_rng(10)
         S = random_spd(rng, 8)
-        est = glasso_solve(S, 0.01, tol=1e-14, max_iter=1)
+        monkeypatch.setattr(glasso, "MAX_ITER", 1)
+        est = glasso_solve(S, 0.01)
         assert not est.converged
         assert np.isfinite(est.dual_gap)
 
@@ -212,7 +220,7 @@ class TestSolve:
         for M in (4, 8, 12):
             S, Lam = emggm_shaped_problem(rng, M)
             S_eff = effective_covariance(S)
-            est = glasso_solve(S, Lam, plateau_tol=1e-9)
+            est = glasso_solve(S, Lam)
             scale = np.max(np.abs(est.Omega))
             # inverting an Omega this large loses about eps * max|Omega| in Sigma
             violation = subgradient_violation(est.Omega, est.Sigma, S_eff, Lam)
@@ -222,10 +230,37 @@ class TestSolve:
                 E = 0.05 * rng.standard_normal(S.shape)
                 init = (np.eye(M + 1) + E) @ est.Omega @ (np.eye(M + 1) + E).T
                 start = glasso_objective(init, S_eff, Lam)
-                warm = glasso_solve(S, Lam, init=init, plateau_tol=1e-9)
+                warm = glasso_solve(S, Lam, init=init)
                 assert warm.objective_trace[0] == pytest.approx(start, rel=1e-12)
                 assert warm.objective_trace[-1] <= start
                 assert warm.objective_trace[-1] <= best + 1e-9 * (1.0 + abs(best))
+
+    def test_stopping_rule_is_scale_free(self):
+        # (c S, c lam) has the solution Omega / c; the Newton decrement, and
+        # with it the number of iterations, does not depend on c
+        rng = np.random.default_rng(13)
+        S = random_spd(rng, 8)
+        base = glasso_solve(S, 0.05)
+        for c in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+            est = glasso_solve(c * S, c * 0.05)
+            error = np.max(np.abs(c * est.Omega - base.Omega)) / np.max(np.abs(base.Omega))
+            assert error <= 1e-10, (c, error)
+            assert est.n_sweeps == base.n_sweeps, (c, est.n_sweeps, base.n_sweeps)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "init, error",
+        [
+            (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ValueError),
+            (np.eye(2), DimensionError),
+            (np.full((3, 3), np.nan), ValueError),
+        ],
+        ids=["not-pd", "wrong-shape", "nan"],
+    )
+    def test_bad_init_raises_the_same_error_for_any_lambda(self, lam, init, error):
+        with pytest.raises(ValueError, match="init") as info:
+            glasso_solve(np.eye(3), lam, init=init)
+        assert type(info.value) is error
 
     def test_effective_covariance_symmetrizes_and_jitters(self):
         S = np.array([[1.0, 0.3], [0.1, 2.0]])

@@ -4,9 +4,12 @@
 ``instrument``). This checks that contract from the package side: GRBCM
 factorizes through ``baselines.train_expert``, EMGGM's E-steps, M-steps
 and glasso solves go through the ``emggm`` module's names, and every
-wrapped attribute is restored afterwards.
+wrapped attribute is restored afterwards. The benchmark's own self-test
+runs too, since it reads the fields of ``PrecisionEstimate``.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -66,3 +69,16 @@ def test_instrument_counts_grbcm_factorizations_and_em_work(tracing):
         assert now.keys() == attrs.keys()
         for key, value in attrs.items():
             assert now[key] is value, f"{module.__name__}.{key} was not restored"
+
+
+@pytest.mark.slow
+def test_perfbench_self_test_passes():
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--self-test"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout)["self_test"] == "passed", done.stdout
