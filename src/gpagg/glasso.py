@@ -123,7 +123,7 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(
-    Omega: np.ndarray, S: np.ndarray, Lam: np.ndarray
+    Omega: np.ndarray, S: np.ndarray, Lam: np.ndarray, upper: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, float]:
     """Proximal Newton direction at ``Omega`` and its predicted decrease.
 
@@ -131,7 +131,8 @@ def _newton_step(
 
         tr(G D) + 1/2 tr(W D W D) + sum_ij Lam_ij |Omega_ij + D_ij|
 
-    with W = Omega^-1 and G = S - W, over the free entries: penalized
+    with W = Omega^-1 and G = S - W, over the free entries among the
+    upper-triangle indices ``upper`` (``np.triu_indices(p)``): penalized
     entries at zero whose gradient lies within the penalty stay fixed
     (the free set of QUIC). The second value is tr(G D) plus the change
     of the penalty, negative for a descent direction.
@@ -149,14 +150,15 @@ def _newton_step(
     """
     W = spd_inverse(Omega)
     G = S - W
-    I, J = np.triu_indices(Omega.shape[0])
+    I, J = upper
     free = (Lam[I, J] == 0) | (Omega[I, J] != 0) | (np.abs(G[I, J]) > Lam[I, J])
     I, J = I[free], J[free]
     # one variable per upper-triangle entry; an off-diagonal one appears
     # twice in Omega, hence the factors c
     c = np.where(I == J, 1.0, 2.0)
+    WI, WJ = W.take(I, 0), W.take(J, 0)
     H = (0.5 * c[:, None] * c[None, :]) * (
-        W[np.ix_(I, I)] * W[np.ix_(J, J)] + W[np.ix_(I, J)] * W[np.ix_(J, I)]
+        WI.take(I, 1) * WJ.take(J, 1) + WI.take(J, 1) * WJ.take(I, 1)
     )
     g = c * G[I, J]
     lam = c * Lam[I, J]
@@ -244,11 +246,13 @@ def glasso_solve(
     """Solve the penalized problem on sample covariance ``S``.
 
     ``lam`` is a scalar penalty on every off-diagonal entry or a full
-    per-entry penalty matrix. ``init`` warm-starts from a positive-definite
-    precision, e.g. the previous EM iterate. The solve has converged once
-    the Newton direction's predicted decrease is at most
-    TOL * (1 + |objective|); a failed line search or MAX_ITER iterations
-    leave the result flagged unconverged, with the dual gap reported.
+    per-entry penalty matrix. ``init`` warm-starts from a symmetric
+    positive-definite precision, e.g. the previous EM iterate; asymmetry
+    beyond rounding (1e-12 of its largest entry) is rejected. The solve
+    has converged once the Newton direction's predicted decrease is at
+    most TOL * (1 + |objective|); a failed line search or MAX_ITER
+    iterations leave the result flagged unconverged, with the dual gap
+    reported.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -262,6 +266,8 @@ def glasso_solve(
         init = np.asarray(init, dtype=float)
         if init.shape != (p, p):
             raise DimensionError(f"init must be {p}x{p}, got {init.shape}")
+        if np.max(np.abs(init - init.T)) > 1e-12 * np.max(np.abs(init)):
+            raise ValueError("init must be symmetric")
         if cholesky(init) is None:
             raise ValueError("init must be positive definite")
 
@@ -283,11 +289,12 @@ def glasso_solve(
 
     Omega = np.diag(1.0 / np.diag(S_eff)) if init is None else init.copy()
     trace = [_objective(Omega, S_eff, Lam)]
+    upper = np.triu_indices(p)
     converged = False
     iters = 0
     while iters < MAX_ITER:
         iters += 1
-        D, decrease = _newton_step(Omega, S_eff, Lam)
+        D, decrease = _newton_step(Omega, S_eff, Lam, upper)
         if -decrease <= TOL * (1.0 + abs(trace[-1])):
             converged = True
             break

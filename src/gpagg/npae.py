@@ -33,38 +33,37 @@ def npae_aggregate(
     """Aggregated means k_A' K_A^-1 mu(x*) over all test points.
 
     The loop is pair-major: each cross block k(X_i, X_j), i < j, is built
-    once per call and used for every test point while it is still in
-    cache. The call holds the M weight matrices Gamma_i (n_t x n in
+    once per call and serves all test points in two stacked matmuls (n_t
+    gemv, then n_t dot calls). Each stacked item is the BLAS call a lone
+    query makes on the same contiguous rows, so no prediction depends on
+    the batch. The call holds the M weight matrices Gamma_i (n_t x n in
     total; every pair needs both of its own, so all M stay alive), the
-    K_A stack (n_t x M x M) and one cross block at a time; no n x n
-    joint covariance exists. K_A is solved per test point with
-    the shared jitter policy, and a jittered call logs one warning with
-    the number of test points that needed it and the largest jitter.
+    K_A stack (n_t x M x M) and one cross block with its n_t x n_i
+    product at a time; no n x n joint exists. K_A is solved per point
+    with the shared jitter policy; a jittered call logs one warning with
+    the number of jittered points and the largest jitter.
     """
     X_star = check_test_inputs(X_star, experts[0].data.d)
     M = len(experts)
     n_t = X_star.shape[0]
     started = time.perf_counter()
 
-    # Per-point products read contiguous rows (one per test point), so no
-    # prediction depends on the rest of the batch. K_A's diagonal is k_A.
     gammas = []
     K_A = np.empty((n_t, M, M))
     local_means = np.empty((n_t, M))
     for i, e in enumerate(experts):
         k_star = kernel_matrix(X_star, e.data.X, hp)
         gamma = np.ascontiguousarray(cho_solve(e.chol_C, k_star.T).T)
-        for t in range(n_t):
-            K_A[t, i, i] = gamma[t] @ k_star[t]
-            local_means[t, i] = gamma[t] @ e.data.y
+        row = gamma[:, None, :]
+        K_A[:, i, i] = (row @ k_star[:, :, None])[:, 0, 0]
+        local_means[:, i] = (row @ np.broadcast_to(e.data.y, gamma.shape)[:, :, None])[:, 0, 0]
         gammas.append(gamma)
 
     for i in range(M):
         for j in range(i + 1, M):
             cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
             g_i, g_j = gammas[i], gammas[j]
-            for t in range(n_t):
-                K_A[t, i, j] = K_A[t, j, i] = g_i[t] @ (cross @ g_j[t])
+            K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
 
     means = np.empty(n_t)
     jittered, max_jitter = 0, 0.0

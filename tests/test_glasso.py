@@ -254,8 +254,11 @@ class TestSolve:
             (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ValueError),
             (np.eye(2), DimensionError),
             (np.full((3, 3), np.nan), ValueError),
+            # positive definite by its lower triangle, the only one dpotrf
+            # reads; symmetric Newton steps would never remove the skew
+            (np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), ValueError),
         ],
-        ids=["not-pd", "wrong-shape", "nan"],
+        ids=["not-pd", "wrong-shape", "nan", "asymmetric"],
     )
     def test_bad_init_raises_the_same_error_for_any_lambda(self, lam, init, error):
         with pytest.raises(ValueError, match="init") as info:

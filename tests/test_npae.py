@@ -17,12 +17,13 @@ from gpagg import (
     train_expert,
 )
 from gpagg import npae
+from gpagg._linalg import cho_solve as linalg_cho_solve
 from gpagg._linalg import chol_jitter
 
 
-def make_experts(rng, hp, M, n_per):
+def make_experts(rng, hp, M, n_per, d=1):
     parts = [
-        Dataset(rng.uniform(0, 1, (n_per, 1)), rng.standard_normal(n_per)) for _ in range(M)
+        Dataset(rng.uniform(0, 1, (n_per, d)), rng.standard_normal(n_per)) for _ in range(M)
     ]
     return parts, [train_expert(p, hp) for p in parts]
 
@@ -60,6 +61,40 @@ def npae_pointwise_cov(experts, hp, x_star) -> PointwiseCovariances:
             cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
             K_A[i, j] = K_A[j, i] = gammas[i] @ (cross @ gammas[j])
     return PointwiseCovariances(K_A=K_A, k_A=k_A)
+
+
+def _npae_loop_reference(experts, hp, X_star):
+    """The loop form of ``npae_aggregate``: one Python-level product per
+    test point. Each stacked item must be the same BLAS call on the same
+    operands, so the two agree bit for bit; a numpy whose stacked matmul
+    leaves the per-item BLAS path breaks that."""
+    X_star = np.asarray(X_star, dtype=float)
+    M = len(experts)
+    n_t = X_star.shape[0]
+    gammas = []
+    K_A = np.empty((n_t, M, M))
+    local_means = np.empty((n_t, M))
+    for i, e in enumerate(experts):
+        k_star = kernel_matrix(X_star, e.data.X, hp)
+        gamma = np.ascontiguousarray(linalg_cho_solve(e.chol_C, k_star.T).T)
+        for t in range(n_t):
+            K_A[t, i, i] = gamma[t] @ k_star[t]
+            local_means[t, i] = gamma[t] @ e.data.y
+        gammas.append(gamma)
+
+    for i in range(M):
+        for j in range(i + 1, M):
+            cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
+            g_i, g_j = gammas[i], gammas[j]
+            for t in range(n_t):
+                K_A[t, i, j] = K_A[t, j, i] = g_i[t] @ (cross @ g_j[t])
+
+    means = np.empty(n_t)
+    for t in range(n_t):
+        L, _ = chol_jitter(K_A[t])
+        w = linalg_cho_solve(L, K_A[t].diagonal())
+        means[t] = w @ local_means[t]
+    return means
 
 
 def joint_oracle(parts, hp, x_star):
@@ -284,3 +319,49 @@ class TestAggregate:
             return time.perf_counter() - tic
 
         assert wall(20) / wall(5) > 4.0
+
+
+# (d, M, n per expert, n_t): 1-D to 3-D inputs, one to twenty experts,
+# and a single query
+LOOP_REFERENCE_SHAPES = [
+    (1, 1, 10, 7),
+    (1, 2, 6, 5),
+    (1, 3, 7, 9),
+    (1, 4, 30, 23),
+    (1, 5, 40, 60),
+    (1, 8, 25, 200),
+    (1, 12, 15, 50),
+    (1, 20, 20, 200),
+    (2, 2, 20, 10),
+    (2, 4, 35, 40),
+    (2, 5, 30, 12),
+    (2, 10, 20, 100),
+    (3, 3, 25, 15),
+    (3, 6, 20, 80),
+    (3, 9, 12, 30),
+    (3, 16, 10, 200),
+    (1, 6, 20, 1),
+]
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("d, M, n_per, n_t", LOOP_REFERENCE_SHAPES)
+    def test_stacked_products_equal_the_loops(self, d, M, n_per, n_t):
+        rng = np.random.default_rng(100 * d + M)
+        hp = Hyperparameters([0.3] * d, 1.0, 0.05)
+        _, experts = make_experts(rng, hp, M, n_per, d)
+        X_star = rng.uniform(-0.2, 1.2, (n_t, d))
+        assert np.array_equal(npae_aggregate(experts, hp, X_star), _npae_loop_reference(experts, hp, X_star))
+
+    def test_subnormal_products_equal_the_loops(self):
+        # at lengthscale 0.05 on [0, 4], the cross blocks of far-apart
+        # experts underflow into subnormal numbers
+        rng = np.random.default_rng(15)
+        hp = Hyperparameters([0.05], 1.0, 0.01)
+        X = np.sort(rng.uniform(0, 4, (320, 1)), axis=0)
+        y = np.sin(3 * X[:, 0]) + 0.1 * rng.standard_normal(320)
+        experts = [train_expert(Dataset(X[a : a + 40], y[a : a + 40]), hp) for a in range(0, 320, 40)]
+        cross = kernel_matrix(experts[0].data.X, experts[3].data.X, hp)
+        assert np.any((cross > 0) & (cross < np.finfo(float).tiny))
+        X_star = rng.uniform(0, 4, (30, 1))
+        assert np.array_equal(npae_aggregate(experts, hp, X_star), _npae_loop_reference(experts, hp, X_star))
