@@ -30,8 +30,9 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -64,8 +65,6 @@ log = logging.getLogger(__name__)
 
 METHODS = ("full_gp", "poe", "gpoe", "bcm", "rbcm", "grbcm", "npae", "emggm")
 PARTITIONERS = ("kmeans", "random")
-
-CSV_HEADER = "method,M,seed,mae,rmse,train_time_s,predict_time_s,peak_matrix_bytes"
 
 # Offset separating the test-set random stream from the training stream.
 _TEST_SEED_OFFSET = 10_000_019
@@ -148,7 +147,6 @@ class BenchmarkConfig:
     partitioner: str = "kmeans"
     emggm: EmggmConfig = field(default_factory=EmggmConfig)
     output_dir: str = "bench_out"
-    make_svg: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.n_t < 1:
@@ -181,13 +179,15 @@ class BenchmarkConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def to_dict(self) -> dict:
-        obj = asdict(self)
-        return obj
+        return asdict(self)
 
 
 @dataclass(eq=False)
 class BenchmarkRow:
-    """One CSV line: a method's accuracy, timing, and storage in one cell."""
+    """One CSV line: a method's accuracy, timing, and storage in one cell.
+
+    The fields are the CSV columns, in order; equality treats NaN as equal
+    to NaN so failed rows round-trip."""
 
     method: str
     M: int
@@ -198,34 +198,19 @@ class BenchmarkRow:
     predict_time_s: float
     peak_matrix_bytes: int
 
-    def to_csv(self) -> str:
-        return (
-            f"{self.method},{self.M},{self.seed},{self.mae!r},{self.rmse!r},"
-            f"{self.train_time_s!r},{self.predict_time_s!r},{self.peak_matrix_bytes}"
-        )
-
     def __eq__(self, other):
         if not isinstance(other, BenchmarkRow):
             return NotImplemented
+        return all(a == b or (a != a and b != b) for a, b in zip(astuple(self), astuple(other)))
 
-        def feq(a, b):
-            return a == b or (math.isnan(a) and math.isnan(b))
 
-        return (
-            self.method == other.method
-            and self.M == other.M
-            and self.seed == other.seed
-            and feq(self.mae, other.mae)
-            and feq(self.rmse, other.rmse)
-            and feq(self.train_time_s, other.train_time_s)
-            and feq(self.predict_time_s, other.predict_time_s)
-            and self.peak_matrix_bytes == other.peak_matrix_bytes
-        )
+_COLUMN_TYPES = get_type_hints(BenchmarkRow)  # column name -> type, in field order
+CSV_HEADER = ",".join(_COLUMN_TYPES)
 
 
 def emit_csv(rows: list[BenchmarkRow], path: str | Path) -> Path:
     path = Path(path)
-    lines = [CSV_HEADER] + [row.to_csv() for row in rows]
+    lines = [CSV_HEADER] + [",".join(map(str, astuple(row))) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -235,20 +220,13 @@ def parse_csv(path: str | Path) -> list[BenchmarkRow]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        rows.append(
-            BenchmarkRow(
-                method=parts[0],
-                M=int(parts[1]),
-                seed=int(parts[2]),
-                mae=float(parts[3]),
-                rmse=float(parts[4]),
-                train_time_s=float(parts[5]),
-                predict_time_s=float(parts[6]),
-                peak_matrix_bytes=int(parts[7]),
+        if len(parts) != len(_COLUMN_TYPES):
+            raise ValueError(
+                f"{path} line {lineno}: {len(parts)} fields, expected {len(_COLUMN_TYPES)}: {line!r}"
             )
-        )
+        rows.append(BenchmarkRow(*(kind(v) for kind, v in zip(_COLUMN_TYPES.values(), parts))))
     return rows
 
 
@@ -341,7 +319,7 @@ _AGGREGATORS = {
 
 def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     """Run every (seed, M, method) cell and write results.csv (plus
-    emggm_diagnostics.json and optional SVG charts) to the output dir.
+    emggm_diagnostics.json) to the output dir.
 
     A method failure is logged and recorded as a NaN row; the run
     continues. A failure in a cell's shared stage (partition, fit, expert
@@ -349,7 +327,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     uses it. Every NaN row is also listed in failures.json with its
     exception class and message; that file is written only when a cell
     fails. The full GP ignores partitioning, so its row is computed once
-    per seed and repeated for every M.
+    per seed and repeated for every M. Charts come from
+    ``render_benchmark_charts`` on the rows (``gpagg plot``).
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,7 +337,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     emggm_log: list[dict] = []
     failures: list[dict] = []
 
-    def fail(method: str, M: int, seed: int, exc: Exception) -> None:
+    def failed(method: str, M: int, seed: int, exc: Exception, train_time=math.nan) -> BenchmarkRow:
+        """The NaN row of a failed cell, also listed in failures.json."""
         failures.append(
             {
                 "method": method,
@@ -368,6 +348,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                 "message": str(exc),
             }
         )
+        return BenchmarkRow(method, M, seed, math.nan, math.nan, train_time, math.nan, 0)
 
     for seed in cfg.seeds:
         train_raw = generate_synthetic(cfg.n, cfg.train_range, cfg.noise_sd, seed)
@@ -375,7 +356,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
         train, test, state = normalize(train_raw, test_raw)
         fit_opts = FitOptions(seed=seed)
 
-        full_gp_result = full_gp_error = None
+        full_gp: tuple | Exception | None = None  # row values after (method, M, seed), or the failure
         if "full_gp" in cfg.methods:
             try:
                 tic = time.perf_counter()
@@ -386,15 +367,13 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                 mean_n, _ = predict(expert, test.X)
                 t_pred = time.perf_counter() - tic
                 mae, rmse = metrics(denormalize_y(mean_n, state), test_raw.y)
-                full_gp_result = (mae, rmse, t_train, t_pred, _bytes(cfg.n * cfg.n))
+                full_gp = (mae, rmse, t_train, t_pred, _bytes(cfg.n * cfg.n))
             except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the run
                 log.warning("full_gp failed (seed=%d): %s", seed, exc)
-                full_gp_result = (math.nan, math.nan, math.nan, math.nan, 0)
-                full_gp_error = exc
+                full_gp = exc
 
         partition = kmeans_partition if cfg.partitioner == "kmeans" else random_partition
         for M in cfg.M_list:
-            cell = cell_error = None
             try:
                 parts = partition(train, M, seed)
                 tic = time.perf_counter()
@@ -407,18 +386,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                 cell = _Cell(cfg, M, seed, parts, hp, experts, preds, test.X, max(s.n for s in parts.subsets))
             except Exception as exc:  # noqa: BLE001 - fails this cell's methods, not the run
                 log.warning("shared stage failed (M=%d seed=%d): %s", M, seed, exc)
-                cell_error = exc
+                cell = exc
 
             for method in cfg.methods:
                 if method == "full_gp":
-                    mae, rmse, t_tr, t_pr, peak = full_gp_result
-                    rows.append(BenchmarkRow("full_gp", M, seed, mae, rmse, t_tr, t_pr, peak))
-                    if full_gp_error is not None:
-                        fail("full_gp", M, seed, full_gp_error)
+                    if isinstance(full_gp, Exception):
+                        rows.append(failed(method, M, seed, full_gp))
+                    else:
+                        rows.append(BenchmarkRow(method, M, seed, *full_gp))
                     continue
-                if cell is None:
-                    fail(method, M, seed, cell_error)
-                    rows.append(BenchmarkRow(method, M, seed, math.nan, math.nan, math.nan, math.nan, 0))
+                if isinstance(cell, Exception):
+                    rows.append(failed(method, M, seed, cell))
                     continue
                 call, shares_preds, peak_rule = _AGGREGATORS[method]
                 try:
@@ -428,15 +406,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
                     if diag is not None:
                         emggm_log.append({"seed": seed, "M": M, **diag})
                     mae, rmse = metrics(denormalize_y(mean_n, state), test_raw.y)
-                    rows.append(
-                        BenchmarkRow(method, M, seed, mae, rmse, train_time, t_pred, peak_rule(cell))
-                    )
+                    rows.append(BenchmarkRow(method, M, seed, mae, rmse, train_time, t_pred, peak_rule(cell)))
                 except Exception as exc:  # noqa: BLE001
                     log.warning("method %s failed (M=%d seed=%d): %s", method, M, seed, exc)
-                    fail(method, M, seed, exc)
-                    rows.append(
-                        BenchmarkRow(method, M, seed, math.nan, math.nan, train_time, math.nan, 0)
-                    )
+                    rows.append(failed(method, M, seed, exc, train_time))
 
     emit_csv(rows, out / "results.csv")
     if emggm_log:
@@ -445,18 +418,12 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
         )
     if failures:
         (out / "failures.json").write_text(json.dumps(failures, indent=2), encoding="utf-8")
-    if cfg.make_svg:
-        render_benchmark_charts(rows, out)
     return rows
 
 
 def _median_series(rows: list[BenchmarkRow], value) -> list[tuple[str, list[tuple[float, float]]]]:
     series = []
-    methods = []
-    for row in rows:
-        if row.method not in methods:
-            methods.append(row.method)
-    for method in methods:
+    for method in dict.fromkeys(r.method for r in rows):
         pts = []
         for M in sorted({r.M for r in rows if r.method == method}):
             vals = [value(r) for r in rows if r.method == method and r.M == M]
@@ -468,37 +435,29 @@ def _median_series(rows: list[BenchmarkRow], value) -> list[tuple[str, list[tupl
     return series
 
 
+# (file, title, y label, the value charted from one row)
+_CHARTS = (
+    ("mae_vs_M.svg", "MAE vs number of experts", "MAE", lambda r: r.mae),
+    ("rmse_vs_M.svg", "RMSE vs number of experts", "RMSE", lambda r: r.rmse),
+    (
+        "time_vs_M.svg",
+        "Prediction time vs number of experts",
+        "log10(seconds)",
+        lambda r: math.log10(r.predict_time_s) if r.predict_time_s > 0 else math.nan,
+    ),
+)
+
+
 def render_benchmark_charts(rows: list[BenchmarkRow], out_dir: str | Path) -> list[Path]:
     """MAE, RMSE, and log10 prediction-time line charts (median over seeds)."""
     out_dir = Path(out_dir)
-    written = []
-    written.append(
+    return [
         render_line_chart(
-            _median_series(rows, lambda r: r.mae),
-            out_dir / "mae_vs_M.svg",
-            title="MAE vs number of experts",
+            _median_series(rows, value),
+            out_dir / name,
+            title=title,
             x_label="number of experts M",
-            y_label="MAE",
+            y_label=y_label,
         )
-    )
-    written.append(
-        render_line_chart(
-            _median_series(rows, lambda r: r.rmse),
-            out_dir / "rmse_vs_M.svg",
-            title="RMSE vs number of experts",
-            x_label="number of experts M",
-            y_label="RMSE",
-        )
-    )
-    written.append(
-        render_line_chart(
-            _median_series(
-                rows, lambda r: math.log10(r.predict_time_s) if r.predict_time_s > 0 else math.nan
-            ),
-            out_dir / "time_vs_M.svg",
-            title="Prediction time vs number of experts",
-            x_label="number of experts M",
-            y_label="log10(seconds)",
-        )
-    )
-    return written
+        for name, title, y_label, value in _CHARTS
+    ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .bench import (
     run_benchmark,
     write_dataset_csv,
 )
-from .emggm import EmggmConfig
 
 FULL_SCALE = {"n": 10_000, "n_t": 1_000, "M_list": (10, 20, 30, 40)}
 
@@ -39,23 +39,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_config(args: argparse.Namespace) -> BenchmarkConfig:
     cfg = BenchmarkConfig.from_json(args.config) if args.config else BenchmarkConfig()
-    fields = cfg.to_dict()
-    emggm = dict(fields.pop("emggm"))
-    if args.full_scale:
-        fields.update(FULL_SCALE)
+    overrides = dict(FULL_SCALE) if args.full_scale else {}
     if args.seed is not None:
-        fields["seeds"] = (args.seed,)
+        overrides["seeds"] = (args.seed,)
     if args.out is not None:
-        fields["output_dir"] = str(args.out)
+        overrides["output_dir"] = str(args.out)
     if getattr(args, "methods", None):
-        fields["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if getattr(args, "svg", False):
-        fields["make_svg"] = True
+        overrides["methods"] = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    emggm = {}
     if getattr(args, "lam", None) is not None:
         emggm["lam"] = args.lam if args.lam == "auto" else float(args.lam)
     if getattr(args, "em_iters", None) is not None:
         emggm["max_iters"] = args.em_iters
-    return BenchmarkConfig(emggm=EmggmConfig(**emggm), **fields)
+    return replace(cfg, emggm=replace(cfg.emggm, **emggm), **overrides)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -110,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument("--methods", help="comma-separated subset of methods to run")
     bench.add_argument("--lambda", dest="lam", help="graphical-lasso penalty, a number or 'auto'")
     bench.add_argument("--em-iters", type=int, help="EM iteration budget")
-    bench.add_argument("--svg", action="store_true", help="also render SVG charts")
     bench.set_defaults(func=_cmd_bench)
 
     plot = sub.add_parser("plot", help="render SVG charts from results.csv")

@@ -159,15 +159,11 @@ def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
     decouples. Unpenalized, the objective is invariant to the latent
     scale, so the iteration stays anchored to the initialization.
     """
-    if lam > 0:
-        p = model.S.shape[0]
-        penalty = np.full((p, p), float(lam))
-        penalty[LATENT, :] = 0.0
-        penalty[:, LATENT] = 0.0
-        lam_arg: float | np.ndarray = penalty
-    else:
-        lam_arg = lam
-    est = glasso_solve(model.S, lam_arg, init=model.Omega)
+    p = model.S.shape[0]
+    penalty = np.full((p, p), float(lam))
+    penalty[LATENT, :] = 0.0
+    penalty[:, LATENT] = 0.0
+    est = glasso_solve(model.S, penalty, init=model.Omega)
     model.Omega = est.Omega
     model.Sigma = est.Sigma
     return est

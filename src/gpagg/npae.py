@@ -43,6 +43,8 @@ def npae_aggregate(
     with the shared jitter policy; a jittered call logs one warning with
     the number of jittered points and the largest jitter.
     """
+    if not experts:
+        raise ValueError("need at least one expert")
     X_star = check_test_inputs(X_star, experts[0].data.d)
     M = len(experts)
     n_t = X_star.shape[0]

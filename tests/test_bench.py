@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from gpagg import (
 )
 import gpagg.baselines as baselines
 import gpagg.bench as bench
-from gpagg.bench import CSV_HEADER, BenchmarkRow, denormalize_y, emit_csv, parse_csv, write_dataset_csv
+from gpagg.bench import BenchmarkRow, denormalize_y, emit_csv, parse_csv, write_dataset_csv
 from gpagg.cli import main as cli_main
 from gpagg.emggm import EmggmConfig
 from gpagg.gp import predict as gp_predict
+
+HEADER = "method,M,seed,mae,rmse,train_time_s,predict_time_s,peak_matrix_bytes"
 
 
 class TestLatentFunction:
@@ -249,6 +252,10 @@ class TestRunBenchmark:
         with pytest.raises(TypeError, match="conv_tol"):
             BenchmarkConfig.from_dict({"emggm": {"conv_tol": 1e-3}})
 
+    def test_unknown_config_field_rejected(self):
+        with pytest.raises(TypeError, match="make_svg"):
+            BenchmarkConfig.from_dict({"make_svg": True})
+
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, methods=("gpoe", "voting"))
@@ -269,7 +276,31 @@ class TestRowCsv:
 
     def test_header_pinned(self, tmp_path):
         path = emit_csv([], tmp_path / "empty.csv")
-        assert path.read_text() == CSV_HEADER + "\n"
+        assert path.read_text() == HEADER + "\n"
+
+    def test_readme_documents_the_written_header(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        header = emit_csv([], tmp_path / "empty.csv").read_text().strip()
+        assert f"`bench` writes `results.csv` with the header\n`{header}`" in readme
+
+    def test_row_lines_pinned(self, tmp_path):
+        rows = [
+            BenchmarkRow("gpoe", 3, 1, 0.1 + 0.2, 1e-17, 2.5e-5, math.nan, 24576),
+            BenchmarkRow("npae", 4, 0, math.nan, math.nan, 1.0, math.nan, 0),
+        ]
+        lines = emit_csv(rows, tmp_path / "r.csv").read_text().splitlines()
+        assert lines[1:] == [
+            "gpoe,3,1,0.30000000000000004,1e-17,2.5e-05,nan,24576",
+            "npae,4,0,nan,nan,1.0,nan,0",
+        ]
+
+    @pytest.mark.parametrize("line", ["gpoe,3,0,0.1,0.2,1.0", "gpoe,3,0,0.1,0.2,1.0,2.0,64,extra"])
+    def test_wrong_field_count_names_the_line(self, tmp_path, line):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{HEADER}\ngpoe,2,0,0.1,0.2,1.0,2.0,64\n{line}\n")
+        with pytest.raises(ValueError, match="line 3") as info:
+            parse_csv(path)
+        assert line in str(info.value)
 
 
 class TestCli:

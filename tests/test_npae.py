@@ -206,6 +206,11 @@ class TestAggregate:
         mean, _ = predict(experts[0], X_star, hp)
         assert np.allclose(agg, mean, atol=1e-10)
 
+    def test_no_experts_rejected(self):
+        hp = Hyperparameters([0.5], 1.0, 0.1)
+        with pytest.raises(ValueError, match="need at least one expert"):
+            npae_aggregate([], hp, np.zeros((3, 1)))
+
     def test_zero_targets_give_zero_aggregate(self):
         rng = np.random.default_rng(4)
         hp = Hyperparameters([0.5], 1.0, 0.1)
