@@ -17,11 +17,12 @@ per-method prediction cost. For methods consuming stacked expert
 predictions, the shared per-expert predict time is included in their
 prediction cost so the comparison against self-contained methods (NPAE,
 GRBCM) stays fair. ``peak_matrix_bytes`` is the largest dense matrix a
-method materializes: n^2 entries for the full GP; for NPAE the largest
-of a cross block (max n_i^2), its per-point K_A stack (n_t M^2) and one
-expert's weight matrix (max n_i n_t); the largest merged-expert
-covariance for GRBCM; and the stacked prediction/precision matrices for
-the rest.
+method materializes: n^2 entries for the full GP; for NPAE, which works
+through at most b = min(n_t, QUERY_BLOCK) test points at a time, the
+largest of a cross block (max n_i^2), a block's K_A stack (b M^2) and
+one expert's weight matrix for a block (max n_i b); the largest
+merged-expert covariance for GRBCM; and the stacked prediction/precision
+matrices for the rest.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .gp import (
     predict,
     train_expert,
 )
-from .npae import npae_aggregate
+from .npae import QUERY_BLOCK, npae_aggregate
 from .partition import Partitioning, kmeans_partition, random_partition
 from .svg import render_line_chart
 
@@ -291,7 +292,8 @@ def _ci_peak(c: _Cell) -> int:
 
 
 def _npae_peak(c: _Cell) -> int:
-    return _bytes(c.max_n_i**2, c.cfg.n_t * c.M**2, c.max_n_i * c.cfg.n_t)
+    b = min(c.cfg.n_t, QUERY_BLOCK)
+    return _bytes(c.max_n_i**2, b * c.M**2, c.max_n_i * b)
 
 
 def _grbcm_peak(c: _Cell) -> int:

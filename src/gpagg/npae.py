@@ -11,7 +11,8 @@ solved fresh at every test point (an M x M system each time, so the
 aggregation cost scales with n_t * M^3 plus the covariance assembly).
 A diagonal entry needs no block of Cov(y_i, y_i): Gamma_i C_i Gamma_i'
 cancels one inverse and reduces to k_A[i]. Only the cross blocks
-Cov(y_i, y_j) = k(X_i, X_j), i != j, are built, and never all at once.
+Cov(y_i, y_j) = k(X_i, X_j), i != j, are built, never all at once, and
+once per block of at most ``QUERY_BLOCK`` test points.
 """
 
 from __future__ import annotations
@@ -26,30 +27,62 @@ from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
 
 log = logging.getLogger(__name__)
 
+# Queries per block. Each block rebuilds the M(M-1)/2 cross blocks, and a
+# 250 x 250 one costs about 18 queries' pair products, so blocks of 256
+# keep the extra work near 7% while the weight matrices stay at most
+# 8 * n * 256 bytes whatever the batch.
+QUERY_BLOCK = 256
+
 
 def npae_aggregate(
     experts: list[TrainedExpert], hp: Hyperparameters, X_star: np.ndarray
 ) -> np.ndarray:
     """Aggregated means k_A' K_A^-1 mu(x*) over all test points.
 
-    The loop is pair-major: each cross block k(X_i, X_j), i < j, is built
-    once per call and serves all test points in two stacked matmuls (n_t
-    gemv, then n_t dot calls). Each stacked item is the BLAS call a lone
-    query makes on the same contiguous rows, so no prediction depends on
-    the batch. The call holds the M weight matrices Gamma_i (n_t x n in
-    total; every pair needs both of its own, so all M stay alive), the
-    K_A stack (n_t x M x M) and one cross block with its n_t x n_i
-    product at a time; no n x n joint exists. K_A is solved per point
-    with the shared jitter policy; a jittered call logs one warning with
-    the number of jittered points and the largest jitter.
+    The queries run in consecutive blocks of at most ``QUERY_BLOCK``.
+    Within a block the loop is pair-major: each cross block k(X_i, X_j),
+    i < j, is built once per block and serves all of its test points in
+    two stacked matmuls (one gemv, then one dot call per point). Each
+    stacked item is the BLAS call a lone query makes on the same
+    contiguous rows, so no prediction depends on the batch or its
+    blocking. A block holds the M weight matrices Gamma_i (n x
+    min(n_t, QUERY_BLOCK) in total; every pair needs both of its own, so
+    all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
+    one cross block with its product at a time; no n x n joint exists.
+    K_A is solved per point with the shared jitter policy; a jittered
+    call logs one warning with the number of jittered points and the
+    largest jitter over all blocks. ``hp`` must match the parameters
+    every expert was factorized with.
     """
     if not experts:
         raise ValueError("need at least one expert")
+    if any(hp != e.hp for e in experts):
+        raise ValueError("hyperparameters differ from those used to factorize the expert")
     X_star = check_test_inputs(X_star, experts[0].data.d)
-    M = len(experts)
     n_t = X_star.shape[0]
     started = time.perf_counter()
 
+    means = np.empty(n_t)
+    jitters = []
+    for a in range(0, n_t, QUERY_BLOCK):
+        jitters += _aggregate_block(experts, hp, X_star[a : a + QUERY_BLOCK], means[a : a + QUERY_BLOCK])
+    jittered = [j for j in jitters if j > 0.0]
+    if jittered:
+        log.warning(
+            "npae_aggregate: %d of %d test points needed Cholesky jitter on K_A (largest %.3e)",
+            len(jittered), n_t, max(jittered),
+        )
+    log.debug("npae_aggregate: M=%d n_t=%d took %.3fs", len(experts), n_t, time.perf_counter() - started)
+    return means
+
+
+def _aggregate_block(
+    experts: list[TrainedExpert], hp: Hyperparameters, X_star: np.ndarray, means: np.ndarray
+) -> list[float]:
+    """Write one block's aggregated means into ``means``; return the
+    jitter each of its points needed on K_A."""
+    M = len(experts)
+    n_t = X_star.shape[0]
     gammas = []
     K_A = np.empty((n_t, M, M))
     local_means = np.empty((n_t, M))
@@ -67,19 +100,10 @@ def npae_aggregate(
             g_i, g_j = gammas[i], gammas[j]
             K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
 
-    means = np.empty(n_t)
-    jittered, max_jitter = 0, 0.0
+    jitters = []
     for t in range(n_t):
         L, jitter = chol_jitter(K_A[t])
-        if jitter > 0.0:
-            jittered += 1
-            max_jitter = max(max_jitter, jitter)
+        jitters.append(jitter)
         w = cho_solve(L, K_A[t].diagonal())
         means[t] = w @ local_means[t]
-    if jittered:
-        log.warning(
-            "npae_aggregate: %d of %d test points needed Cholesky jitter on K_A (largest %.3e)",
-            jittered, n_t, max_jitter,
-        )
-    log.debug("npae_aggregate: M=%d n_t=%d took %.3fs", M, n_t, time.perf_counter() - started)
-    return means
+    return jitters

@@ -18,6 +18,7 @@ from gpagg import (
 )
 import gpagg.baselines as baselines
 import gpagg.bench as bench
+import gpagg.npae as npae
 from gpagg.bench import BenchmarkRow, denormalize_y, emit_csv, parse_csv, write_dataset_csv
 from gpagg.cli import main as cli_main
 from gpagg.emggm import EmggmConfig
@@ -185,12 +186,16 @@ class TestRunBenchmark:
             return parts
 
         monkeypatch.setattr(bench, "kmeans_partition", recording_partition)
-        cfg = tiny_config(tmp_path, n_t=60, M_list=(2, 6), methods=("npae",), seeds=(0,))
-        rows = run_benchmark(cfg)
-        assert len(rows) == len(sizes) == 2
-        for row, max_n_i in zip(rows, sizes):
-            expected = 8 * max(max_n_i**2, cfg.n_t * row.M**2, max_n_i * cfg.n_t)
-            assert row.peak_matrix_bytes == expected < 8 * cfg.n**2
+        # the second config's queries span two blocks
+        for n, n_t in ((120, 60), (400, 300)):
+            sizes.clear()
+            cfg = tiny_config(tmp_path, n=n, n_t=n_t, M_list=(2, 6), methods=("npae",), seeds=(0,))
+            rows = run_benchmark(cfg)
+            assert len(rows) == len(sizes) == 2
+            b = min(cfg.n_t, npae.QUERY_BLOCK)
+            for row, max_n_i in zip(rows, sizes):
+                expected = 8 * max(max_n_i**2, b * row.M**2, max_n_i * b)
+                assert row.peak_matrix_bytes == expected < 8 * cfg.n**2
 
     def test_failed_cells_listed_in_failures_sidecar(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, M_list=(2, 3), methods=("full_gp", "gpoe", "npae"), seeds=(0,))
