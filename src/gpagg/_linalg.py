@@ -1,5 +1,6 @@
 """Every Cholesky factorization, SPD solve and SPD inverse of the package,
-on one binding: LAPACK dpotrf, dpotrs, dtrtrs and dpotri.
+on one binding: LAPACK dpotrf, dpotrs, dtrtrs, dtrtri and dlauum, and
+BLAS dtrmm.
 
 Factors are lower triangular; only the lower triangle of a matrix to
 factor is read. dpotrf reports success with NaN on the diagonal, so a
@@ -10,12 +11,17 @@ the last jitter tried. A non-finite matrix raises before any jitter.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri, dtrtrs
 
 from .errors import NumericalError
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+# Order up to which ``chol_inverse`` inverts a triangle with one dtrtri.
+# Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
+# is slower than splitting in halves and joining them with dtrmm.
+INVERSE_BLOCK = 128
 
 
 def cholesky(A: np.ndarray) -> np.ndarray | None:
@@ -66,14 +72,47 @@ def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
+    """Invert the lower-triangular block X[lo:hi, lo:hi] in place.
+
+    Above INVERSE_BLOCK the block is split in halves, each inverted
+    recursively, and the corner becomes X21 = -X22^-1 L21 X11^-1 by two
+    triangular multiplies (LAPACK's blocked scheme; Du Croz & Higham,
+    IMA J. Numer. Anal. 1992). The wrappers take no leading dimension,
+    so each call on a strict sub-block works on a contiguous copy of it.
+    """
+    if hi - lo <= INVERSE_BLOCK:
+        X[lo:hi, lo:hi] = dtrtri(X[lo:hi, lo:hi], lower=1, overwrite_c=1)[0]
+        return
+    mid = (lo + hi) // 2
+    _invert_lower(X, lo, mid)
+    _invert_lower(X, mid, hi)
+    corner = dtrmm(-1.0, X[mid:hi, mid:hi], X[mid:hi, lo:mid], lower=1)
+    X[mid:hi, lo:mid] = dtrmm(1.0, X[lo:mid, lo:mid], corner, side=1, lower=1, overwrite_b=1)
+
+
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """Lower triangle of (L L')^-1 for a lower Cholesky factor ``L``.
+
+    The strict upper triangle of the result is zero and it is in Fortran
+    order, so BLAS can update it in place. ``L`` must have a positive
+    diagonal and a zero strict upper triangle, as ``cholesky`` returns;
+    it is overwritten, and is the result when it is Fortran-ordered.
+    Up to INVERSE_BLOCK this is dpotri bit for bit: dtrtri, then dlauum
+    forms X' X from the inverse factor X.
+    """
+    X = np.asfortranarray(L)
+    _invert_lower(X, 0, X.shape[0])
+    return dlauum(X, lower=1, overwrite_c=1)[0]
+
+
 def spd_inverse(A: np.ndarray) -> np.ndarray:
     """Exactly symmetric inverse of a symmetric positive-definite matrix."""
     L = cholesky(A)
     if L is None:
         raise NumericalError("matrix is not positive definite")
-    # dpotri cannot fail on a factor with a positive diagonal. It fills the
-    # lower triangle and keeps the factor's zero upper triangle, so adding
-    # the strict lower triangle's mirror completes the inverse.
-    inv = dpotri(L, lower=1, overwrite_c=1)[0]
+    # chol_inverse fills the lower triangle over a zero upper triangle, so
+    # adding the strict lower triangle's mirror completes the inverse.
+    inv = chol_inverse(L)
     inv += np.tril(inv, -1).T
     return inv

@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg.blas import dsyr
-from scipy.linalg.lapack import dpotri
 
-from ._linalg import cho_solve, chol_jitter, solve_lower
+from ._linalg import cho_solve, chol_inverse, chol_jitter, solve_lower
 from .errors import DimensionError, FitError, NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -241,17 +240,19 @@ def _lml_and_grad(
     K = np.tensordot(-0.5 / ls**2, sq, axes=1)
     np.exp(K, out=K)
     K *= hp.signal_variance
-    C = K.copy()
-    C.flat[:: n + 1] += hp.noise_variance
-    L, _ = chol_jitter(C)
+    # C = K + sigma^2 I is factored from K itself (dpotrf copies it), and
+    # K's diagonal, exp(0) * sigma_f^2, is set back exactly afterwards.
+    K.flat[:: n + 1] += hp.noise_variance
+    L, _ = chol_jitter(K)
+    K.flat[:: n + 1] = hp.signal_variance
     alpha = cho_solve(L, y)
     value = _lml_from_factors(L, alpha, y)
 
-    # dpotri (it cannot fail on L's positive diagonal) leaves the lower
-    # triangle of C^-1 over L's zero upper triangle. A becomes W = 2 tril(Q)
+    # chol_inverse leaves the lower triangle of C^-1 over a zero upper
+    # triangle, in L's own Fortran-ordered buffer. A becomes W = 2 tril(Q)
     # - diag(Q) for Q = alpha alpha' - C^-1: sum(W * B) equals sum(Q * B)
     # for every symmetric B, which is all that each trace below needs.
-    A = dpotri(L, lower=1, overwrite_c=1)[0]
+    A = chol_inverse(L)
     A *= -2.0
     A = dsyr(2.0, alpha, lower=1, a=A, overwrite_a=1)
     A[np.diag_indices(n)] *= 0.5

@@ -256,8 +256,9 @@ class TestGradient:
 
     def test_cached_distances_match_uncached_and_dense_oracles(self):
         rng = np.random.default_rng(17)
-        for d, ard in [(1, False), (3, False), (3, True)]:
-            data = random_dataset(rng, 25, d=d)
+        # n = 300 takes chol_inverse past INVERSE_BLOCK into its recursion
+        for n, d, ard in [(25, 1, False), (25, 3, False), (25, 3, True), (300, 1, False), (300, 3, True)]:
+            data = random_dataset(rng, n, d=d)
             hp = random_hp(rng, d=d, ard=ard)
             sq = gp._sq_dists(data.X, hp.lengthscale.size)
             cached = gp._lml_and_grad(data, hp, sq)

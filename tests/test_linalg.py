@@ -5,9 +5,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dpotri
 
 from gpagg import NumericalError
-from gpagg._linalg import cho_solve, chol_jitter, solve_lower, spd_inverse
+from gpagg._linalg import (
+    INVERSE_BLOCK,
+    cho_solve,
+    chol_inverse,
+    chol_jitter,
+    cholesky,
+    solve_lower,
+    spd_inverse,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gpagg"
 
@@ -82,8 +92,9 @@ class TestSolves:
 
 
 class TestSpdInverse:
-    def test_exactly_symmetric_and_close_to_dense_inverse(self):
-        A = random_spd(np.random.default_rng(5), 21)
+    @pytest.mark.parametrize("p", [21, 129, 300, 600])
+    def test_exactly_symmetric_and_close_to_dense_inverse(self, p):
+        A = random_spd(np.random.default_rng(5), p)
         inv = spd_inverse(A)
         assert np.array_equal(inv, inv.T)
         dense = np.linalg.inv(A)
@@ -95,17 +106,35 @@ class TestSpdInverse:
             spd_inverse(A)
 
 
+class TestCholInverse:
+    @pytest.mark.parametrize("n", [1, 41, INVERSE_BLOCK])
+    def test_bitwise_dpotri_up_to_the_block(self, n):
+        L = cholesky(random_spd(np.random.default_rng(n), n))
+        assert np.array_equal(chol_inverse(L.copy(order="F")), dpotri(L, lower=1)[0])
+
+    @pytest.mark.parametrize("n", [INVERSE_BLOCK + 1, 300])
+    def test_above_the_block_stays_lower_and_fortran_ordered(self, n):
+        rng = np.random.default_rng(n)
+        inv = chol_inverse(cholesky(random_spd(rng, n)))
+        assert inv.flags.f_contiguous
+        assert not np.triu(inv, 1).any()
+        # dsyr updates the Fortran-ordered result in place
+        x = rng.standard_normal(n)
+        assert dsyr(1.0, x, lower=1, a=inv, overwrite_a=1) is inv
+
+
 def _linalg_uses(tree: ast.AST) -> list[str]:
     """Dense linear algebra a module reaches without going through _linalg:
-    numpy.linalg in any form, and scipy.linalg other than the raw LAPACK
-    and BLAS wrappers."""
+    numpy.linalg in any form, and scipy.linalg other than its raw BLAS
+    wrappers. Its LAPACK wrappers belong to _linalg alone."""
+    forbidden = ("numpy.linalg", "scipy.linalg", "scipy.linalg.lapack")
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            uses += [a.name for a in node.names if a.name in ("numpy.linalg", "scipy.linalg")]
+            uses += [a.name for a in node.names if a.name in forbidden]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = {a.name for a in node.names}
-            if node.module in ("numpy.linalg", "scipy.linalg") or (
+            if node.module in forbidden or (
                 node.module in ("numpy", "scipy") and "linalg" in names
             ):
                 uses.append(f"from {node.module} import {', '.join(sorted(names))}")
@@ -117,9 +146,10 @@ def _linalg_uses(tree: ast.AST) -> list[str]:
 
 
 def test_only_the_linalg_module_factors_solves_and_inverts():
-    """np.linalg, cho_solve, cho_factor, solve_triangular and
-    scipy.linalg.cholesky appear nowhere in the package outside _linalg
-    (its own cho_solve, imported from there, is the one allowed)."""
+    """np.linalg, scipy's LAPACK wrappers, cho_solve, cho_factor,
+    solve_triangular and scipy.linalg.cholesky appear nowhere in the
+    package outside _linalg (its own cho_solve, imported from there, is
+    the one allowed)."""
     offenders = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_linalg.py":
@@ -140,11 +170,12 @@ def test_source_rule_flags_each_forbidden_form():
         "from scipy.linalg import solve_triangular",
         "from scipy.linalg import cho_factor",
         "from scipy import linalg",
+        "from scipy.linalg.lapack import dpotri",
+        "import scipy.linalg.lapack",
     ):
         assert _linalg_uses(ast.parse(snippet)), snippet
     for snippet in (
         "from ._linalg import cho_solve, chol_jitter",
-        "from scipy.linalg.lapack import dpotri",
         "from scipy.linalg.blas import dsyr",
     ):
         assert not _linalg_uses(ast.parse(snippet)), snippet
