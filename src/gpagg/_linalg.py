@@ -32,11 +32,14 @@ def cholesky(A: np.ndarray) -> np.ndarray | None:
     return L
 
 
-def chol_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
+def chol_jitter(A: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric matrix, jittering on failure.
 
     Returns ``(L, jitter)`` where ``L @ L.T == A + jitter * I`` and
-    ``jitter`` is 0.0 when no inflation was needed.
+    ``jitter`` is 0.0 when no inflation was needed. The jitter is counted
+    in units of ``scale``, mean(diag(A)) by default. A Schur complement
+    C - W'W passes the scale of C instead: its rounding error is on that
+    scale, which can be many orders above its own diagonal.
     """
     A = np.asarray(A, dtype=float)
     L = cholesky(A)
@@ -44,7 +47,8 @@ def chol_jitter(A: np.ndarray) -> tuple[np.ndarray, float]:
         return L, 0.0
     if not np.isfinite(A).all():
         raise NumericalError("matrix contains non-finite entries")
-    scale = float(np.mean(np.diag(A)))
+    if scale is None:
+        scale = float(np.mean(np.diag(A)))
     if scale <= 0.0:
         scale = 1.0
     rel = JITTER_START
@@ -91,19 +95,27 @@ def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
     X[mid:hi, lo:mid] = dtrmm(1.0, X[lo:mid, lo:mid], corner, side=1, lower=1, overwrite_b=1)
 
 
+def inverse_lower(L: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower Cholesky factor ``L``, in Fortran order.
+
+    ``L`` must have a positive diagonal and a zero strict upper triangle,
+    as ``cholesky`` returns; it is overwritten, and is the result when it
+    is Fortran-ordered. The strict upper triangle of the result is zero.
+    """
+    X = np.asfortranarray(L)
+    _invert_lower(X, 0, X.shape[0])
+    return X
+
+
 def chol_inverse(L: np.ndarray) -> np.ndarray:
     """Lower triangle of (L L')^-1 for a lower Cholesky factor ``L``.
 
     The strict upper triangle of the result is zero and it is in Fortran
-    order, so BLAS can update it in place. ``L`` must have a positive
-    diagonal and a zero strict upper triangle, as ``cholesky`` returns;
-    it is overwritten, and is the result when it is Fortran-ordered.
-    Up to INVERSE_BLOCK this is dpotri bit for bit: dtrtri, then dlauum
-    forms X' X from the inverse factor X.
+    order, so BLAS can update it in place. ``L`` is overwritten as by
+    ``inverse_lower``. Up to INVERSE_BLOCK this is dpotri bit for bit:
+    dtrtri, then dlauum forms X' X from the inverse factor X.
     """
-    X = np.asfortranarray(L)
-    _invert_lower(X, 0, X.shape[0])
-    return dlauum(X, lower=1, overwrite_c=1)[0]
+    return dlauum(inverse_lower(L), lower=1, overwrite_c=1)[0]
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:

@@ -20,8 +20,11 @@ GRBCM) stays fair. ``peak_matrix_bytes`` is the largest dense matrix a
 method materializes: n^2 entries for the full GP; for NPAE, which works
 through at most b = min(n_t, QUERY_BLOCK) test points at a time, the
 largest of a cross block (max n_i^2), a block's K_A stack (b M^2) and
-one expert's weight matrix for a block (max n_i b); the largest
-merged-expert covariance for GRBCM; and the stacked prediction/precision
+one expert's weight matrix for a block (max n_i b); for GRBCM, the
+largest of the base factor and its inverse (n_b^2), a cross block
+L_b^-1 K_bi (n_b max n_i), a Schur complement (max n_i^2) and a
+right-hand side [k(X, X*) | y] of the base or an expert
+(max(n_b, max n_i) (n_t + 1)); and the stacked prediction/precision
 matrices for the rest.
 """
 
@@ -298,7 +301,8 @@ def _npae_peak(c: _Cell) -> int:
 
 def _grbcm_peak(c: _Cell) -> int:
     base_n = c.parts.subsets[grbcm_base_index(c.M, c.seed)].n
-    return _bytes((base_n + c.max_n_i) ** 2)
+    rhs = max(base_n, c.max_n_i) * (c.cfg.n_t + 1)
+    return _bytes(base_n**2, base_n * c.max_n_i, c.max_n_i**2, rhs)
 
 
 # method -> (call returning (normalized means, diagnostics or None),

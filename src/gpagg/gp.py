@@ -423,6 +423,14 @@ def predict(
     k_star = kernel_matrix(expert.data.X, check_test_inputs(X_star, expert.data.d), hp)
     means = k_star.T @ expert.alpha
     w = solve_lower(expert.chol_C, k_star)
-    variances = hp.signal_variance + hp.noise_variance - np.sum(w * w, axis=0)
-    floor = hp.noise_variance * (1.0 - 1e-10)
-    return means, np.maximum(variances, floor)
+    return means, posterior_variance(hp, np.sum(w * w, axis=0))
+
+
+def posterior_variance(hp: Hyperparameters, explained: np.ndarray) -> np.ndarray:
+    """k(x*,x*) + sigma^2 - ``explained``, floored just below sigma^2 against roundoff.
+
+    ``explained`` is k' C^-1 k per test point, the squared column norms of
+    L^-1 k for the factor L of C.
+    """
+    variances = hp.signal_variance + hp.noise_variance - explained
+    return np.maximum(variances, hp.noise_variance * (1.0 - 1e-10))

@@ -1,8 +1,11 @@
+import ast
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from gpagg import baselines
 from gpagg import (
     Dataset,
     DimensionError,
@@ -22,6 +25,7 @@ from gpagg import (
     rbcm,
     train_expert,
 )
+from gpagg.baselines import grbcm_base_index
 
 
 def make_preds(means, variances, prior=None):
@@ -170,6 +174,126 @@ class TestCollectPredictions:
             assert np.array_equal(preds.variances[:, i], v)
         assert np.allclose(preds.prior_variance, 1.1)
         assert np.all(preds.prior_mean == 0.0)
+
+
+def _grbcm_merged_reference(partitioning, hp, X_star, seed):
+    """GRBCM as it was computed before the base-factor conditioning:
+    every augmented expert factors its merged covariance."""
+    M = len(partitioning.subsets)
+    if M < 2:
+        raise ValueError("GRBCM needs at least 2 partitions")
+    base_idx = grbcm_base_index(M, seed)
+    base = partitioning.subsets[base_idx]
+    others = [s for i, s in enumerate(partitioning.subsets) if i != base_idx]
+    merged = [Dataset(np.vstack([base.X, s.X]), np.concatenate([base.y, s.y])) for s in others]
+    joint = collect_predictions((train_expert(d, hp) for d in [base, *merged]), X_star, hp)
+    preds = ExpertPredictions(
+        joint.means[:, 1:], joint.variances[:, 1:], joint.variances[:, 0], joint.means[:, 0]
+    )
+    beta = compute_weights(preds, "diff_entropy")
+    beta[:, 0] = 1.0
+    return poe_family_aggregate(preds, beta, True)
+
+
+def _assert_matches_reference(mean, var, ref_mean, ref_var, var_scale):
+    """Both within 1e-10 relative: means to the batch's largest mean,
+    variances to ``var_scale``."""
+    assert np.all(np.abs(mean - ref_mean) <= 1e-10 * np.max(np.abs(ref_mean)))
+    assert np.all(np.abs(var - ref_var) <= 1e-10 * var_scale)
+
+
+def _identical_partitions(n, noise):
+    # three copies of one partition: every augmented expert sees its base twice
+    X = np.linspace(0, 1, n)[:, None]
+    base = Dataset(X, np.sin(6 * X[:, 0]))
+    parts = Partitioning(np.repeat(np.arange(3), n), [base, base, base], "random")
+    X_star = np.random.default_rng(5).uniform(0, 1, (20, 1))
+    return Hyperparameters([0.5], 1.0, noise), parts, X_star
+
+
+class TestGrbcmAgainstMergedExperts:
+    SEEDS = (0, 1, 2)
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 20])
+    @pytest.mark.parametrize(
+        "d, lengthscale", [(1, [0.3]), (3, [0.5]), (3, [0.3, 0.6, 1.2])], ids=["d1", "d3-iso", "d3-ard"]
+    )
+    def test_base_conditioning_matches_merged_factorization(self, M, d, lengthscale):
+        hp = Hyperparameters(lengthscale, 1.3, 0.01)
+        rng = np.random.default_rng(M)
+        X = rng.uniform(0, 1, (15 * M, d))
+        data = Dataset(X, np.sin(5 * X.sum(axis=1)) + 0.1 * rng.standard_normal(15 * M))
+        parts = kmeans_partition(data, M, seed=0)
+        assert len({grbcm_base_index(M, seed) for seed in self.SEEDS}) > 1
+        for n_t in (1, 7, 300):
+            X_star = rng.uniform(-0.1, 1.1, (n_t, d))
+            for seed in self.SEEDS:
+                mean, var = grbcm_aggregate(parts, hp, X_star, seed)
+                ref_mean, ref_var = _grbcm_merged_reference(parts, hp, X_star, seed)
+                _assert_matches_reference(mean, var, ref_mean, ref_var, ref_var)
+
+    def test_identical_partitions_without_jitter_match(self, monkeypatch):
+        # The Schur complement of a repeated partition is at least sigma^2 I
+        # in exact arithmetic, and at noise 1e-6 rounding stays far below it.
+        # The variances sit near sigma^2, so they are compared on the scale
+        # of the prior variance they are subtracted from.
+        jitters = []
+        chol_jitter = baselines.chol_jitter
+
+        def recording(A, **kwargs):
+            L, jitter = chol_jitter(A, **kwargs)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(baselines, "chol_jitter", recording)
+        hp, parts, X_star = _identical_partitions(6, 1e-6)
+        mean, var = grbcm_aggregate(parts, hp, X_star, seed=0)
+        assert jitters == [0.0, 0.0]
+        ref_mean, ref_var = _grbcm_merged_reference(parts, hp, X_star, 0)
+        _assert_matches_reference(mean, var, ref_mean, ref_var, hp.signal_variance + hp.noise_variance)
+
+    def test_identical_partitions_jitter_each_schur_complement(self, monkeypatch):
+        # At noise 1e-12 rounding swamps the Schur complement's sigma^2. Its
+        # jitter is counted in units of the covariance it came from: in units
+        # of its own diagonal (~sigma^2) the ladder would end near 1e-16 and
+        # raise.
+        jitters = []
+        chol_jitter = baselines.chol_jitter
+
+        def recording(A, **kwargs):
+            L, jitter = chol_jitter(A, **kwargs)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(baselines, "chol_jitter", recording)
+        hp, parts, X_star = _identical_partitions(30, 1e-12)
+        mean, var = grbcm_aggregate(parts, hp, X_star, seed=0)
+        assert len(jitters) == 2 and all(j > 0 for j in jitters)
+        assert np.all(np.isfinite(mean)) and np.all(var > 0)
+        ref_mean, _ = _grbcm_merged_reference(parts, hp, X_star, 0)
+        assert np.max(np.abs(mean - ref_mean)) < 1e-5
+        assert np.max(np.abs(mean - np.sin(6 * X_star[:, 0]))) < 1e-5
+
+
+def _numpy_blas_uses(tree: ast.AST) -> list[str]:
+    """Products that run on numpy's BLAS: ``@`` and numpy's product functions."""
+    products = {"dot", "matmul", "tensordot", "inner", "vdot", "einsum"}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append("@")
+        elif isinstance(node, ast.Attribute) and node.attr in products:
+            uses.append(node.attr)
+    return uses
+
+
+def test_grbcm_runs_on_scipy_blas_alone():
+    # numpy's and scipy's OpenBLAS each keep a thread pool; a loop that
+    # alternates between them leaves one pool's threads holding the cores.
+    for fn in (baselines.grbcm_aggregate, baselines._with_targets):
+        assert _numpy_blas_uses(ast.parse(inspect.getsource(fn))) == [], fn.__name__
+    for snippet in ("a @ b", "a @= b", "np.dot(a, b)", "np.matmul(a, b)", "a.dot(b)"):
+        assert _numpy_blas_uses(ast.parse(snippet)), snippet
 
 
 class TestGrbcm:

@@ -197,6 +197,36 @@ class TestRunBenchmark:
                 expected = 8 * max(max_n_i**2, b * row.M**2, max_n_i * b)
                 assert row.peak_matrix_bytes == expected < 8 * cfg.n**2
 
+    def test_grbcm_peak_is_its_largest_block_not_a_merged_expert(self, tmp_path, monkeypatch):
+        cells = []
+        kmeans_partition = bench.kmeans_partition
+
+        def recording_partition(data, M, seed):
+            parts = kmeans_partition(data, M, seed)
+            cells.append((parts, seed))
+            return parts
+
+        monkeypatch.setattr(bench, "kmeans_partition", recording_partition)
+        largest = set()
+        for n, n_t in ((120, 10), (400, 300)):
+            cells.clear()
+            cfg = tiny_config(tmp_path, n=n, n_t=n_t, M_list=(2, 6), methods=("grbcm",), seeds=(0,))
+            rows = run_benchmark(cfg)
+            assert len(rows) == len(cells) == 2
+            for row, (parts, seed) in zip(rows, cells):
+                n_b = parts.subsets[baselines.grbcm_base_index(row.M, seed)].n
+                max_n_i = max(s.n for s in parts.subsets)
+                blocks = {
+                    "base": n_b**2,
+                    "cross": n_b * max_n_i,
+                    "schur": max_n_i**2,
+                    "rhs": max(n_b, max_n_i) * (n_t + 1),
+                }
+                assert row.peak_matrix_bytes == 8 * max(blocks.values())
+                largest.add(max(blocks, key=blocks.get))
+        # both a square block and a right-hand side set the peak somewhere
+        assert "rhs" in largest and largest - {"rhs"}
+
     def test_failed_cells_listed_in_failures_sidecar(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path, M_list=(2, 3), methods=("full_gp", "gpoe", "npae"), seeds=(0,))
         clean = run_benchmark(cfg)

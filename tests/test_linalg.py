@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg.blas import dsyr
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dtrtri
 
 from gpagg import NumericalError
 from gpagg._linalg import (
@@ -15,6 +15,7 @@ from gpagg._linalg import (
     chol_inverse,
     chol_jitter,
     cholesky,
+    inverse_lower,
     solve_lower,
     spd_inverse,
 )
@@ -62,6 +63,15 @@ class TestCholJitter:
         target = A + jitter * np.eye(8)
         assert np.allclose(L @ L.T, target, rtol=0, atol=1e-12 * np.max(np.abs(target)))
 
+    def test_jitter_counts_in_the_given_scale(self):
+        # a diagonal far below the off-diagonal rounding, as in a Schur complement
+        A = np.array([[1e-12, 1e-6], [1e-6, 1e-12]])
+        with pytest.raises(NumericalError):
+            chol_jitter(A)
+        L, jitter = chol_jitter(A, scale=2.0)
+        assert jitter == pytest.approx(2e-6)
+        assert np.allclose(L @ L.T, A + jitter * np.eye(2), rtol=0, atol=1e-20)
+
     def test_hopeless_matrix_raises_with_last_jitter(self):
         A = -np.eye(3)
         with pytest.raises(NumericalError) as info:
@@ -104,6 +114,18 @@ class TestSpdInverse:
     def test_non_spd_raises(self, A):
         with pytest.raises(NumericalError, match="not positive definite"):
             spd_inverse(A)
+
+
+class TestInverseLower:
+    @pytest.mark.parametrize("n", [1, 41, INVERSE_BLOCK, INVERSE_BLOCK + 1, 300])
+    def test_inverts_the_factor_and_stays_lower(self, n):
+        L = cholesky(random_spd(np.random.default_rng(n), n))
+        X = inverse_lower(L.copy(order="F"))
+        assert X.flags.f_contiguous
+        assert not np.triu(X, 1).any()
+        if n <= INVERSE_BLOCK:
+            assert np.array_equal(X, dtrtri(L, lower=1)[0])
+        assert np.max(np.abs(X @ L - np.eye(n))) <= 1e-13
 
 
 class TestCholInverse:

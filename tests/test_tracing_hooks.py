@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` wraps module attributes of the package (see its
 ``instrument``). This checks that contract from the package side: GRBCM
-factorizes through ``baselines.train_expert``, EMGGM's E-steps, M-steps
+factors its base partition through ``baselines.train_expert`` once per
+call (its augmented experts are conditioned on that factor), EMGGM's E-steps, M-steps
 and glasso solves go through the ``emggm`` module's names, and every
 wrapped attribute is restored afterwards. The benchmark's own self-test
 runs too, since it reads the fields of ``PrecisionEstimate``.
@@ -55,11 +56,11 @@ def test_instrument_counts_grbcm_factorizations_and_em_work(tracing):
         for seed in (0, 1):
             calls = tracer.counts["baselines.train_expert_calls"]
             grbcm_aggregate(parts, hp, X_star, seed)
-            assert tracer.counts["baselines.train_expert_calls"] - calls == M
+            assert tracer.counts["baselines.train_expert_calls"] - calls == 1
         preds = collect_predictions([train_expert(s, hp) for s in parts.subsets], X_star, hp)
         emggm_aggregate(preds)
 
-    assert tracer.counts["baselines.train_expert_calls"] == 2 * M
+    assert tracer.counts["baselines.train_expert_calls"] == 2
     for name in ("emggm.e_step", "emggm.m_step"):
         assert sum(s.name == name for s in tracer.spans) > 0
         assert tracer.total(name) > 0
