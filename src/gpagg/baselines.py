@@ -10,10 +10,8 @@ weighted precision sums over a prior N(prior_mean, prior_var):
 The bracketed prior-correction terms distinguish the committee-machine
 family (BCM, RBCM) from the plain products (PoE, GPoE); the GP prior has
 prior_mean = 0. GRBCM is RBCM's rule over base-augmented experts with
-the base expert (its mean and its variance) as the prior. It factors the
-base partition once per call and conditions each augmented expert on
-that factor through a Schur complement, so no merged covariance is built
-and jitter lands on the base factor and then on each Schur complement.
+the base expert (its mean and its variance) as the prior. Every
+expert's mean and variance, GRBCM's too, come from ``gp.posterior_terms``.
 """
 
 from __future__ import annotations
@@ -22,19 +20,20 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrmm
+from scipy.linalg.blas import dgemm, dsyrk, dtrmm
 
 from ._linalg import chol_jitter, inverse_lower, solve_lower
 from .errors import DimensionError, NumericalError
 from .gp import (
-    Dataset,
     Hyperparameters,
     TrainedExpert,
     check_test_inputs,
     kernel_matrix,
+    posterior_terms,
     posterior_variance,
     predict,
     train_expert,
+    with_targets,
 )
 from .partition import Partitioning
 
@@ -174,14 +173,6 @@ def grbcm_base_index(M: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(M))
 
 
-def _with_targets(data: Dataset, X_star: np.ndarray, hp: Hyperparameters) -> np.ndarray:
-    """[k(X, X*) | y] for one partition, in Fortran order for BLAS."""
-    R = np.empty((data.n, X_star.shape[0] + 1), order="F")
-    R[:, :-1] = kernel_matrix(data.X, X_star, hp)
-    R[:, -1] = data.y
-    return R
-
-
 def grbcm_aggregate(
     partitioning: Partitioning,
     hp: Hyperparameters,
@@ -191,20 +182,17 @@ def grbcm_aggregate(
     """Generalized robust BCM over base-augmented experts.
 
     A base partition is drawn by ``seed`` and every other partition i is
-    augmented with it. The base is factored once, C_b = L_b L_b', and
-    each augmented expert is conditioned on that factor instead of
-    factoring its merged covariance: with W_i = L_b^-1 K_bi, the Schur
-    complement S_i = C_i - W_i' W_i = L_Si L_Si' completes the block
-    factor [[L_b, 0], [W_i', L_Si]] of the merged covariance; without
-    jitter it is the factor Cholesky builds on the merged matrix, so the
-    predictions move only by rounding. The base solve [w_b | z_b] =
-    L_b^-1 [k(X_b, X*) | y_b] is shared by every expert, and each adds
-    one solve of [k(X_i, X*) | y_i] - W_i' [w_b | z_b] with L_Si. Jitter,
-    when needed, lands on the base factor and then on each Schur
-    complement, never on a merged matrix. The experts are built one at a
-    time. The augmented experts are combined by RBCM's rule with the base
-    expert as the prior: beta is the entropy gain relative to the base
-    expert, except 1 for the first augmented expert.
+    augmented with it. The base is factored once, C_b = L_b L_b'; with
+    W_i = L_b^-1 K_bi, the Schur complement S_i = C_i - W_i' W_i =
+    L_Si L_Si' completes the block factor [[L_b, 0], [W_i', L_Si]] that
+    Cholesky builds on the merged covariance without jitter, so the
+    predictions move only by rounding. That factor's solve of [k | y]
+    stacks the base expert's, as in ``predict``, over L_Si^-1 ([k_i | y_i]
+    - W_i' [w_b | z_b]), and each block adds its ``posterior_terms``.
+    Jitter, when needed, lands on the base factor and then on each Schur
+    complement, never on a merged matrix. The experts, built one at a
+    time, are combined by RBCM's rule with the base expert as the prior:
+    beta is the entropy gain relative to it, except 1 for the first.
     """
     M = len(partitioning.subsets)
     if M < 2:
@@ -212,12 +200,10 @@ def grbcm_aggregate(
     base_idx = grbcm_base_index(M, seed)
     base = partitioning.subsets[base_idx]
     X_star = check_test_inputs(X_star, base.d)
-    n_t = X_star.shape[0]
     L_b = train_expert(base, hp).chol_C
-    wz_b = solve_lower(L_b, _with_targets(base, X_star, hp))
+    wz_b = solve_lower(L_b, with_targets(base, X_star, hp))
     L_b_inv = inverse_lower(L_b)
-    base_mean = dgemv(1.0, wz_b[:, :n_t], wz_b[:, n_t], trans=1)
-    base_explained = np.sum(wz_b[:, :n_t] ** 2, axis=0)
+    base_mean, base_explained = posterior_terms(wz_b)
     means, variances = [], []
     for i, part in enumerate(partitioning.subsets):
         if i == base_idx:
@@ -232,10 +218,10 @@ def grbcm_aggregate(
         # S_i carries rounding on the scale of C_i's diagonal, which its
         # own diagonal (down to sigma^2) can undercut by orders of magnitude.
         L_S, _ = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
-        rhs = dgemm(-1.0, W, wz_b, beta=1.0, c=_with_targets(part, X_star, hp), trans_a=1, overwrite_c=1)
-        wz = solve_lower(L_S, rhs)
-        means.append(base_mean + dgemv(1.0, wz[:, :n_t], wz[:, n_t], trans=1))
-        variances.append(posterior_variance(hp, base_explained + np.sum(wz[:, :n_t] ** 2, axis=0)))
+        rhs = dgemm(-1.0, W, wz_b, beta=1.0, c=with_targets(part, X_star, hp), trans_a=1, overwrite_c=1)
+        mean, explained = posterior_terms(solve_lower(L_S, rhs))
+        means.append(base_mean + mean)
+        variances.append(posterior_variance(hp, base_explained + explained))
     preds = ExpertPredictions(
         np.column_stack(means),
         np.column_stack(variances),

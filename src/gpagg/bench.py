@@ -24,8 +24,8 @@ one expert's weight matrix for a block (max n_i b); for GRBCM, the
 largest of the base factor and its inverse (n_b^2), a cross block
 L_b^-1 K_bi (n_b max n_i), a Schur complement (max n_i^2) and a
 right-hand side [k(X, X*) | y] of the base or an expert
-(max(n_b, max n_i) (n_t + 1)); and the stacked prediction/precision
-matrices for the rest.
+(max(n_b, max n_i) (n_t + 1)); for the rest, the stacked predictions
+(n_t M) and one expert's [k(X, X*) | y] (max n_i (n_t + 1)).
 """
 
 from __future__ import annotations
@@ -230,6 +230,9 @@ def parse_csv(path: str | Path) -> list[BenchmarkRow]:
             raise ValueError(
                 f"{path} line {lineno}: {len(parts)} fields, expected {len(_COLUMN_TYPES)}: {line!r}"
             )
+        if parts[0] not in METHODS:
+            # charts print the method unescaped, so only known names pass
+            raise ValueError(f"{path} line {lineno}: unknown method, expected one of {METHODS}: {line!r}")
         rows.append(BenchmarkRow(*(kind(v) for kind, v in zip(_COLUMN_TYPES.values(), parts))))
     return rows
 
@@ -291,7 +294,7 @@ def _ci_rule(rule):
 
 
 def _ci_peak(c: _Cell) -> int:
-    return _bytes(c.cfg.n_t * c.M, c.max_n_i * c.cfg.n_t)
+    return _bytes(c.cfg.n_t * c.M, c.max_n_i * (c.cfg.n_t + 1))
 
 
 def _npae_peak(c: _Cell) -> int:

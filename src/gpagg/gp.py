@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dsyr
+from scipy.linalg.blas import dgemv, dsyr
 
 from ._linalg import cho_solve, chol_inverse, chol_jitter, solve_lower
 from .errors import DimensionError, FitError, NumericalError
@@ -181,13 +181,12 @@ class TrainedExpert:
     """One partition plus its factorized covariance, ready for prediction.
 
     ``chol_C`` is the lower Cholesky factor of C = K + sigma^2 I (plus any
-    jitter applied), and ``alpha`` solves C alpha = y.
+    jitter applied).
     """
 
     data: Dataset
     hp: Hyperparameters
     chol_C: np.ndarray
-    alpha: np.ndarray
     jitter: float = 0.0
 
 
@@ -196,7 +195,7 @@ def train_expert(data: Dataset, hp: Hyperparameters) -> TrainedExpert:
     C = kernel_matrix(data.X, data.X, hp)
     C.flat[:: data.n + 1] += hp.noise_variance
     L, jitter = chol_jitter(C)
-    return TrainedExpert(data=data, hp=hp, chol_C=L, alpha=cho_solve(L, data.y), jitter=jitter)
+    return TrainedExpert(data=data, hp=hp, chol_C=L, jitter=jitter)
 
 
 def _lml_from_factors(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
@@ -210,8 +209,8 @@ def log_marginal_likelihood(data: Dataset, hp: Hyperparameters) -> float:
     Computed via Cholesky of C = K + sigma^2 I; never inverts C
     explicitly. Equals -1/2 y' C^-1 y - 1/2 log|C| - n/2 log(2 pi).
     """
-    expert = train_expert(data, hp)
-    return _lml_from_factors(expert.chol_C, expert.alpha, data.y)
+    L = train_expert(data, hp).chol_C
+    return _lml_from_factors(L, cho_solve(L, data.y), data.y)
 
 
 def _sq_dists(X: np.ndarray, k: int) -> np.ndarray:
@@ -414,16 +413,30 @@ def predict(
     """Posterior mean and variance of one expert at the test inputs.
 
     mean = k(X_i, x*)' C^-1 y_i; variance = k(x*,x*) + sigma^2 - k' C^-1 k,
-    floored just below sigma^2 against roundoff. ``hp`` must match the
-    parameters the expert was factorized with.
+    floored just below sigma^2 against roundoff, both read from L^-1 [k | y_i]
+    (``posterior_terms``). ``hp`` must match the expert's factorization.
     """
     if hp is not None and hp != expert.hp:
         raise ValueError("hyperparameters differ from those used to factorize the expert")
     hp = expert.hp
-    k_star = kernel_matrix(expert.data.X, check_test_inputs(X_star, expert.data.d), hp)
-    means = k_star.T @ expert.alpha
-    w = solve_lower(expert.chol_C, k_star)
-    return means, posterior_variance(hp, np.sum(w * w, axis=0))
+    X_star = check_test_inputs(X_star, expert.data.d)
+    means, explained = posterior_terms(solve_lower(expert.chol_C, with_targets(expert.data, X_star, hp)))
+    return means, posterior_variance(hp, explained)
+
+
+def with_targets(data: Dataset, X_star: np.ndarray, hp: Hyperparameters) -> np.ndarray:
+    """[k(X, X*) | y] for one partition, in Fortran order for BLAS."""
+    R = np.empty((data.n, X_star.shape[0] + 1), order="F")
+    R[:, :-1] = kernel_matrix(data.X, X_star, hp)
+    R[:, -1] = data.y
+    return R
+
+
+def posterior_terms(wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per test point, w'z = k' C^-1 y (the mean) and |w|^2 = k' C^-1 k
+    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L'."""
+    w, z = wz[:, :-1], wz[:, -1]
+    return dgemv(1.0, w, z, trans=1), np.sum(w**2, axis=0)
 
 
 def posterior_variance(hp: Hyperparameters, explained: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gpagg import baselines
+from gpagg import baselines, gp
 from gpagg import (
     Dataset,
     DimensionError,
@@ -287,10 +287,17 @@ def _numpy_blas_uses(tree: ast.AST) -> list[str]:
     return uses
 
 
-def test_grbcm_runs_on_scipy_blas_alone():
+def test_collect_loop_and_grbcm_run_on_scipy_blas_alone():
     # numpy's and scipy's OpenBLAS each keep a thread pool; a loop that
     # alternates between them leaves one pool's threads holding the cores.
-    for fn in (baselines.grbcm_aggregate, baselines._with_targets):
+    # collect_predictions' loop and GRBCM's call _linalg on scipy's.
+    for fn in (
+        baselines.grbcm_aggregate,
+        baselines.collect_predictions,
+        gp.predict,
+        gp.with_targets,
+        gp.posterior_terms,
+    ):
         assert _numpy_blas_uses(ast.parse(inspect.getsource(fn))) == [], fn.__name__
     for snippet in ("a @ b", "a @= b", "np.dot(a, b)", "np.matmul(a, b)", "a.dot(b)"):
         assert _numpy_blas_uses(ast.parse(snippet)), snippet

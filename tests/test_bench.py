@@ -197,6 +197,23 @@ class TestRunBenchmark:
                 expected = 8 * max(max_n_i**2, b * row.M**2, max_n_i * b)
                 assert row.peak_matrix_bytes == expected < 8 * cfg.n**2
 
+    def test_ci_peak_counts_one_experts_targets_block(self, tmp_path, monkeypatch):
+        sizes = []
+        kmeans_partition = bench.kmeans_partition
+
+        def recording_partition(data, M, seed):
+            parts = kmeans_partition(data, M, seed)
+            sizes.append(max(s.n for s in parts.subsets))
+            return parts
+
+        monkeypatch.setattr(bench, "kmeans_partition", recording_partition)
+        cfg = tiny_config(tmp_path, n=120, n_t=10, M_list=(2, 6), methods=("gpoe",), seeds=(0,))
+        rows = run_benchmark(cfg)
+        assert len(rows) == len(sizes) == 2
+        for row, max_n_i in zip(rows, sizes):
+            # predict solves against [k(X_i, X*) | y_i], n_i x (n_t + 1)
+            assert row.peak_matrix_bytes == 8 * max(cfg.n_t * row.M, max_n_i * (cfg.n_t + 1))
+
     def test_grbcm_peak_is_its_largest_block_not_a_merged_expert(self, tmp_path, monkeypatch):
         cells = []
         kmeans_partition = bench.kmeans_partition
@@ -332,6 +349,16 @@ class TestRowCsv:
     @pytest.mark.parametrize("line", ["gpoe,3,0,0.1,0.2,1.0", "gpoe,3,0,0.1,0.2,1.0,2.0,64,extra"])
     def test_wrong_field_count_names_the_line(self, tmp_path, line):
         path = tmp_path / "r.csv"
+        path.write_text(f"{HEADER}\ngpoe,2,0,0.1,0.2,1.0,2.0,64\n{line}\n")
+        with pytest.raises(ValueError, match="line 3") as info:
+            parse_csv(path)
+        assert line in str(info.value)
+
+    @pytest.mark.parametrize("method", ["a<b", "voting", "GPOE"])
+    def test_unknown_method_names_the_line(self, tmp_path, method):
+        # an unknown name would reach the SVG charts unescaped ("a<b" made them malformed XML)
+        path = tmp_path / "r.csv"
+        line = f"{method},2,0,0.1,0.2,1.0,2.0,64"
         path.write_text(f"{HEADER}\ngpoe,2,0,0.1,0.2,1.0,2.0,64\n{line}\n")
         with pytest.raises(ValueError, match="line 3") as info:
             parse_csv(path)
