@@ -28,7 +28,6 @@ from .baselines import (
     ExpertPredictions,
     bcm,
     collect_predictions,
-    compute_weights,
     gpoe,
     grbcm_aggregate,
     poe,
@@ -39,7 +38,6 @@ from .npae import npae_aggregate
 from .glasso import PrecisionEstimate, effective_covariance, glasso_objective, glasso_solve
 from .emggm import (
     EmggmConfig,
-    JointCovarianceModel,
     e_step,
     emggm_aggregate,
     init_latent,
@@ -69,7 +67,6 @@ __all__ = [
     "FitOptions",
     "GPAggError",
     "Hyperparameters",
-    "JointCovarianceModel",
     "NormalizationState",
     "NumericalError",
     "Partitioning",
@@ -77,7 +74,6 @@ __all__ = [
     "TrainedExpert",
     "bcm",
     "collect_predictions",
-    "compute_weights",
     "e_step",
     "effective_covariance",
     "emggm_aggregate",

@@ -9,14 +9,15 @@ weighted precision sums over a prior N(prior_mean, prior_var):
 
 The bracketed prior-correction terms distinguish the committee-machine
 family (BCM, RBCM) from the plain products (PoE, GPoE); the GP prior has
-prior_mean = 0. GRBCM is RBCM's rule over base-augmented experts with
-the base expert (its mean and its variance) as the prior. Every
-expert's mean and variance, GRBCM's too, come from ``gp.posterior_terms``.
+prior_mean = 0. PoE and BCM set beta = 1, GPoE 1/M, RBCM the entropy gain
+(``entropy_weights``); other weights go to ``poe_family_aggregate``.
+GRBCM is RBCM's rule over base-augmented experts with the base expert
+(its mean and its variance) as the prior. Every expert's mean and
+variance, GRBCM's too, come from ``gp.posterior_terms``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,6 @@ from .gp import (
     with_targets,
 )
 from .partition import Partitioning
-
-WEIGHT_SCHEMES = ("uniform_one", "uniform_inv_M", "diff_entropy")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,27 +78,18 @@ class ExpertPredictions:
         object.__setattr__(self, "prior_mean", np.broadcast_to(prior_mean, prior.shape))
 
     @property
-    def n_test(self) -> int:
-        return self.means.shape[0]
-
-    @property
     def n_experts(self) -> int:
         return self.means.shape[1]
 
 
 def collect_predictions(
-    experts: Iterable[TrainedExpert], X_star: np.ndarray, hp: Hyperparameters | None = None
+    experts: list[TrainedExpert], X_star: np.ndarray, hp: Hyperparameters | None = None
 ) -> ExpertPredictions:
-    """Run every expert on the test inputs and stack the results.
-
-    ``experts`` may be a generator: each expert is released once it has
-    predicted, before the next one is built.
-    """
+    """Run every expert on the test inputs and stack the results."""
     cols = []
     for expert in experts:
         hp = hp or expert.hp
         cols.append(predict(expert, X_star, hp))
-        del expert
     if not cols:
         raise ValueError("need at least one expert")
     means = np.column_stack([m for m, _ in cols])
@@ -108,19 +98,9 @@ def collect_predictions(
     return ExpertPredictions(means, variances, prior)
 
 
-def compute_weights(preds: ExpertPredictions, scheme: str) -> np.ndarray:
-    """Expert importance weights beta (n_t x M).
-
-    uniform_one: all ones; uniform_inv_M: all 1/M; diff_entropy: the
-    differential-entropy gain 1/2 (log prior_var - log var_i) per point.
-    """
-    if scheme not in WEIGHT_SCHEMES:
-        raise ValueError(f"unknown weight scheme {scheme!r}; choose from {WEIGHT_SCHEMES}")
-    shape = preds.means.shape
-    if scheme == "uniform_one":
-        return np.ones(shape)
-    if scheme == "uniform_inv_M":
-        return np.full(shape, 1.0 / preds.n_experts)
+def entropy_weights(preds: ExpertPredictions) -> np.ndarray:
+    """RBCM's expert importance weights beta (n_t x M): the
+    differential-entropy gain 1/2 (log prior_var - log var_i) per point."""
     return 0.5 * (np.log(preds.prior_variance)[:, None] - np.log(preds.variances))
 
 
@@ -150,22 +130,22 @@ def poe_family_aggregate(
 
 def poe(preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
     """Product of experts: beta = 1, no prior correction."""
-    return poe_family_aggregate(preds, compute_weights(preds, "uniform_one"), False)
+    return poe_family_aggregate(preds, np.ones(preds.means.shape), False)
 
 
-def gpoe(preds: ExpertPredictions, scheme: str = "uniform_inv_M") -> tuple[np.ndarray, np.ndarray]:
-    """Generalized product of experts; defaults to the uniform 1/M weights."""
-    return poe_family_aggregate(preds, compute_weights(preds, scheme), False)
+def gpoe(preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized product of experts: uniform beta = 1/M, no prior correction."""
+    return poe_family_aggregate(preds, np.full(preds.means.shape, 1.0 / preds.n_experts), False)
 
 
 def bcm(preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
     """Bayesian committee machine: beta = 1 with the prior correction."""
-    return poe_family_aggregate(preds, compute_weights(preds, "uniform_one"), True)
+    return poe_family_aggregate(preds, np.ones(preds.means.shape), True)
 
 
-def rbcm(preds: ExpertPredictions, scheme: str = "diff_entropy") -> tuple[np.ndarray, np.ndarray]:
+def rbcm(preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
     """Robust BCM: entropy-gain weights with the prior correction."""
-    return poe_family_aggregate(preds, compute_weights(preds, scheme), True)
+    return poe_family_aggregate(preds, entropy_weights(preds), True)
 
 
 def grbcm_base_index(M: int, seed: int) -> int:
@@ -228,6 +208,6 @@ def grbcm_aggregate(
         posterior_variance(hp, base_explained),
         base_mean,
     )
-    beta = compute_weights(preds, "diff_entropy")
+    beta = entropy_weights(preds)
     beta[:, 0] = 1.0
     return poe_family_aggregate(preds, beta, True)

@@ -114,7 +114,11 @@ def main(argv: list[str] | None = None) -> int:
     plot.set_defaults(func=_cmd_plot)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"gpagg {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

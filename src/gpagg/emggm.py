@@ -3,10 +3,11 @@
 The target prediction and the M expert predictions at the test points
 are modeled as one (M+1)-variate Gaussian whose sparse precision is
 estimated by graphical lasso. Because the target column is unobserved,
-its sample-covariance blocks are filled in by EM: the E-step replaces
+its sample-covariance blocks are filled in by EM: the E-step overwrites
 the latent row/column of S with its conditional expectation under the
-current precision, the M-step re-solves the penalized likelihood. The
-final aggregated mean is the conditional-Gaussian map
+current covariance, the M-step re-solves the penalized likelihood. The
+loop's state is S and the latest ``PrecisionEstimate``, nothing else.
+The final aggregated mean is the conditional-Gaussian map
 
     y_A(x*) = latent_mean + Sigma_{ y mu }' Sigma_{ mu mu }^-1 (mu(x*) - expert_means)
 
@@ -52,35 +53,15 @@ class EmggmConfig:
         _check_lambda(self.lam)
 
 
-@dataclass(eq=False)
-class JointCovarianceModel:
-    """EM workspace: sample covariance S of (latent, experts) plus the
-    current precision/covariance estimates.
-
-    Only the latent row/column of S changes across E-steps; the
-    expert-expert block is fixed by the observed predictions. Column
-    means removed during centering are kept for the final un-centering.
-    ``e_step_jitter`` is the diagonal jitter the latest E-step needed to
-    factor Sigma_mm (0.0 when the plain Cholesky succeeded).
-    """
-
-    S: np.ndarray
-    expert_means: np.ndarray
-    latent_mean: float
-    Omega: np.ndarray | None = None
-    Sigma: np.ndarray | None = None
-    e_step_jitter: float = 0.0
-
-
 def _check_lambda(lam: float | str) -> None:
     if lam != "auto" and (isinstance(lam, str) or not (math.isfinite(lam) and lam >= 0)):
         raise ValueError(f"lambda must be 'auto' or a finite number >= 0, got {lam!r}")
 
 
-def resolve_lambda(lam: float | str, n_experts: int, n_test: int) -> float:
+def resolve_lambda(lam: float | str, n_experts: int, n_t: int) -> float:
     _check_lambda(lam)
     if lam == "auto":
-        return 0.5 * math.sqrt(math.log(n_experts + 1) / n_test)
+        return 0.5 * math.sqrt(math.log(n_experts + 1) / n_t)
     return float(lam)
 
 
@@ -90,8 +71,8 @@ def init_latent(preds: ExpertPredictions) -> np.ndarray:
     return preds.means.mean(axis=1)
 
 
-def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> JointCovarianceModel:
-    """Centered sample covariance of (y0, expert means) across test points.
+def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
+    """Centered sample covariance S of (y0, expert means), and the column means.
 
     Each column is centered by its own mean over the n_t test points;
     S = Z'Z / n_t for the centered matrix Z.
@@ -111,10 +92,7 @@ def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> JointCo
     Z = np.column_stack([y0, preds.means])
     col_means = Z.mean(axis=0)
     Zc = Z - col_means
-    S = Zc.T @ Zc / n_t
-    return JointCovarianceModel(
-        S=S, expert_means=col_means[1:], latent_mean=float(col_means[LATENT])
-    )
+    return Zc.T @ Zc / n_t, col_means
 
 
 def _regression(Sigma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -124,34 +102,33 @@ def _regression(Sigma: np.ndarray) -> tuple[np.ndarray, float]:
     return cho_solve(L, Sigma[1:, LATENT]), jitter
 
 
-def e_step(model: JointCovarianceModel) -> JointCovarianceModel:
-    """Replace the latent blocks of S with their conditional expectations.
+def e_step(S: np.ndarray, Sigma: np.ndarray) -> float:
+    """Overwrite S's latent blocks with their conditional expectations and
+    return the diagonal jitter factoring Sigma_mm needed (0.0 if none).
 
-    With A = Sigma_mm^-1 Sigma_my under the current estimate:
+    With A = Sigma_mm^-1 Sigma_my under the current estimate ``Sigma``:
         S_my <- S_mm A
         S_yy <- Sigma_yy - Sigma_ym A + A' S_mm A
     The expert-expert block S_mm is left untouched.
     """
-    if model.Sigma is None:
-        raise ValueError("model has no covariance estimate yet; run an M-step first")
-    Sigma_my = model.Sigma[1:, LATENT]
-    Sigma_yy = model.Sigma[LATENT, LATENT]
-    S_mm = model.S[1:, 1:]
+    Sigma_my = Sigma[1:, LATENT]
+    Sigma_yy = Sigma[LATENT, LATENT]
+    S_mm = S[1:, 1:]
 
-    A, model.e_step_jitter = _regression(model.Sigma)
+    A, jitter = _regression(Sigma)
     S_my = S_mm @ A
     S_yy = Sigma_yy - Sigma_my @ A + A @ (S_mm @ A)
 
-    model.S[LATENT, 1:] = S_my
-    model.S[1:, LATENT] = S_my
-    model.S[LATENT, LATENT] = S_yy
-    return model
+    S[LATENT, 1:] = S_my
+    S[1:, LATENT] = S_my
+    S[LATENT, LATENT] = S_yy
+    return jitter
 
 
-def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
-    """Refresh Omega/Sigma by solving the penalized likelihood on the
-    current S, warm-starting from the previous precision. The solver's own
-    stopping rule decides when the solve is done.
+def m_step(S: np.ndarray, lam: float, init: np.ndarray | None = None) -> PrecisionEstimate:
+    """Solve the penalized likelihood on S, warm-starting from ``init`` (the
+    previous precision) as ``glasso_solve`` does; neither is modified. The
+    solver's own stopping rule decides when the solve is done.
 
     Only the expert-expert off-diagonals are penalized. The latent target
     absorbs the experts' common covariance; penalizing its edges shrinks
@@ -159,14 +136,11 @@ def m_step(model: JointCovarianceModel, lam: float) -> PrecisionEstimate:
     decouples. Unpenalized, the objective is invariant to the latent
     scale, so the iteration stays anchored to the initialization.
     """
-    p = model.S.shape[0]
+    p = S.shape[0]
     penalty = np.full((p, p), float(lam))
     penalty[LATENT, :] = 0.0
     penalty[:, LATENT] = 0.0
-    est = glasso_solve(model.S, penalty, init=model.Omega)
-    model.Omega = est.Omega
-    model.Sigma = est.Sigma
-    return est
+    return glasso_solve(S, penalty, init=init)
 
 
 def _solve_stats(est: PrecisionEstimate) -> dict:
@@ -196,19 +170,19 @@ def emggm_aggregate(
     cfg = cfg or EmggmConfig()
     n_t, M = preds.means.shape
     y0 = init_latent(preds)
-    model = joint_sample_covariance(y0, preds)
+    S, col_means = joint_sample_covariance(y0, preds)
     lam = resolve_lambda(cfg.lam, M, n_t)
 
-    initial = m_step(model, lam)
+    initial = est = m_step(S, lam)
     iterations: list[dict] = []
     converged = False
     for t in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
-        e_step(model)
-        previous = model.Omega.copy()
-        est = m_step(model, lam)
+        e_step_jitter = e_step(S, est.Sigma)
+        previous = est.Omega
+        est = m_step(S, lam, previous)
         scale = max(float(np.max(np.abs(previous))), 1e-300)
-        change = float(np.max(np.abs(model.Omega - previous))) / scale
+        change = float(np.max(np.abs(est.Omega - previous))) / scale
         iterations.append(
             {
                 "iteration": t,
@@ -217,15 +191,15 @@ def emggm_aggregate(
                 "omega_change": change,
                 "wall_time_s": time.perf_counter() - tic,
                 **_solve_stats(est),
-                "e_step_jitter": model.e_step_jitter,
+                "e_step_jitter": e_step_jitter,
             }
         )
         if change < CONV_TOL:
             converged = True
             break
 
-    w, weight_jitter = _regression(model.Sigma)
-    means = model.latent_mean + (preds.means - model.expert_means) @ w
+    w, weight_jitter = _regression(est.Sigma)
+    means = col_means[LATENT] + (preds.means - col_means[1:]) @ w
 
     diagnostics = {
         "lambda": lam,

@@ -25,7 +25,6 @@ from gpagg import (
     fit_shared_hyperparameters,
     generate_synthetic,
     glasso_solve,
-    gpoe,
     grbcm_aggregate,
     kernel_matrix,
     lml_gradient,
@@ -33,9 +32,9 @@ from gpagg import (
     normalize,
     npae_aggregate,
     poe,
+    poe_family_aggregate,
     predict,
     random_partition,
-    rbcm,
     run_benchmark,
     train_expert,
 )
@@ -149,11 +148,12 @@ class TestCriterion3:
 
         deltas = {}
         deltas["poe"] = np.max(np.abs(poe(preds)[0] - full_mean))
-        deltas["gpoe(beta=1)"] = np.max(np.abs(gpoe(preds, scheme="uniform_one")[0] - full_mean))
+        ones = np.ones(preds.means.shape)
+        deltas["gpoe(beta=1)"] = np.max(np.abs(poe_family_aggregate(preds, ones, False)[0] - full_mean))
         deltas["bcm"] = np.max(np.abs(bcm(preds)[0] - full_mean))
         # RBCM's degenerate-exact configuration is beta=1, where it equals BCM;
         # entropy weights keep a prior term that never vanishes at M=1
-        deltas["rbcm(beta=1)"] = np.max(np.abs(rbcm(preds, scheme="uniform_one")[0] - full_mean))
+        deltas["rbcm(beta=1)"] = np.max(np.abs(poe_family_aggregate(preds, ones, True)[0] - full_mean))
         deltas["npae"] = np.max(np.abs(npae_aggregate([full], hp, test.X) - full_mean))
         em_mean, _ = emggm_aggregate(preds, EmggmConfig(lam=0.0))
         deltas["emggm(lam=0)"] = np.max(np.abs(em_mean - full_mean))

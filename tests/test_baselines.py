@@ -15,7 +15,6 @@ from gpagg import (
     Partitioning,
     bcm,
     collect_predictions,
-    compute_weights,
     gpoe,
     grbcm_aggregate,
     kmeans_partition,
@@ -25,7 +24,7 @@ from gpagg import (
     rbcm,
     train_expert,
 )
-from gpagg.baselines import grbcm_base_index
+from gpagg.baselines import entropy_weights, grbcm_base_index
 
 
 def make_preds(means, variances, prior=None):
@@ -37,28 +36,15 @@ def make_preds(means, variances, prior=None):
 
 
 class TestWeights:
-    def test_uniform_inv_m(self):
-        preds = make_preds(np.zeros((3, 4)), np.ones((3, 4)))
-        assert np.all(compute_weights(preds, "uniform_inv_M") == 0.25)
-
-    def test_uniform_one(self):
-        preds = make_preds(np.zeros((2, 3)), np.ones((2, 3)))
-        assert np.all(compute_weights(preds, "uniform_one") == 1.0)
-
     def test_entropy_zero_when_posterior_equals_prior(self):
         prior = np.full(5, 1.7)
         preds = make_preds(np.zeros((5, 2)), np.full((5, 2), 1.7), prior)
-        assert np.allclose(compute_weights(preds, "diff_entropy"), 0.0)
+        assert np.allclose(entropy_weights(preds), 0.0)
 
     def test_entropy_half_at_log_ratio_one(self):
         prior = np.full(4, math.e * 0.9)
         preds = make_preds(np.zeros((4, 3)), np.full((4, 3), 0.9), prior)
-        assert np.allclose(compute_weights(preds, "diff_entropy"), 0.5)
-
-    def test_unknown_scheme_raises(self):
-        preds = make_preds(np.zeros((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            compute_weights(preds, "softmax")
+        assert np.allclose(entropy_weights(preds), 0.5)
 
     def test_variances_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -119,14 +105,6 @@ class TestPoeFamily:
             assert var[0] < prev
             prev = var[0]
 
-    def test_rbcm_with_unit_weights_equals_bcm_bitwise(self):
-        rng = np.random.default_rng(0)
-        preds = make_preds(rng.standard_normal((6, 4)), rng.uniform(0.2, 1.5, (6, 4)))
-        m1, v1 = rbcm(preds, scheme="uniform_one")
-        m2, v2 = bcm(preds)
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(v1, v2)
-
     def test_gpoe_convex_weights_variance_bound(self):
         rng = np.random.default_rng(1)
         preds = make_preds(rng.standard_normal((8, 5)), rng.uniform(0.1, 2.0, (8, 5)))
@@ -186,11 +164,11 @@ def _grbcm_merged_reference(partitioning, hp, X_star, seed):
     base = partitioning.subsets[base_idx]
     others = [s for i, s in enumerate(partitioning.subsets) if i != base_idx]
     merged = [Dataset(np.vstack([base.X, s.X]), np.concatenate([base.y, s.y])) for s in others]
-    joint = collect_predictions((train_expert(d, hp) for d in [base, *merged]), X_star, hp)
+    joint = collect_predictions([train_expert(d, hp) for d in [base, *merged]], X_star, hp)
     preds = ExpertPredictions(
         joint.means[:, 1:], joint.variances[:, 1:], joint.variances[:, 0], joint.means[:, 0]
     )
-    beta = compute_weights(preds, "diff_entropy")
+    beta = entropy_weights(preds)
     beta[:, 0] = 1.0
     return poe_family_aggregate(preds, beta, True)
 

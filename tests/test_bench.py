@@ -335,6 +335,14 @@ class TestRowCsv:
         header = emit_csv([], tmp_path / "empty.csv").read_text().strip()
         assert f"`bench` writes `results.csv` with the header\n`{header}`" in readme
 
+    def test_readme_library_usage_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        usage = readme.split("## Library usage", 1)[1]
+        code = usage.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace: dict = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert np.all(np.isfinite(namespace["mean_emggm"]))
+
     def test_row_lines_pinned(self, tmp_path):
         rows = [
             BenchmarkRow("gpoe", 3, 1, 0.1 + 0.2, 1e-17, 2.5e-5, math.nan, 24576),
@@ -431,8 +439,23 @@ class TestCli:
         assert {r.method for r in rows} == {"gpoe", "emggm"}
         assert {r.seed for r in rows} == {3}
 
-    def test_nan_lambda_rejected_before_any_work(self, tmp_path):
+    def test_nan_lambda_rejected_before_any_work(self, tmp_path, capsys):
         out = tmp_path / "nan"
-        with pytest.raises(ValueError, match="lambda"):
-            cli_main(["bench", "--lambda", "nan", "--methods", "gpoe,emggm", "--out", str(out)])
+        assert cli_main(["bench", "--lambda", "nan", "--methods", "gpoe,emggm", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gpagg bench: error: ") and "lambda" in err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content", [f"{HEADER}\na<b,2,0,0.1,0.2,1.0,2.0,64\n", None], ids=["malformed", "missing"]
+    )
+    def test_plot_reports_a_bad_csv_in_one_line(self, tmp_path, capsys, content):
+        # a malformed file and a missing one: exit 2 with the file named, no traceback, no SVG
+        csv_path = tmp_path / "results.csv"
+        if content is not None:
+            csv_path.write_text(content)
+        assert cli_main(["plot", str(csv_path), "--out", str(tmp_path / "charts")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gpagg plot: error: ") and err.count("\n") == 1
+        assert str(csv_path) in err
+        assert not list(tmp_path.rglob("*.svg"))

@@ -50,16 +50,16 @@ class TestInitLatent:
 class TestJointSampleCovariance:
     def test_constant_columns_give_zero_covariance(self):
         preds = make_preds(np.full((5, 2), 3.0))
-        model = joint_sample_covariance(np.full(5, -1.0), preds)
-        assert np.array_equal(model.S, np.zeros((3, 3)))
-        assert model.latent_mean == -1.0
-        assert np.array_equal(model.expert_means, [3.0, 3.0])
+        S, col_means = joint_sample_covariance(np.full(5, -1.0), preds)
+        assert np.array_equal(S, np.zeros((3, 3)))
+        assert col_means[0] == -1.0
+        assert np.array_equal(col_means[1:], [3.0, 3.0])
 
     def test_matches_two_pass_covariance_oracle(self):
         rng = np.random.default_rng(1)
         means = rng.standard_normal((40, 3))
         y0 = rng.standard_normal(40)
-        model = joint_sample_covariance(y0, make_preds(means))
+        S_joint, _ = joint_sample_covariance(y0, make_preds(means))
         Z = np.column_stack([y0, means])
         # hand-rolled two-pass formula
         mu = Z.mean(axis=0)
@@ -67,14 +67,14 @@ class TestJointSampleCovariance:
         for row in Z:
             S += np.outer(row - mu, row - mu)
         S /= 40
-        assert np.allclose(model.S, S, atol=1e-12)
+        assert np.allclose(S_joint, S, atol=1e-12)
 
     def test_duplicated_experts_singular_block_still_aggregates(self):
         rng = np.random.default_rng(2)
         col = rng.standard_normal(30)
         preds = make_preds(np.column_stack([col, col]))
-        model = joint_sample_covariance(col.copy(), preds)
-        evals = np.linalg.eigvalsh(model.S[1:, 1:])
+        S, _ = joint_sample_covariance(col.copy(), preds)
+        evals = np.linalg.eigvalsh(S[1:, 1:])
         assert evals[0] == pytest.approx(0.0, abs=1e-12)
         means, _ = emggm_aggregate(preds, EmggmConfig(lam=0.0, max_iters=2))
         assert np.allclose(means, col, atol=1e-5)
@@ -94,87 +94,99 @@ class TestJointSampleCovariance:
 class TestESteps:
     @staticmethod
     def model_with(S, Sigma):
-        preds = make_preds(np.zeros((len(S) + 1, len(S) - 1)))
-        model = joint_sample_covariance(np.zeros(len(S) + 1), preds)
-        model.S = np.asarray(S, dtype=float).copy()
-        model.Sigma = np.asarray(Sigma, dtype=float).copy()
-        model.Omega = np.linalg.inv(model.Sigma)
-        return model
+        """Float copies of (S, Sigma), so e_step's in-place writes stay local."""
+        return np.asarray(S, dtype=float).copy(), np.asarray(Sigma, dtype=float).copy()
 
     def test_independent_latent_blocks_stay_trivial(self):
         S = np.array([[9.0, 9.0, 9.0], [9.0, 2.0, 0.3], [9.0, 0.3, 1.5]])
         Sigma = np.array([[1.2, 0.0, 0.0], [0.0, 2.0, 0.3], [0.0, 0.3, 1.5]])
-        model = self.model_with(S, Sigma)
-        e_step(model)
-        assert np.allclose(model.S[0, 1:], 0.0, atol=1e-12)
-        assert model.S[0, 0] == pytest.approx(1.2, abs=1e-12)
+        S, Sigma = self.model_with(S, Sigma)
+        e_step(S, Sigma)
+        assert np.allclose(S[0, 1:], 0.0, atol=1e-12)
+        assert S[0, 0] == pytest.approx(1.2, abs=1e-12)
 
     def test_matched_blocks_are_a_fixed_point(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 3))
         Sigma = A @ A.T + np.eye(3)
-        model = self.model_with(Sigma, Sigma)
-        e_step(model)
-        assert np.allclose(model.S, Sigma, atol=1e-10)
+        S, Sigma_est = self.model_with(Sigma, Sigma)
+        e_step(S, Sigma_est)
+        assert np.allclose(S, Sigma, atol=1e-10)
 
     def test_scalar_case_matches_transcription(self):
         # S_mm=4, Sigma=[[3, 1.2],[1.2, 2]]: S_my = 4*(1.2/2) = 2.4,
         # S_yy = 3 - 1.2^2/2 + (1.2/2)*4*(1.2/2) = 3.72
         S = np.array([[0.0, 0.0], [0.0, 4.0]])
         Sigma = np.array([[3.0, 1.2], [1.2, 2.0]])
-        model = self.model_with(S, Sigma)
-        e_step(model)
-        assert model.S[0, 1] == pytest.approx(2.4, abs=1e-12)
-        assert model.S[1, 0] == pytest.approx(2.4, abs=1e-12)
-        assert model.S[0, 0] == pytest.approx(3.72, abs=1e-12)
+        S, Sigma = self.model_with(S, Sigma)
+        e_step(S, Sigma)
+        assert S[0, 1] == pytest.approx(2.4, abs=1e-12)
+        assert S[1, 0] == pytest.approx(2.4, abs=1e-12)
+        assert S[0, 0] == pytest.approx(3.72, abs=1e-12)
 
     def test_expert_block_bit_identical_across_steps(self):
         rng = np.random.default_rng(5)
         preds = make_preds(rng.standard_normal((30, 3)))
-        model = joint_sample_covariance(rng.standard_normal(30), preds)
-        block_before = model.S[1:, 1:].copy()
-        m_step(model, 0.05)
+        S, _ = joint_sample_covariance(rng.standard_normal(30), preds)
+        block_before = S[1:, 1:].copy()
+        est = m_step(S, 0.05)
         for _ in range(4):
-            e_step(model)
-            m_step(model, 0.05)
-        assert np.array_equal(model.S[1:, 1:], block_before)
+            e_step(S, est.Sigma)
+            est = m_step(S, 0.05, est.Omega)
+        assert np.array_equal(S[1:, 1:], block_before)
 
-    def test_e_step_without_m_step_raises(self):
+    def test_e_step_writes_only_the_latent_row_and_column(self):
         rng = np.random.default_rng(6)
-        preds = make_preds(rng.standard_normal((10, 2)))
-        model = joint_sample_covariance(np.zeros(10), preds)
-        with pytest.raises(ValueError):
-            e_step(model)
+        preds = make_preds(rng.standard_normal((30, 3)))
+        S, _ = joint_sample_covariance(rng.standard_normal(30), preds)
+        est = m_step(S, 0.05)
+        S_before, Sigma_before = S.copy(), est.Sigma.copy()
+        jitter = e_step(S, est.Sigma)
+        assert jitter == 0.0
+        assert np.array_equal(S[1:, 1:], S_before[1:, 1:])
+        assert not np.array_equal(S[0], S_before[0])
+        assert np.array_equal(S[0], S[:, 0])
+        assert np.array_equal(est.Sigma, Sigma_before)
 
 
 class TestMStep:
     def test_lambda_zero_gives_dense_inverse(self):
         rng = np.random.default_rng(7)
         preds = make_preds(rng.standard_normal((25, 3)))
-        model = joint_sample_covariance(rng.standard_normal(25), preds)
-        est = m_step(model, 0.0)
-        S_eff = 0.5 * (model.S + model.S.T)
+        S, _ = joint_sample_covariance(rng.standard_normal(25), preds)
+        est = m_step(S, 0.0)
+        S_eff = 0.5 * (S + S.T)
         S_eff[np.diag_indices_from(S_eff)] += 1e-8 * np.mean(np.diag(S_eff))
-        assert np.max(np.abs(model.Omega - np.linalg.inv(S_eff))) < 1e-6
+        assert np.max(np.abs(est.Omega - np.linalg.inv(S_eff))) < 1e-6
         assert est.converged
 
     def test_diagonal_s_gives_diagonal_omega(self):
-        preds = make_preds(np.zeros((8, 2)))
-        model = joint_sample_covariance(np.zeros(8), preds)
-        model.S = np.diag([2.0, 1.0, 0.5])
-        m_step(model, 0.3)
-        off = model.Omega - np.diag(np.diag(model.Omega))
+        est = m_step(np.diag([2.0, 1.0, 0.5]), 0.3)
+        off = est.Omega - np.diag(np.diag(est.Omega))
         assert np.max(np.abs(off)) == 0.0
 
     def test_large_lambda_fully_shrinks_penalized_block(self):
         rng = np.random.default_rng(8)
         preds = make_preds(rng.standard_normal((40, 3)))
         # the penalty spares the latent row, so its edges survive
-        model = joint_sample_covariance(rng.standard_normal(40), preds)
-        m_step(model, 100.0)
-        inner = model.Omega[1:, 1:]
+        S, _ = joint_sample_covariance(rng.standard_normal(40), preds)
+        est = m_step(S, 100.0)
+        inner = est.Omega[1:, 1:]
         assert np.max(np.abs(inner - np.diag(np.diag(inner)))) == 0.0
-        assert np.max(np.abs(model.Omega[0, 1:])) > 0.0
+        assert np.max(np.abs(est.Omega[0, 1:])) > 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_leaves_s_and_init_untouched(self, lam):
+        rng = np.random.default_rng(18)
+        preds = make_preds(rng.standard_normal((30, 3)))
+        S, _ = joint_sample_covariance(rng.standard_normal(30), preds)
+        init = m_step(S, lam).Omega
+        e_step(S, np.linalg.inv(init))
+        S_before, init_before = S.copy(), init.copy()
+        est = m_step(S, lam, init)
+        assert np.array_equal(S, S_before)
+        assert np.array_equal(init, init_before)
+        assert est.Omega is not init
 
 
 class TestAggregate:
