@@ -20,7 +20,9 @@ GRBCM) stays fair. ``peak_matrix_bytes`` is the largest dense matrix a
 method materializes: n^2 entries for the full GP; for NPAE, which works
 through at most b = min(n_t, QUERY_BLOCK) test points at a time, the
 largest of a cross block (max n_i^2), a block's K_A stack (b M^2) and
-one expert's weight matrix for a block (max n_i b); for GRBCM, the
+one expert's weight matrix for a block (max n_i b), still the largest
+single matrix when the block's cross blocks are built on several
+worker threads at once (each holds one); for GRBCM, the
 largest of the base factor and its inverse (n_b^2), a cross block
 L_b^-1 K_bi (n_b max n_i), a Schur complement (max n_i^2) and a
 right-hand side [k(X, X*) | y] of the base or an expert

@@ -434,9 +434,11 @@ def with_targets(data: Dataset, X_star: np.ndarray, hp: Hyperparameters) -> np.n
 
 def posterior_terms(wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per test point, w'z = k' C^-1 y (the mean) and |w|^2 = k' C^-1 k
-    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L'."""
+    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L'.
+    An empty batch gives empty arrays; dgemv refuses an empty output."""
     w, z = wz[:, :-1], wz[:, -1]
-    return dgemv(1.0, w, z, trans=1), np.sum(w**2, axis=0)
+    means = dgemv(1.0, w, z, trans=1) if w.shape[1] else np.empty(0)
+    return means, np.sum(w**2, axis=0)
 
 
 def posterior_variance(hp: Hyperparameters, explained: np.ndarray) -> np.ndarray:

@@ -13,11 +13,22 @@ A diagonal entry needs no block of Cov(y_i, y_i): Gamma_i C_i Gamma_i'
 cancels one inverse and reduces to k_A[i]. Only the cross blocks
 Cov(y_i, y_j) = k(X_i, X_j), i != j, are built, never all at once, and
 once per block of at most ``QUERY_BLOCK`` test points.
+
+The experts' weight matrices and the cross blocks are independent of
+one another, so a block large enough to repay a thread start splits
+both phases into fixed shares over the CPUs the process may run on
+(``worker_count``): the caller's thread runs one share and a thread per
+other share runs the rest, all joined before the per-point K_A solves,
+which stay on the caller's thread. Every K_A entry is written by one
+share from the same operands and BLAS calls as on one thread, so the
+predictions do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import threading
 import time
 
 import numpy as np
@@ -30,8 +41,24 @@ log = logging.getLogger(__name__)
 # Queries per block. Each block rebuilds the M(M-1)/2 cross blocks, and a
 # 250 x 250 one costs about 18 queries' pair products, so blocks of 256
 # keep the extra work near 7% while the weight matrices stay at most
-# 8 * n * 256 bytes whatever the batch.
+# 8 * n * 256 bytes whatever the batch. With several workers each holds
+# one cross block and its product at a time.
 QUERY_BLOCK = 256
+
+# Pair work (multiply-adds, see ``_pair_work``) below which a block runs
+# on the caller's thread alone and starts no thread. On 2 cores with one
+# BLAS thread, two workers ran a block 0.97x as fast as one at 16 M (no
+# gain), 1.11x at 30 M, 1.21x at 51 M and 1.52x at 140 M, and about 0.88x
+# at 8-16 M whenever the second core was busy elsewhere.
+PARALLEL_WORK = 25_000_000
+
+
+def worker_count() -> int:
+    """CPUs the process may run on: its affinity mask, so ``taskset``
+    limits it, or the machine's count where there is no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def npae_aggregate(
@@ -48,11 +75,14 @@ def npae_aggregate(
     blocking. A block holds the M weight matrices Gamma_i (n x
     min(n_t, QUERY_BLOCK) in total; every pair needs both of its own, so
     all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
-    one cross block with its product at a time; no n x n joint exists.
-    K_A is solved per point with the shared jitter policy; a jittered
-    call logs one warning with the number of jittered points and the
-    largest jitter over all blocks. ``hp`` must match the parameters
-    every expert was factorized with.
+    one cross block with its product per worker; no n x n joint exists.
+    A block whose pair work reaches ``PARALLEL_WORK`` computes the
+    Gamma_i and the pair products on ``worker_count()`` threads, the
+    caller's among them, with bitwise the same results as on one.
+    K_A is solved per point with the shared jitter policy on the
+    caller's thread; a jittered call logs one warning with the number of
+    jittered points and the largest jitter over all blocks. ``hp`` must
+    match the parameters every expert was factorized with.
     """
     if not experts:
         raise ValueError("need at least one expert")
@@ -76,6 +106,42 @@ def npae_aggregate(
     return means
 
 
+def _pair_work(sizes: list[int], n_t: int) -> int:
+    """Multiply-adds of one block's pair phase: n_t * sum_{i<j} n_i n_j
+    for the products, plus the cross blocks at about 18 queries' worth
+    each (``QUERY_BLOCK``'s count)."""
+    n = sum(sizes)
+    return (n_t + 18) * (n * n - sum(s * s for s in sizes)) // 2
+
+
+def _in_shares(work, items: list, workers: int) -> None:
+    """Call ``work`` on every item, share s taking items[s::workers]:
+    share 0 on the caller's thread, every other share on a thread of its
+    own, all joined before this returns. A share's exception is raised
+    again here."""
+    workers = max(1, min(workers, len(items)))
+    errors = []
+
+    def run(share):
+        try:
+            for item in share:
+                work(item)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(items[s::workers],)) for s in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        for item in items[::workers]:
+            work(item)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def _aggregate_block(
     experts: list[TrainedExpert], hp: Hyperparameters, X_star: np.ndarray, means: np.ndarray
 ) -> list[float]:
@@ -83,22 +149,28 @@ def _aggregate_block(
     jitter each of its points needed on K_A."""
     M = len(experts)
     n_t = X_star.shape[0]
-    gammas = []
+    gammas = [None] * M
     K_A = np.empty((n_t, M, M))
     local_means = np.empty((n_t, M))
-    for i, e in enumerate(experts):
+
+    def expert(i):
+        e = experts[i]
         k_star = kernel_matrix(X_star, e.data.X, hp)
         gamma = np.ascontiguousarray(cho_solve(e.chol_C, k_star.T).T)
         row = gamma[:, None, :]
         K_A[:, i, i] = (row @ k_star[:, :, None])[:, 0, 0]
         local_means[:, i] = (row @ np.broadcast_to(e.data.y, gamma.shape)[:, :, None])[:, 0, 0]
-        gammas.append(gamma)
+        gammas[i] = gamma
 
-    for i in range(M):
-        for j in range(i + 1, M):
-            cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
-            g_i, g_j = gammas[i], gammas[j]
-            K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
+    def pair(ij):
+        i, j = ij
+        cross = kernel_matrix(experts[i].data.X, experts[j].data.X, hp)
+        g_i, g_j = gammas[i], gammas[j]
+        K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
+
+    workers = worker_count() if _pair_work([e.data.n for e in experts], n_t) >= PARALLEL_WORK else 1
+    _in_shares(expert, list(range(M)), workers)
+    _in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers)
 
     jitters = []
     for t in range(n_t):

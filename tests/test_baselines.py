@@ -15,9 +15,11 @@ from gpagg import (
     Partitioning,
     bcm,
     collect_predictions,
+    emggm_aggregate,
     gpoe,
     grbcm_aggregate,
     kmeans_partition,
+    npae_aggregate,
     poe,
     poe_family_aggregate,
     predict,
@@ -152,6 +154,30 @@ class TestCollectPredictions:
             assert np.array_equal(preds.variances[:, i], v)
         assert np.allclose(preds.prior_variance, 1.1)
         assert np.all(preds.prior_mean == 0.0)
+
+
+def test_empty_query_batch_gives_empty_outputs():
+    # a (0, d) batch is a valid query: every method that can answer it
+    # returns empty arrays of the right shapes, and EMGGM, which needs a
+    # sample covariance over the test points, names what it lacks
+    rng = np.random.default_rng(16)
+    hp = Hyperparameters([0.3, 0.4], 1.0, 0.1)
+    data = Dataset(rng.uniform(0, 1, (60, 2)), rng.standard_normal(60))
+    parts = kmeans_partition(data, 3, seed=0)
+    experts = [train_expert(s, hp) for s in parts.subsets]
+    X_star = np.empty((0, 2))
+    mean, var = predict(experts[0], X_star, hp)
+    assert mean.shape == var.shape == (0,)
+    preds = collect_predictions(experts, X_star, hp)
+    assert preds.means.shape == preds.variances.shape == (0, 3)
+    for rule in (poe, gpoe, bcm, rbcm):
+        mean, var = rule(preds)
+        assert mean.shape == var.shape == (0,)
+    mean, var = grbcm_aggregate(parts, hp, X_star, seed=0)
+    assert mean.shape == var.shape == (0,)
+    assert npae_aggregate(experts, hp, X_star).shape == (0,)
+    with pytest.raises(ValueError, match="need at least 2 test points"):
+        emggm_aggregate(preds)
 
 
 def _grbcm_merged_reference(partitioning, hp, X_star, seed):

@@ -1,7 +1,12 @@
 import logging
+import multiprocessing
+import subprocess
+import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +126,48 @@ def joint_oracle(parts, hp, x_star):
             K_A[i, j] = gammas[i] @ block @ gammas[j]
     mean = np.linalg.solve(K_A, k_A) @ np.array(mus)
     return K_A, k_A, mean
+
+
+def assert_batch_matches_per_point_calls():
+    """A query's prediction must not depend on the batch it shares: every
+    per-point product reads contiguous rows, so it is bit for bit the
+    same in a batch, in pieces and one point at a time. The batch spans
+    three query blocks, and two pieces straddle block boundaries. The
+    batch is also checked against the loop form."""
+    rng = np.random.default_rng(8)
+    hp = Hyperparameters([0.25], 1.0, 0.05)
+    _, experts = make_experts(rng, hp, 5, 30)
+    n_t = 2 * npae.QUERY_BLOCK + 88
+    X_star = rng.uniform(-0.2, 1.2, (n_t, 1))
+    batch = npae_aggregate(experts, hp, X_star)
+    single = np.array([npae_aggregate(experts, hp, X_star[t : t + 1])[0] for t in range(n_t)])
+    cuts = ((0, 2), (2, 9), (9, 23), (23, 250), (250, 300), (300, n_t))
+    split = np.concatenate([npae_aggregate(experts, hp, X_star[a:b]) for a, b in cuts])
+    assert np.array_equal(single, batch)
+    assert np.array_equal(split, batch)
+    assert np.array_equal(batch, _npae_loop_reference(experts, hp, X_star))
+
+
+def assert_split_and_permuted_batches_match_on_2d_inputs():
+    rng = np.random.default_rng(11)
+    hp = Hyperparameters([0.3, 0.4], 1.0, 0.05)
+    X = rng.uniform(0, 1, (150, 2))
+    data = Dataset(X, np.sin(4 * X[:, 0]) + 0.1 * rng.standard_normal(150))
+    experts = [train_expert(s, hp) for s in kmeans_partition(data, 4, seed=0).subsets]
+    X_star = rng.uniform(-0.2, 1.2, (40, 2))
+    batch = npae_aggregate(experts, hp, X_star)
+    perm = rng.permutation(40)
+    shuffled = np.concatenate([npae_aggregate(experts, hp, X_star[perm[a:b]]) for a, b in ((0, 13), (13, 14), (14, 40))])
+    assert np.array_equal(shuffled, batch[perm])
+    assert np.array_equal(batch, _npae_loop_reference(experts, hp, X_star))
+
+
+def assert_loop_reference_shape(d, M, n_per, n_t):
+    rng = np.random.default_rng(100 * d + M)
+    hp = Hyperparameters([0.3] * d, 1.0, 0.05)
+    _, experts = make_experts(rng, hp, M, n_per, d)
+    X_star = rng.uniform(-0.2, 1.2, (n_t, d))
+    assert np.array_equal(npae_aggregate(experts, hp, X_star), _npae_loop_reference(experts, hp, X_star))
 
 
 class TestPointwiseCov:
@@ -264,33 +311,10 @@ class TestAggregate:
         assert np.allclose(a, b, atol=1e-10)
 
     def test_batch_matches_per_point_calls(self):
-        # A query's prediction must not depend on the batch it shares: every
-        # per-point product reads contiguous rows, so it is bit for bit the
-        # same in a batch, in pieces and one point at a time. The batch spans
-        # three query blocks, and two pieces straddle block boundaries.
-        rng = np.random.default_rng(8)
-        hp = Hyperparameters([0.25], 1.0, 0.05)
-        _, experts = make_experts(rng, hp, 5, 30)
-        n_t = 2 * npae.QUERY_BLOCK + 88
-        X_star = rng.uniform(-0.2, 1.2, (n_t, 1))
-        batch = npae_aggregate(experts, hp, X_star)
-        single = np.array([npae_aggregate(experts, hp, X_star[t : t + 1])[0] for t in range(n_t)])
-        cuts = ((0, 2), (2, 9), (9, 23), (23, 250), (250, 300), (300, n_t))
-        split = np.concatenate([npae_aggregate(experts, hp, X_star[a:b]) for a, b in cuts])
-        assert np.array_equal(single, batch)
-        assert np.array_equal(split, batch)
+        assert_batch_matches_per_point_calls()
 
     def test_split_and_permuted_batches_match_on_2d_inputs(self):
-        rng = np.random.default_rng(11)
-        hp = Hyperparameters([0.3, 0.4], 1.0, 0.05)
-        X = rng.uniform(0, 1, (150, 2))
-        data = Dataset(X, np.sin(4 * X[:, 0]) + 0.1 * rng.standard_normal(150))
-        experts = [train_expert(s, hp) for s in kmeans_partition(data, 4, seed=0).subsets]
-        X_star = rng.uniform(-0.2, 1.2, (40, 2))
-        batch = npae_aggregate(experts, hp, X_star)
-        perm = rng.permutation(40)
-        shuffled = np.concatenate([npae_aggregate(experts, hp, X_star[perm[a:b]]) for a, b in ((0, 13), (13, 14), (14, 40))])
-        assert np.array_equal(shuffled, batch[perm])
+        assert_split_and_permuted_batches_match_on_2d_inputs()
 
     def test_matches_pointwise_oracle_on_2d_inputs(self):
         # wider inputs take the cdist route through kernel_matrix
@@ -405,11 +429,7 @@ LOOP_REFERENCE_SHAPES = [
 class TestLoopReference:
     @pytest.mark.parametrize("d, M, n_per, n_t", LOOP_REFERENCE_SHAPES)
     def test_stacked_products_equal_the_loops(self, d, M, n_per, n_t):
-        rng = np.random.default_rng(100 * d + M)
-        hp = Hyperparameters([0.3] * d, 1.0, 0.05)
-        _, experts = make_experts(rng, hp, M, n_per, d)
-        X_star = rng.uniform(-0.2, 1.2, (n_t, d))
-        assert np.array_equal(npae_aggregate(experts, hp, X_star), _npae_loop_reference(experts, hp, X_star))
+        assert_loop_reference_shape(d, M, n_per, n_t)
 
     def test_subnormal_products_equal_the_loops(self):
         # at lengthscale 0.05 on [0, 4], the cross blocks of far-apart
@@ -423,3 +443,166 @@ class TestLoopReference:
         assert np.any((cross > 0) & (cross < np.finfo(float).tiny))
         X_star = rng.uniform(0, 4, (30, 1))
         assert np.array_equal(npae_aggregate(experts, hp, X_star), _npae_loop_reference(experts, hp, X_star))
+
+
+@pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
+def threaded(request, monkeypatch):
+    """Every block on ``request.param`` workers, however small: the
+    threshold is 0, and 3 workers split the experts and pairs unevenly."""
+    monkeypatch.setattr(npae, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(npae, "worker_count", lambda: request.param)
+    return request.param
+
+
+def recording_kernel_matrix(monkeypatch):
+    """Patch ``npae.kernel_matrix`` to record the thread of every call."""
+    threads = []
+
+    def recording(X, X2, hp):
+        threads.append(threading.current_thread())
+        return kernel_matrix(X, X2, hp)
+
+    monkeypatch.setattr(npae, "kernel_matrix", recording)
+    return threads
+
+
+class TestWorkerShares:
+    """Every K_A entry comes from one share, on the operands and BLAS
+    calls of one thread, so any number of workers gives the same bits."""
+
+    @pytest.mark.parametrize("d, M, n_per, n_t", LOOP_REFERENCE_SHAPES)
+    def test_threaded_products_equal_the_loops(self, threaded, d, M, n_per, n_t):
+        assert_loop_reference_shape(d, M, n_per, n_t)
+
+    def test_threaded_batch_matches_per_point_calls(self, threaded):
+        assert_batch_matches_per_point_calls()
+
+    def test_threaded_split_and_permuted_batches_match_on_2d_inputs(self, threaded):
+        assert_split_and_permuted_batches_match_on_2d_inputs()
+
+    def test_each_block_builds_every_kernel_block_once(self, threaded, monkeypatch):
+        # two shares that wrote the same pair would give the same bits,
+        # so the work itself is counted: per query block, one k(X*, X_i)
+        # per expert and one k(X_i, X_j) per pair i < j
+        rng = np.random.default_rng(21)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 7, 15)
+        index = {id(e.data.X): i for i, e in enumerate(experts)}
+        calls = []
+
+        def recording(X, X2, hp):
+            calls.append((index.get(id(X), "X*"), index[id(X2)]))
+            return kernel_matrix(X, X2, hp)
+
+        monkeypatch.setattr(npae, "kernel_matrix", recording)
+        npae_aggregate(experts, hp, rng.uniform(0, 1, (npae.QUERY_BLOCK + 5, 1)))
+        expected = [("X*", i) for i in range(7)] + [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        assert sorted(calls, key=str) == sorted(2 * expected, key=str)
+
+    def test_block_above_the_threshold_runs_on_every_worker(self, monkeypatch):
+        # unpatched: this block's pair work is above PARALLEL_WORK, so it
+        # runs on worker_count() threads and still matches the loops
+        rng = np.random.default_rng(17)
+        hp = Hyperparameters([0.1], 1.0, 0.01)
+        data = Dataset(rng.uniform(0, 1, (1200, 1)), rng.standard_normal(1200))
+        experts = [train_expert(s, hp) for s in kmeans_partition(data, 12, seed=0).subsets]
+        X_star = rng.uniform(0, 1, (60, 1))
+        assert npae._pair_work([e.data.n for e in experts], 60) >= npae.PARALLEL_WORK
+        expected = _npae_loop_reference(experts, hp, X_star)
+        threads = recording_kernel_matrix(monkeypatch)
+        assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
+        assert threading.main_thread() in threads
+        assert len(set(threads)) >= min(npae.worker_count(), 12)
+
+
+class TestThreadHygiene:
+    def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
+        # the cross block of pair (0, 2), the second pair, is built by
+        # share 1 on a worker thread
+        class CrossBlockError(RuntimeError):
+            pass
+
+        rng = np.random.default_rng(18)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 4, 20)
+        raised_on = []
+
+        def failing(X, X2, hp):
+            if X is experts[0].data.X and X2 is experts[2].data.X:
+                raised_on.append(threading.current_thread())
+                raise CrossBlockError("cross block (0, 2)")
+            return kernel_matrix(X, X2, hp)
+
+        monkeypatch.setattr(npae, "kernel_matrix", failing)
+        started = threading.active_count()
+        with pytest.raises(CrossBlockError, match=r"cross block \(0, 2\)"):
+            npae_aggregate(experts, hp, rng.uniform(0, 1, (30, 1)))
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == started
+
+    def test_k_a_solves_stay_on_the_calling_thread(self, threaded, monkeypatch):
+        rng = np.random.default_rng(19)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 5, 20)
+        callers = []
+
+        def recording(A):
+            callers.append(threading.current_thread())
+            return chol_jitter(A)
+
+        monkeypatch.setattr(npae, "chol_jitter", recording)
+        threads = recording_kernel_matrix(monkeypatch)
+        npae_aggregate(experts, hp, rng.uniform(0, 1, (300, 1)))
+        assert len(set(threads)) >= threaded
+        assert len(callers) == 300
+        assert all(c is threading.main_thread() for c in callers)
+
+    def test_block_below_the_threshold_starts_no_thread(self, monkeypatch):
+        # the shapes of test_cost_scales_superlinearly_in_expert_count
+        # stay on the caller's thread
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started below the threshold")
+
+        hp = Hyperparameters([0.3], 1.0, 0.1)
+        data = Dataset(np.random.default_rng(7).uniform(0, 1, (200, 1)), np.zeros(200))
+        X_star = np.linspace(0, 1, 40)[:, None]
+        monkeypatch.setattr(npae.threading, "Thread", refuse)
+        for M in (5, 20):
+            experts = [train_expert(s, hp) for s in kmeans_partition(data, M, seed=0).subsets]
+            assert npae._pair_work([e.data.n for e in experts], 40) < npae.PARALLEL_WORK
+            npae_aggregate(experts, hp, X_star)
+
+    def test_import_starts_no_thread(self):
+        src = Path(npae.__file__).resolve().parent.parent
+        code = (
+            "import sys, threading\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "import gpagg\n"
+            "print(threading.active_count())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "1"
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_runs_threaded_calls(self, threaded):
+        # the workers of the parent's call are gone when it returns, so a
+        # child forked afterwards starts its own and finishes
+        rng = np.random.default_rng(20)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 6, 30)
+        X_star = rng.uniform(0, 1, (50, 1))
+        expected = npae_aggregate(experts, hp, X_star)
+        child = multiprocessing.get_context("fork").Process(
+            target=_assert_npae_equals, args=(experts, hp, X_star, expected)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("the forked child did not finish a threaded call within 60 s")
+        assert child.exitcode == 0
+
+
+def _assert_npae_equals(experts, hp, X_star, expected):
+    assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
