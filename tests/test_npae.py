@@ -499,6 +499,25 @@ class TestWorkerShares:
         expected = [("X*", i) for i in range(7)] + [(i, j) for i in range(7) for j in range(i + 1, 7)]
         assert sorted(calls, key=str) == sorted(2 * expected, key=str)
 
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # five workers on a short switch interval interleave their writes
+        # to K_A, the local means and the weight list as often as they
+        # can; a lost or misplaced write would change the bits
+        monkeypatch.setattr(npae, "PARALLEL_WORK", 0)
+        monkeypatch.setattr(npae, "worker_count", lambda: 5)
+        rng = np.random.default_rng(22)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 12, 20)
+        X_star = rng.uniform(0, 1, (40, 1))
+        expected = _npae_loop_reference(experts, hp, X_star)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_block_above_the_threshold_runs_on_every_worker(self, monkeypatch):
         # unpatched: this block's pair work is above PARALLEL_WORK, so it
         # runs on worker_count() threads and still matches the loops
