@@ -18,12 +18,13 @@ variance, GRBCM's too, come from ``gp.posterior_terms``.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsyrk, dtrmm
 
-from ._linalg import chol_jitter, inverse_lower, solve_lower
+from ._linalg import chol_jitter, dgemm, dsyrk, dtrmm, inverse_lower, solve_lower
+from ._workers import in_shares, workers_for
 from .errors import DimensionError, NumericalError
 from .gp import (
     Hyperparameters,
@@ -37,6 +38,8 @@ from .gp import (
     with_targets,
 )
 from .partition import Partitioning
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +156,15 @@ def grbcm_base_index(M: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(M))
 
 
+def _augmented_work(n_b: int, sizes: list[int], n_t: int) -> int:
+    """Multiply-adds of GRBCM's augmented experts with n_b base points:
+    per expert of n_i points, W_i (n_b^2 n_i / 2), S_i (n_b n_i^2 / 2),
+    its factor (n_i^3 / 6), the right-hand side (n_b n_i (n_t + 1)) and
+    the triangular solve (n_i^2 (n_t + 1) / 2)."""
+    k = n_t + 1
+    return sum(n_b * n_i * (n_b + n_i) // 2 + n_i**3 // 6 + n_b * n_i * k + n_i * n_i * k // 2 for n_i in sizes)
+
+
 def grbcm_aggregate(
     partitioning: Partitioning,
     hp: Hyperparameters,
@@ -170,9 +182,18 @@ def grbcm_aggregate(
     stacks the base expert's, as in ``predict``, over L_Si^-1 ([k_i | y_i]
     - W_i' [w_b | z_b]), and each block adds its ``posterior_terms``.
     Jitter, when needed, lands on the base factor and then on each Schur
-    complement, never on a merged matrix. The experts, built one at a
-    time, are combined by RBCM's rule with the base expert as the prior:
-    beta is the entropy gain relative to it, except 1 for the first.
+    complement, never on a merged matrix; a call that jitters a Schur
+    complement logs one warning with the number of jittered experts and
+    the largest jitter. The experts are combined by RBCM's rule with the
+    base expert as the prior: beta is the entropy gain relative to it,
+    except 1 for the first.
+
+    The augmented experts are independent given the base. A call whose
+    work on them reaches ``_workers.PARALLEL_WORK`` multiply-adds runs
+    them in fixed shares on ``worker_count()`` threads, the caller's
+    among them; their BLAS and LAPACK calls release the interpreter lock
+    (see ``_linalg``). Each expert writes its own slot, so the outputs
+    are bitwise those of one thread.
     """
     M = len(partitioning.subsets)
     if M < 2:
@@ -184,10 +205,11 @@ def grbcm_aggregate(
     wz_b = solve_lower(L_b, with_targets(base, X_star, hp))
     L_b_inv = inverse_lower(L_b)
     base_mean, base_explained = posterior_terms(wz_b)
-    means, variances = [], []
-    for i, part in enumerate(partitioning.subsets):
-        if i == base_idx:
-            continue
+    augmented = [part for i, part in enumerate(partitioning.subsets) if i != base_idx]
+    slots = [None] * len(augmented)
+
+    def expert(k):
+        part = augmented[k]
         # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
         # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
         # W_i and S_i's lower triangle over them in place.
@@ -197,11 +219,21 @@ def grbcm_aggregate(
         S = dsyrk(-1.0, W, beta=1.0, c=C.T, trans=1, lower=1, overwrite_c=1)
         # S_i carries rounding on the scale of C_i's diagonal, which its
         # own diagonal (down to sigma^2) can undercut by orders of magnitude.
-        L_S, _ = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
+        L_S, jitter = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
         rhs = dgemm(-1.0, W, wz_b, beta=1.0, c=with_targets(part, X_star, hp), trans_a=1, overwrite_c=1)
         mean, explained = posterior_terms(solve_lower(L_S, rhs))
-        means.append(base_mean + mean)
-        variances.append(posterior_variance(hp, base_explained + explained))
+        slots[k] = (base_mean + mean, posterior_variance(hp, base_explained + explained), jitter)
+
+    work = _augmented_work(base.n, [part.n for part in augmented], X_star.shape[0])
+    in_shares(expert, list(range(len(augmented))), workers_for(work))
+    means, variances, jitters = zip(*slots)
+    jittered = [j for j in jitters if j > 0.0]
+    if jittered:
+        log.warning(
+            "grbcm_aggregate: %d of %d augmented experts needed Cholesky jitter on the Schur complement"
+            " (largest %.3e)",
+            len(jittered), len(augmented), max(jittered),
+        )
     preds = ExpertPredictions(
         np.column_stack(means),
         np.column_stack(variances),

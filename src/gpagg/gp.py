@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyr
 
-from ._linalg import cho_solve, chol_inverse, chol_jitter, solve_lower
+from ._linalg import cho_solve, chol_inverse, chol_jitter, dgemv, dsyr, solve_lower
 from .errors import DimensionError, FitError, NumericalError
 
 log = logging.getLogger(__name__)

@@ -17,23 +17,24 @@ once per block of at most ``QUERY_BLOCK`` test points.
 The experts' weight matrices and the cross blocks are independent of
 one another, so a block large enough to repay a thread start splits
 both phases into fixed shares over the CPUs the process may run on
-(``worker_count``): the caller's thread runs one share and a thread per
+(``_workers.in_shares``): the caller's thread runs one share and a thread per
 other share runs the rest, all joined before the per-point K_A solves,
 which stay on the caller's thread. Every K_A entry is written by one
 share from the same operands and BLAS calls as on one thread, so the
-predictions do not depend on the number of workers.
+predictions do not depend on the number of workers. An expert's Gamma_i
+solve takes ``_linalg``'s pointer route from ``POINTER_MIN`` points up,
+which releases the interpreter lock, so the workers' solves overlap.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import threading
 import time
 
 import numpy as np
 
 from ._linalg import cho_solve, chol_jitter
+from ._workers import in_shares, workers_for
 from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
 
 log = logging.getLogger(__name__)
@@ -44,21 +45,6 @@ log = logging.getLogger(__name__)
 # 8 * n * 256 bytes whatever the batch. With several workers each holds
 # one cross block and its product at a time.
 QUERY_BLOCK = 256
-
-# Pair work (multiply-adds, see ``_pair_work``) below which a block runs
-# on the caller's thread alone and starts no thread. On 2 cores with one
-# BLAS thread, two workers ran a block 0.97x as fast as one at 16 M (no
-# gain), 1.11x at 30 M, 1.21x at 51 M and 1.52x at 140 M, and about 0.88x
-# at 8-16 M whenever the second core was busy elsewhere.
-PARALLEL_WORK = 25_000_000
-
-
-def worker_count() -> int:
-    """CPUs the process may run on: its affinity mask, so ``taskset``
-    limits it, or the machine's count where there is no mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def npae_aggregate(
@@ -76,7 +62,7 @@ def npae_aggregate(
     min(n_t, QUERY_BLOCK) in total; every pair needs both of its own, so
     all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
     one cross block with its product per worker; no n x n joint exists.
-    A block whose pair work reaches ``PARALLEL_WORK`` computes the
+    A block whose pair work reaches ``_workers.PARALLEL_WORK`` computes the
     Gamma_i and the pair products on ``worker_count()`` threads, the
     caller's among them, with bitwise the same results as on one.
     K_A is solved per point with the shared jitter policy on the
@@ -114,34 +100,6 @@ def _pair_work(sizes: list[int], n_t: int) -> int:
     return (n_t + 18) * (n * n - sum(s * s for s in sizes)) // 2
 
 
-def _in_shares(work, items: list, workers: int) -> None:
-    """Call ``work`` on every item, share s taking items[s::workers]:
-    share 0 on the caller's thread, every other share on a thread of its
-    own, all joined before this returns. A share's exception is raised
-    again here."""
-    workers = max(1, min(workers, len(items)))
-    errors = []
-
-    def run(share):
-        try:
-            for item in share:
-                work(item)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=(items[s::workers],)) for s in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        for item in items[::workers]:
-            work(item)
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-
-
 def _aggregate_block(
     experts: list[TrainedExpert], hp: Hyperparameters, X_star: np.ndarray, means: np.ndarray
 ) -> list[float]:
@@ -168,9 +126,9 @@ def _aggregate_block(
         g_i, g_j = gammas[i], gammas[j]
         K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
 
-    workers = worker_count() if _pair_work([e.data.n for e in experts], n_t) >= PARALLEL_WORK else 1
-    _in_shares(expert, list(range(M)), workers)
-    _in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers)
+    workers = workers_for(_pair_work([e.data.n for e in experts], n_t))
+    in_shares(expert, list(range(M)), workers)
+    in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers)
 
     jitters = []
     for t in range(n_t):

@@ -1,11 +1,14 @@
 import ast
 import inspect
+import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from gpagg import baselines, gp
+from gpagg import _workers, baselines, gp
 from gpagg import (
     Dataset,
     DimensionError,
@@ -26,6 +29,7 @@ from gpagg import (
     rbcm,
     train_expert,
 )
+from gpagg._linalg import POINTER_MIN
 from gpagg.baselines import entropy_weights, grbcm_base_index
 
 
@@ -373,3 +377,175 @@ class TestGrbcm:
         single = Partitioning(np.zeros(data.n, dtype=int), [data], "kmeans")
         with pytest.raises(ValueError):
             grbcm_aggregate(single, hp, X_star, seed=0)
+
+
+def _chunked_partitions(rng, d, M, n_per):
+    """M partitions of exactly n_per random points each."""
+    X = rng.uniform(0, 1, (M * n_per, d))
+    y = np.sin(5 * X.sum(axis=1)) + 0.1 * rng.standard_normal(M * n_per)
+    subsets = [Dataset(X[k * n_per : (k + 1) * n_per], y[k * n_per : (k + 1) * n_per]) for k in range(M)]
+    return Partitioning(np.repeat(np.arange(M), n_per), subsets, "random")
+
+
+@pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
+def threaded(request, monkeypatch):
+    """Every GRBCM call on ``request.param`` workers, however small: the
+    threshold is 0, and 3 workers split the augmented experts unevenly."""
+    monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
+    return request.param
+
+
+def _on_one_worker(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(_workers, "worker_count", lambda: 1)
+        return grbcm_aggregate(*args)
+
+
+def _recording_kernel_matrix(monkeypatch):
+    """Patch ``baselines.kernel_matrix`` to record the thread of every call."""
+    threads = []
+
+    def recording(X, X2, hp):
+        threads.append(threading.current_thread())
+        return gp.kernel_matrix(X, X2, hp)
+
+    monkeypatch.setattr(baselines, "kernel_matrix", recording)
+    return threads
+
+
+class TestGrbcmWorkerShares:
+    """Each augmented expert runs on one share and writes its own slot, so
+    any number of workers gives the bits of one."""
+
+    # M = 2 has one augmented expert, of POINTER_MIN + 22 points, so its
+    # calls take _linalg's pointer route; M = 20's take the f2py one
+    @pytest.mark.parametrize("n_t", [0, 1, 50, 400])
+    @pytest.mark.parametrize("M, n_per", [(2, POINTER_MIN + 22), (20, 12)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_threaded_outputs_equal_one_worker(self, threaded, monkeypatch, d, M, n_per, n_t):
+        rng = np.random.default_rng(100 * d + M)
+        parts = _chunked_partitions(rng, d, M, n_per)
+        hp = Hyperparameters([0.3] * d, 1.3, 0.01)
+        X_star = rng.uniform(-0.1, 1.1, (n_t, d))
+        threads = _recording_kernel_matrix(monkeypatch)
+        for seed in (0, 1):
+            expected = _on_one_worker(monkeypatch, parts, hp, X_star, seed)
+            threads.clear()
+            mean, var = grbcm_aggregate(parts, hp, X_star, seed)
+            assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
+            assert len(set(threads)) == min(threaded, M - 1)
+
+    def test_call_above_the_threshold_runs_on_every_worker(self, monkeypatch):
+        # unpatched: the augmented experts' work is above PARALLEL_WORK
+        rng = np.random.default_rng(23)
+        parts = _chunked_partitions(rng, 1, 6, 200)
+        hp = Hyperparameters([0.1], 1.0, 0.01)
+        X_star = rng.uniform(0, 1, (60, 1))
+        assert baselines._augmented_work(200, [200] * 5, 60) >= _workers.PARALLEL_WORK
+        expected = _on_one_worker(monkeypatch, parts, hp, X_star, 0)
+        threads = _recording_kernel_matrix(monkeypatch)
+        mean, var = grbcm_aggregate(parts, hp, X_star, 0)
+        assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
+        assert threading.main_thread() in threads
+        assert len(set(threads)) == min(_workers.worker_count(), 5)
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # five workers on a short switch interval interleave their writes
+        # to the slots as often as they can; a lost or misplaced write
+        # would change the bits
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        rng = np.random.default_rng(24)
+        parts = _chunked_partitions(rng, 1, 12, 20)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        X_star = rng.uniform(0, 1, (40, 1))
+        expected = _on_one_worker(monkeypatch, parts, hp, X_star, 0)
+        monkeypatch.setattr(_workers, "worker_count", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                mean, var = grbcm_aggregate(parts, hp, X_star, 0)
+                assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestGrbcmThreadHygiene:
+    def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
+        # the second augmented expert belongs to share 1, on a worker thread
+        class KernelError(RuntimeError):
+            pass
+
+        rng = np.random.default_rng(25)
+        parts = _chunked_partitions(rng, 1, 4, 20)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        second = [s for i, s in enumerate(parts.subsets) if i != grbcm_base_index(4, 0)][1]
+        raised_on = []
+
+        def failing(X, X2, hp):
+            if X is second.X:
+                raised_on.append(threading.current_thread())
+                raise KernelError("second augmented expert")
+            return gp.kernel_matrix(X, X2, hp)
+
+        monkeypatch.setattr(baselines, "kernel_matrix", failing)
+        started = threading.active_count()
+        with pytest.raises(KernelError, match="second augmented expert"):
+            grbcm_aggregate(parts, hp, rng.uniform(0, 1, (30, 1)), 0)
+        assert raised_on and raised_on[0] is not threading.main_thread()
+        assert threading.active_count() == started
+
+    def test_call_below_the_threshold_starts_no_thread(self, monkeypatch):
+        # the largest shapes of TestGrbcmAgainstMergedExperts stay on the
+        # caller's thread
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started below the threshold")
+
+        rng = np.random.default_rng(20)
+        parts = kmeans_partition(Dataset(rng.uniform(0, 1, (300, 3)), rng.standard_normal(300)), 20, seed=0)
+        sizes = [s.n for s in parts.subsets]
+        assert baselines._augmented_work(max(sizes), sizes, 300) < _workers.PARALLEL_WORK
+        monkeypatch.setattr(_workers.threading, "Thread", refuse)
+        grbcm_aggregate(parts, Hyperparameters([0.5], 1.3, 0.01), rng.uniform(0, 1, (300, 3)), 0)
+
+
+class TestGrbcmJitterWarning:
+    @staticmethod
+    def _near_duplicates():
+        # four copies of 30 points, each moved by up to a few 1e-4: at
+        # noise 1e-12 every Schur complement needs jitter
+        rng = np.random.default_rng(3)
+        X = np.linspace(0, 1, 30)[:, None]
+        subsets = [Dataset(X + 1e-4 * k * rng.standard_normal(X.shape), np.sin(6 * X[:, 0])) for k in range(4)]
+        parts = Partitioning(np.repeat(np.arange(4), 30), subsets, "random")
+        return parts, Hyperparameters([0.5], 1.0, 1e-12), rng.uniform(0, 1, (20, 1))
+
+    def test_jittered_call_logs_one_warning_from_the_caller(self, threaded, monkeypatch, caplog):
+        jitters = []
+        chol_jitter = baselines.chol_jitter
+
+        def recording(A, **kwargs):
+            L, jitter = chol_jitter(A, **kwargs)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(baselines, "chol_jitter", recording)
+        parts, hp, X_star = self._near_duplicates()
+        with caplog.at_level(logging.WARNING, logger="gpagg.baselines"):
+            mean, var = grbcm_aggregate(parts, hp, X_star, 0)
+        assert np.all(np.isfinite(mean)) and np.all(var > 0)
+        jittered = [j for j in jitters if j > 0.0]
+        assert len(jitters) == 3 and jittered
+        [record] = caplog.records
+        assert record.threadName == threading.main_thread().name
+        assert record.getMessage() == (
+            f"grbcm_aggregate: {len(jittered)} of 3 augmented experts needed Cholesky jitter "
+            f"on the Schur complement (largest {max(jittered):.3e})"
+        )
+
+    def test_call_without_jitter_logs_nothing(self, caplog):
+        hp, parts, X_star = _identical_partitions(6, 1e-6)
+        with caplog.at_level(logging.WARNING, logger="gpagg.baselines"):
+            grbcm_aggregate(parts, hp, X_star, 0)
+        assert not caplog.records

@@ -1,20 +1,26 @@
 """The package's one Cholesky/SPD module and the rule that nothing else factors."""
 
 import ast
+import ctypes
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import blas, lapack
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotri, dtrtri
 
-from gpagg import NumericalError
+from gpagg import NumericalError, _linalg
 from gpagg._linalg import (
     INVERSE_BLOCK,
+    POINTER_MIN,
     cho_solve,
     chol_inverse,
     chol_jitter,
     cholesky,
+    dgemm,
+    dsyrk,
+    dtrmm,
     inverse_lower,
     solve_lower,
     spd_inverse,
@@ -145,20 +151,199 @@ class TestCholInverse:
         assert dsyr(1.0, x, lower=1, a=inv, overwrite_a=1) is inv
 
 
+ROUTED = {
+    "dpotrf": "_dpotrf",
+    "dpotrs": "_dpotrs",
+    "dtrtrs": "_dtrtrs",
+    "dtrmm": "_dtrmm",
+    "dsyrk": "_dsyrk",
+    "dgemm": "_dgemm",
+}
+ORDERS = [POINTER_MIN - 1, POINTER_MIN]
+
+
+@pytest.fixture
+def pointer_calls(monkeypatch):
+    """Record which pointer routines run, by their LAPACK/BLAS names."""
+    calls = []
+    for name, attr in ROUTED.items():
+        def recording(*args, _name=name, _fn=getattr(_linalg, attr)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(_linalg, attr, recording)
+    return calls
+
+
+def strided(x):
+    """``x`` as a view with neither C nor Fortran layout."""
+    big = np.zeros(tuple(2 * k for k in x.shape))
+    big[tuple(slice(None, None, 2) for _ in x.shape)] = x
+    view = big[tuple(slice(None, None, 2) for _ in x.shape)]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return view
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray, "strided": strided}
+
+
+def routed_on(n) -> bool:
+    return n >= POINTER_MIN
+
+
+def factor(n, seed=0):
+    return lapack.dpotrf(random_spd(np.random.default_rng(seed), n), lower=1)[0]
+
+
+class TestPointerRoute:
+    """Above POINTER_MIN, _linalg calls LAPACK/BLAS through the pointers
+    that scipy's Cython modules export; below it, through scipy's f2py
+    wrappers. Both must give f2py's bits for any operand layout."""
+
+    def test_pointer_calls_release_the_interpreter_lock(self):
+        for attr in ROUTED.values():
+            assert not getattr(_linalg, attr)._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_cholesky_reads_only_the_lower_triangle(self, pointer_calls, n, layout):
+        # the upper triangle is not A's mirror, so reading the buffer in
+        # the other order would factor a different matrix
+        rng = np.random.default_rng(n)
+        A = random_spd(rng, n) + np.triu(rng.standard_normal((n, n)), 1)
+        x = LAYOUTS[layout](A)
+        before = x.copy()
+        L = cholesky(x)
+        assert np.array_equal(L, lapack.dpotrf(A, lower=1)[0])
+        assert L.flags.f_contiguous and not np.triu(L, 1).any()
+        assert np.array_equal(x, before)
+        assert pointer_calls == ["dpotrf"] * routed_on(n)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_failed_factorization_still_jitters(self, pointer_calls, n):
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, 5))
+        A = B @ B.T
+        assert cholesky(A) is None
+        assert cholesky(-np.eye(n)) is None
+        L, jitter = chol_jitter(A)
+        assert jitter > 0.0
+        assert np.array_equal(L, lapack.dpotrf(A + jitter * np.eye(n), lower=1)[0])
+        assert set(pointer_calls) == ({"dpotrf"} if routed_on(n) else set())
+
+    @pytest.mark.parametrize("solve, name", [(cho_solve, "dpotrs"), (solve_lower, "dtrtrs")])
+    @pytest.mark.parametrize("L_layout", LAYOUTS)
+    @pytest.mark.parametrize("b_layout", [*LAYOUTS, "1-D"])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_solves_equal_f2py(self, pointer_calls, solve, name, L_layout, b_layout, n):
+        L = LAYOUTS[L_layout](factor(n))
+        b = np.random.default_rng(n).standard_normal((n, 7))
+        b = b[:, 0] if b_layout == "1-D" else LAYOUTS[b_layout](b)
+        before = (L.copy(), b.copy())
+        x = solve(L, b)
+        assert np.array_equal(x, getattr(lapack, name)(L, b, lower=1)[0])
+        assert x.shape == b.shape
+        assert np.array_equal(L, before[0]) and np.array_equal(b, before[1])
+        assert pointer_calls == [name] * routed_on(n)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_singular_factor_still_raises(self, pointer_calls, n):
+        L = factor(n)
+        L[n // 2, n // 2] = 0.0
+        with pytest.raises(NumericalError, match=f"singular at diagonal entry {n // 2}"):
+            solve_lower(L, np.ones((n, 3)))
+        assert pointer_calls == ["dtrtrs"] * routed_on(n)
+
+    @pytest.mark.parametrize("side, lower", [(0, 1), (0, 0), (1, 1), (1, 0)])
+    @pytest.mark.parametrize("a_layout", LAYOUTS)
+    @pytest.mark.parametrize("b_layout", LAYOUTS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dtrmm_equals_f2py(self, pointer_calls, side, lower, a_layout, b_layout, n):
+        # a full random a: dtrmm must read only the named triangle of it
+        rng = np.random.default_rng(n)
+        a = LAYOUTS[a_layout](rng.standard_normal((n, n)))
+        b = LAYOUTS[b_layout](rng.standard_normal((9, n) if side else (n, 9)))
+        before = b.copy()
+        out = dtrmm(1.5, a, b, side=side, lower=lower)
+        assert np.array_equal(out, blas.dtrmm(1.5, a, b, side=side, lower=lower))
+        assert np.array_equal(b, before)
+        assert pointer_calls == ["dtrmm"] * routed_on(n)
+
+    @pytest.mark.parametrize("trans, lower", [(1, 1), (0, 1), (1, 0), (0, 0)])
+    @pytest.mark.parametrize("a_layout", LAYOUTS)
+    @pytest.mark.parametrize("c_layout", LAYOUTS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dsyrk_equals_f2py(self, pointer_calls, trans, lower, a_layout, c_layout, n):
+        rng = np.random.default_rng(n)
+        a = LAYOUTS[a_layout](rng.standard_normal((11, n) if trans else (n, 11)))
+        c = LAYOUTS[c_layout](rng.standard_normal((n, n)))
+        before = c.copy()
+        out = dsyrk(-1.0, a, beta=0.5, c=c, trans=trans, lower=lower)
+        assert np.array_equal(out, blas.dsyrk(-1.0, a, beta=0.5, c=c, trans=trans, lower=lower))
+        assert np.array_equal(c, before)
+        assert pointer_calls == ["dsyrk"] * routed_on(n)
+
+    @pytest.mark.parametrize("trans_a, trans_b", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dgemm_equals_f2py(self, pointer_calls, trans_a, trans_b, layout, n):
+        rng = np.random.default_rng(n)
+        a = LAYOUTS[layout](rng.standard_normal((n, 6) if trans_a else (6, n)))
+        b = LAYOUTS[layout](rng.standard_normal((5, n) if trans_b else (n, 5)))
+        c = LAYOUTS[layout](rng.standard_normal((6, 5)))
+        before = c.copy()
+        out = dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b)
+        assert np.array_equal(out, blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b))
+        assert np.array_equal(c, before)
+        assert pointer_calls == ["dgemm"] * routed_on(n)
+
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_overwrite_writes_in_place_only_where_f2py_does(self, pointer_calls, n):
+        # a writable Fortran-ordered output is overwritten and returned;
+        # a C-ordered or strided one is copied and left as it was
+        rng = np.random.default_rng(n)
+        a, w, c = factor(n), rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        calls = {
+            "dtrmm": lambda out, f=dtrmm, o=1: f(1.0, a, out, lower=1, overwrite_b=o),
+            "dsyrk": lambda out, f=dsyrk, o=1: f(-1.0, w, beta=1.0, c=out, trans=1, lower=1, overwrite_c=o),
+            "dgemm": lambda out, f=dgemm, o=1: f(-1.0, w, a, beta=1.0, c=out, trans_a=1, overwrite_c=o),
+        }
+        for name, call in calls.items():
+            expected = call(c, f=getattr(blas, name), o=0)
+            for out, in_place in ((np.asfortranarray(c), True), (c.copy(), False), (strided(c), False)):
+                before = out.copy()
+                got = call(out)
+                assert np.array_equal(got, expected), name
+                assert (got is out) == in_place, name
+                if not in_place:
+                    assert np.array_equal(out, before), name
+        assert pointer_calls == [name for name in calls for _ in range(3)] * routed_on(n)
+
+
 def _linalg_uses(tree: ast.AST) -> list[str]:
     """Dense linear algebra a module reaches without going through _linalg:
-    numpy.linalg in any form, and scipy.linalg other than its raw BLAS
-    wrappers. Its LAPACK wrappers belong to _linalg alone."""
-    forbidden = ("numpy.linalg", "scipy.linalg", "scipy.linalg.lapack")
+    numpy.linalg in any form, scipy.linalg in any form (its LAPACK and BLAS
+    wrappers and its Cython exports belong to _linalg alone), and ctypes,
+    which _linalg calls those exports through."""
+    forbidden = (
+        "numpy.linalg",
+        "scipy.linalg",
+        "scipy.linalg.lapack",
+        "scipy.linalg.blas",
+        "scipy.linalg.cython_lapack",
+        "scipy.linalg.cython_blas",
+    )
+
+    def flagged(module):
+        return module in forbidden or module == "ctypes" or module.startswith("ctypes.")
+
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            uses += [a.name for a in node.names if a.name in forbidden]
+            uses += [a.name for a in node.names if flagged(a.name)]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = {a.name for a in node.names}
-            if node.module in forbidden or (
-                node.module in ("numpy", "scipy") and "linalg" in names
-            ):
+            if flagged(node.module) or (node.module in ("numpy", "scipy") and "linalg" in names):
                 uses.append(f"from {node.module} import {', '.join(sorted(names))}")
         elif isinstance(node, ast.Attribute):
             dotted = ast.unparse(node)
@@ -168,10 +353,10 @@ def _linalg_uses(tree: ast.AST) -> list[str]:
 
 
 def test_only_the_linalg_module_factors_solves_and_inverts():
-    """np.linalg, scipy's LAPACK wrappers, cho_solve, cho_factor,
-    solve_triangular and scipy.linalg.cholesky appear nowhere in the
-    package outside _linalg (its own cho_solve, imported from there, is
-    the one allowed)."""
+    """np.linalg, scipy's LAPACK and BLAS wrappers, its Cython exports,
+    ctypes, cho_solve, cho_factor, solve_triangular and
+    scipy.linalg.cholesky appear nowhere in the package outside _linalg
+    (its own cho_solve and BLAS names, imported from there, are allowed)."""
     offenders = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "_linalg.py":
@@ -194,10 +379,22 @@ def test_source_rule_flags_each_forbidden_form():
         "from scipy import linalg",
         "from scipy.linalg.lapack import dpotri",
         "import scipy.linalg.lapack",
+        "from scipy.linalg.blas import dsyr",
+        "import scipy.linalg.blas",
+        "from scipy.linalg import blas",
+        "from scipy.linalg import cython_lapack",
+        "import scipy.linalg.cython_lapack",
+        "from scipy.linalg.cython_lapack import __pyx_capi__",
+        "import scipy.linalg.cython_blas",
+        "from scipy.linalg.cython_blas import __pyx_capi__",
+        "import ctypes",
+        "from ctypes import CFUNCTYPE",
+        "import ctypes.util",
     ):
         assert _linalg_uses(ast.parse(snippet)), snippet
     for snippet in (
         "from ._linalg import cho_solve, chol_jitter",
-        "from scipy.linalg.blas import dsyr",
+        "from ._linalg import dgemm, dsyr",
+        "from scipy.spatial.distance import cdist",
     ):
         assert not _linalg_uses(ast.parse(snippet)), snippet

@@ -21,7 +21,7 @@ from gpagg import (
     predict,
     train_expert,
 )
-from gpagg import npae
+from gpagg import _workers, npae
 from gpagg._linalg import cho_solve as linalg_cho_solve
 from gpagg._linalg import chol_jitter
 
@@ -449,8 +449,8 @@ class TestLoopReference:
 def threaded(request, monkeypatch):
     """Every block on ``request.param`` workers, however small: the
     threshold is 0, and 3 workers split the experts and pairs unevenly."""
-    monkeypatch.setattr(npae, "PARALLEL_WORK", 0)
-    monkeypatch.setattr(npae, "worker_count", lambda: request.param)
+    monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
     return request.param
 
 
@@ -503,8 +503,8 @@ class TestWorkerShares:
         # five workers on a short switch interval interleave their writes
         # to K_A, the local means and the weight list as often as they
         # can; a lost or misplaced write would change the bits
-        monkeypatch.setattr(npae, "PARALLEL_WORK", 0)
-        monkeypatch.setattr(npae, "worker_count", lambda: 5)
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        monkeypatch.setattr(_workers, "worker_count", lambda: 5)
         rng = np.random.default_rng(22)
         hp = Hyperparameters([0.3], 1.0, 0.05)
         _, experts = make_experts(rng, hp, 12, 20)
@@ -526,12 +526,12 @@ class TestWorkerShares:
         data = Dataset(rng.uniform(0, 1, (1200, 1)), rng.standard_normal(1200))
         experts = [train_expert(s, hp) for s in kmeans_partition(data, 12, seed=0).subsets]
         X_star = rng.uniform(0, 1, (60, 1))
-        assert npae._pair_work([e.data.n for e in experts], 60) >= npae.PARALLEL_WORK
+        assert npae._pair_work([e.data.n for e in experts], 60) >= _workers.PARALLEL_WORK
         expected = _npae_loop_reference(experts, hp, X_star)
         threads = recording_kernel_matrix(monkeypatch)
         assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
         assert threading.main_thread() in threads
-        assert len(set(threads)) >= min(npae.worker_count(), 12)
+        assert len(set(threads)) >= min(_workers.worker_count(), 12)
 
 
 class TestThreadHygiene:
@@ -585,10 +585,10 @@ class TestThreadHygiene:
         hp = Hyperparameters([0.3], 1.0, 0.1)
         data = Dataset(np.random.default_rng(7).uniform(0, 1, (200, 1)), np.zeros(200))
         X_star = np.linspace(0, 1, 40)[:, None]
-        monkeypatch.setattr(npae.threading, "Thread", refuse)
+        monkeypatch.setattr(_workers.threading, "Thread", refuse)
         for M in (5, 20):
             experts = [train_expert(s, hp) for s in kmeans_partition(data, M, seed=0).subsets]
-            assert npae._pair_work([e.data.n for e in experts], 40) < npae.PARALLEL_WORK
+            assert npae._pair_work([e.data.n for e in experts], 40) < _workers.PARALLEL_WORK
             npae_aggregate(experts, hp, X_star)
 
     def test_import_starts_no_thread(self):

@@ -5,13 +5,16 @@
 factors its base partition through ``baselines.train_expert`` once per
 call (its augmented experts are conditioned on that factor), EMGGM's E-steps, M-steps
 and glasso solves go through the ``emggm`` module's names, and every
-wrapped attribute is restored afterwards. The benchmark's own self-test
-runs too, since it reads the fields of ``PrecisionEstimate``.
+wrapped attribute is restored afterwards. The tracer keeps one span
+stack, so GRBCM's and NPAE's worker threads must never call a wrapped
+attribute. The benchmark's own self-test runs too, since it reads the
+fields of ``PrecisionEstimate``.
 """
 
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from gpagg import (
     emggm_aggregate,
     grbcm_aggregate,
     kmeans_partition,
+    npae_aggregate,
     train_expert,
 )
 
@@ -70,6 +74,70 @@ def test_instrument_counts_grbcm_factorizations_and_em_work(tracing):
         assert now.keys() == attrs.keys()
         for key, value in attrs.items():
             assert now[key] is value, f"{module.__name__}.{key} was not restored"
+
+
+def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypatch):
+    # GRBCM's and NPAE's shapes here are above PARALLEL_WORK, so both run
+    # on worker threads; only the calling thread may enter a hooked call
+    monkeypatch.setattr(gpagg._workers, "worker_count", lambda: 3)
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0, 1, (1500, 1))
+    data = Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(1500))
+    hp = Hyperparameters([0.1], 1.0, 0.01)
+    parts = kmeans_partition(data, 6, seed=0)
+    experts = [train_expert(s, hp) for s in parts.subsets]
+    X_star = rng.uniform(0, 1, (60, 1))
+    sizes = [s.n for s in parts.subsets]
+    for seed in (0, 1):
+        base = gpagg.baselines.grbcm_base_index(6, seed)
+        augmented = sizes[:base] + sizes[base + 1 :]
+        assert gpagg.baselines._augmented_work(sizes[base], augmented, 60) >= gpagg._workers.PARALLEL_WORK
+    assert gpagg.npae._pair_work(sizes, 60) >= gpagg._workers.PARALLEL_WORK
+    workers = []
+    for module in (gpagg.baselines, gpagg.npae):
+        kernel_matrix = module.kernel_matrix
+
+        def recording(X, X2, hp, _kernel_matrix=kernel_matrix):
+            workers.append(threading.current_thread())
+            return _kernel_matrix(X, X2, hp)
+
+        monkeypatch.setattr(module, "kernel_matrix", recording)
+    modules = (gpagg.gp, gpagg.baselines, gpagg.npae, gpagg.emggm, gpagg.glasso, gpagg._linalg)
+    before = [dict(vars(m)) for m in modules]
+    callers = {}
+
+    def caller_recording(name, fn):
+        def wrapper(*args, **kwargs):
+            callers.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    tracer = tracing.Tracer()
+    with tracing.instrument(gpagg, tracer):
+        hooks = [
+            (m, key, value)
+            for m, attrs in zip(modules, before)
+            for key, value in vars(m).items()
+            if attrs.get(key) is not value
+        ]
+        assert hooks
+        for m, key, value in hooks:
+            setattr(m, key, caller_recording(f"{m.__name__}.{key}", value))
+        try:
+            for seed in (0, 1):
+                calls = tracer.counts["baselines.train_expert_calls"]
+                grbcm_aggregate(parts, hp, X_star, seed)
+                assert tracer.counts["baselines.train_expert_calls"] - calls == 1
+            npae_aggregate(experts, hp, X_star)
+        finally:
+            for m, key, value in hooks:
+                setattr(m, key, value)
+
+    assert len(set(workers)) > 2
+    assert {"gpagg.baselines.train_expert", "gpagg.gp.chol_jitter", "gpagg.npae.chol_jitter"} <= callers.keys()
+    for name, threads in callers.items():
+        assert threads == {threading.main_thread()}, name
 
 
 @pytest.mark.slow
