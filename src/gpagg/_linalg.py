@@ -9,8 +9,8 @@ tenfold up to 1e-4, times mean(diag); past that a NumericalError carries
 the last jitter tried. A non-finite matrix raises before any jitter.
 
 It is also the package's one BLAS module: gp's dgemv and dsyr come from
-here, and so do dtrmm, dsyrk and dgemm, with the signatures of scipy's
-wrappers.
+here, and so do dtrmm, dsyrk and dgemm, which take the arguments of
+scipy's wrappers that the package passes.
 
 Two routes reach the same OpenBLAS. scipy's f2py wrappers hold the
 interpreter lock for the whole call, so worker threads that run them
@@ -36,14 +36,14 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
-# Largest operand dimension from which a call takes the pointer route.
-# Its ctypes arguments add 6-9 us per call (2 cores, one BLAS thread,
-# scipy's OpenBLAS 0.3.30, medians of 9 runs): 70-180% of a call at
-# order 20 (NPAE's K_A), 30-135% at 41 (the graphical lasso), 4-24% at
-# 128-256 for dtrtrs, dtrmm, dsyrk and dgemm with 51 right-hand sides,
-# and 15-47% for a one-column dpotrs; dpotrf ran 11-23% faster. Two
-# threads ran each routed call 1.3-2.0x as fast as one, against 0.8-1.1x
-# through f2py.
+# A call takes the pointer route when its largest operand dimension
+# reaches this. The route's ctypes arguments add 6-9 us per call (2
+# cores, one BLAS thread, scipy's OpenBLAS 0.3.30, medians of 9 runs):
+# 70-180% of a call at order 20 (NPAE's K_A), 30-135% at 41 (the
+# graphical lasso), and at 128-256 4-24% for dtrtrs, dtrmm, dsyrk and
+# dgemm with 51 right-hand sides and 15-47% for a one-column dpotrs,
+# while dpotrf ran 11-23% faster. Two threads ran each routed call
+# 1.3-2.0x as fast as one, against 0.8-1.1x through f2py.
 POINTER_MIN = 128
 
 
@@ -256,17 +256,16 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
     return inv
 
 
-def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side=0, lower=0, overwrite_b=0) -> np.ndarray:
-    """alpha op(a) b (side 0) or alpha b op(a) (side 1) for a triangular
-    ``a``: scipy's ``dtrmm`` without its transpose and unit-diagonal
-    options."""
+def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, lower=0, overwrite_b=0) -> np.ndarray:
+    """alpha a b for a triangular ``a``: scipy's ``dtrmm`` with ``a`` on
+    the left, not transposed, and its diagonal read."""
     a, b = np.asarray(a), np.asarray(b)
-    shapes_fit = a.ndim == b.ndim == 2 and a.shape[0] == a.shape[1] == b.shape[1 if side else 0]
+    shapes_fit = a.ndim == b.ndim == 2 and a.shape[0] == a.shape[1] == b.shape[0]
     if not (shapes_fit and _large(a, b)):
-        return blas.dtrmm(alpha, a, b, side=side, lower=lower, overwrite_b=overwrite_b)
+        return blas.dtrmm(alpha, a, b, lower=lower, overwrite_b=overwrite_b)
     a, b = _in(a), _out(b, overwrite_b)
     _dtrmm(
-        b"R" if side else b"L", b"L" if lower else b"U", b"N", b"N", _int(b.shape[0]), _int(b.shape[1]),
+        b"L", b"L" if lower else b"U", b"N", b"N", _int(b.shape[0]), _int(b.shape[1]),
         _float(alpha), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b),
     )
     return b
@@ -292,21 +291,21 @@ def dsyrk(alpha: float, a: np.ndarray, beta: float, c: np.ndarray, trans=0, lowe
 
 
 def dgemm(
-    alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray, trans_a=0, trans_b=0, overwrite_c=0
+    alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray, trans_a=0, overwrite_c=0
 ) -> np.ndarray:
-    """alpha op(a) op(b) + beta c: scipy's ``dgemm`` with ``c`` given."""
+    """alpha op(a) b + beta c: scipy's ``dgemm`` with ``c`` given and ``b``
+    not transposed."""
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     if a.ndim == b.ndim == c.ndim == 2:
         m, k = a.shape[::-1] if trans_a else a.shape
-        kb, n = b.shape[::-1] if trans_b else b.shape
-        routed = k == kb and c.shape == (m, n) and _large(a, b, c)
+        routed = b.shape[0] == k and c.shape == (m, b.shape[1]) and _large(a, b, c)
     else:
         routed = False
     if not routed:
-        return blas.dgemm(alpha, a, b, beta=beta, c=c, trans_a=trans_a, trans_b=trans_b, overwrite_c=overwrite_c)
+        return blas.dgemm(alpha, a, b, beta=beta, c=c, trans_a=trans_a, overwrite_c=overwrite_c)
     a, b, c = _in(a), _in(b), _out(c, overwrite_c)
     _dgemm(
-        b"T" if trans_a else b"N", b"T" if trans_b else b"N", _int(m), _int(n), _int(k),
+        b"T" if trans_a else b"N", b"N", _int(m), _int(c.shape[1]), _int(k),
         _float(alpha), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b), _float(beta), c.ctypes.data, _ld(c),
     )
     return c

@@ -254,18 +254,18 @@ class TestPointerRoute:
             solve_lower(L, np.ones((n, 3)))
         assert pointer_calls == ["dtrtrs"] * routed_on(n)
 
-    @pytest.mark.parametrize("side, lower", [(0, 1), (0, 0), (1, 1), (1, 0)])
+    @pytest.mark.parametrize("lower", [1, 0])
     @pytest.mark.parametrize("a_layout", LAYOUTS)
     @pytest.mark.parametrize("b_layout", LAYOUTS)
     @pytest.mark.parametrize("n", ORDERS)
-    def test_dtrmm_equals_f2py(self, pointer_calls, side, lower, a_layout, b_layout, n):
+    def test_dtrmm_equals_f2py(self, pointer_calls, lower, a_layout, b_layout, n):
         # a full random a: dtrmm must read only the named triangle of it
         rng = np.random.default_rng(n)
         a = LAYOUTS[a_layout](rng.standard_normal((n, n)))
-        b = LAYOUTS[b_layout](rng.standard_normal((9, n) if side else (n, 9)))
+        b = LAYOUTS[b_layout](rng.standard_normal((n, 9)))
         before = b.copy()
-        out = dtrmm(1.5, a, b, side=side, lower=lower)
-        assert np.array_equal(out, blas.dtrmm(1.5, a, b, side=side, lower=lower))
+        out = dtrmm(1.5, a, b, lower=lower)
+        assert np.array_equal(out, blas.dtrmm(1.5, a, b, lower=lower))
         assert np.array_equal(b, before)
         assert pointer_calls == ["dtrmm"] * routed_on(n)
 
@@ -283,17 +283,17 @@ class TestPointerRoute:
         assert np.array_equal(c, before)
         assert pointer_calls == ["dsyrk"] * routed_on(n)
 
-    @pytest.mark.parametrize("trans_a, trans_b", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("trans_a", [1, 0])
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("n", ORDERS)
-    def test_dgemm_equals_f2py(self, pointer_calls, trans_a, trans_b, layout, n):
+    def test_dgemm_equals_f2py(self, pointer_calls, trans_a, layout, n):
         rng = np.random.default_rng(n)
         a = LAYOUTS[layout](rng.standard_normal((n, 6) if trans_a else (6, n)))
-        b = LAYOUTS[layout](rng.standard_normal((5, n) if trans_b else (n, 5)))
+        b = LAYOUTS[layout](rng.standard_normal((n, 5)))
         c = LAYOUTS[layout](rng.standard_normal((6, 5)))
         before = c.copy()
-        out = dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b)
-        assert np.array_equal(out, blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a, trans_b=trans_b))
+        out = dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a)
+        assert np.array_equal(out, blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a))
         assert np.array_equal(c, before)
         assert pointer_calls == ["dgemm"] * routed_on(n)
 
