@@ -71,6 +71,31 @@ _dsyrk = _capsule_function(cython_blas, "dsyrk", 10)
 _dgemm = _capsule_function(cython_blas, "dgemm", 13)
 
 
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS that scipy links, found
+    through the extension module that links it; None for a BLAS without
+    one."""
+    lib = ctypes.CDLL(cython_blas.__file__)
+    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        try:
+            getter = getattr(lib, name)
+        except AttributeError:
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        return getter
+    return None
+
+
+_blas_thread_count = _blas_thread_getter()
+
+
+def blas_threads() -> int:
+    """Threads scipy's BLAS may run one call on: OpenBLAS's own setting
+    (``OPENBLAS_NUM_THREADS``, else one per CPU), or 1 where it cannot be
+    read."""
+    return max(1, _blas_thread_count()) if _blas_thread_count else 1
+
+
 def _int(v: int):
     return ctypes.byref(ctypes.c_int(v))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_jitter, dgemm, dsyrk, dtrmm, inverse_lower, solve_lower
+from ._linalg import blas_threads, chol_jitter, dgemm, dsyrk, dtrmm, inverse_lower, solve_lower
 from ._workers import in_shares, workers_for
 from .errors import DimensionError, NumericalError
 from .gp import (
@@ -190,10 +190,10 @@ def grbcm_aggregate(
 
     The augmented experts are independent given the base. A call whose
     work on them reaches ``_workers.PARALLEL_WORK`` multiply-adds runs
-    them in fixed shares on ``worker_count()`` threads, the caller's
-    among them; their BLAS and LAPACK calls release the interpreter lock
-    (see ``_linalg``). Each expert writes its own slot, so the outputs
-    are bitwise those of one thread.
+    them in fixed shares on ``worker_count() // blas_threads()`` threads,
+    the caller's among them; their BLAS and LAPACK calls release the
+    interpreter lock (see ``_linalg``). Each expert writes its own slot,
+    so the outputs are bitwise those of one thread.
     """
     M = len(partitioning.subsets)
     if M < 2:
@@ -224,8 +224,13 @@ def grbcm_aggregate(
         mean, explained = posterior_terms(solve_lower(L_S, rhs))
         slots[k] = (base_mean + mean, posterior_variance(hp, base_explained + explained), jitter)
 
+    # Every step of an expert is a BLAS or LAPACK call large enough for
+    # OpenBLAS to spread over its own threads. On 2 cores with two BLAS
+    # threads, two workers ran a serve-shape call (n = 5000, M = 20, 50
+    # queries) in 76-90 ms against 59-60 ms on the caller's thread alone,
+    # so the workers share the CPUs with BLAS's threads.
     work = _augmented_work(base.n, [part.n for part in augmented], X_star.shape[0])
-    in_shares(expert, list(range(len(augmented))), workers_for(work))
+    in_shares(expert, list(range(len(augmented))), workers_for(work) // blas_threads())
     means, variances, jitters = zip(*slots)
     jittered = [j for j in jitters if j > 0.0]
     if jittered:

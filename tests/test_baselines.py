@@ -387,12 +387,20 @@ def _chunked_partitions(rng, d, M, n_per):
     return Partitioning(np.repeat(np.arange(M), n_per), subsets, "random")
 
 
+def one_blas_thread(monkeypatch):
+    """BLAS on one thread, as the benchmark pins it, whatever this
+    process's OpenBLAS runs."""
+    monkeypatch.setattr(baselines, "blas_threads", lambda: 1)
+
+
 @pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
 def threaded(request, monkeypatch):
     """Every GRBCM call on ``request.param`` workers, however small: the
-    threshold is 0, and 3 workers split the augmented experts unevenly."""
+    threshold is 0, BLAS runs one thread, and 3 workers split the
+    augmented experts unevenly."""
     monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
     monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
+    one_blas_thread(monkeypatch)
     return request.param
 
 
@@ -437,7 +445,8 @@ class TestGrbcmWorkerShares:
             assert len(set(threads)) == min(threaded, M - 1)
 
     def test_call_above_the_threshold_runs_on_every_worker(self, monkeypatch):
-        # unpatched: the augmented experts' work is above PARALLEL_WORK
+        # unpatched threshold: the augmented experts' work is above PARALLEL_WORK
+        one_blas_thread(monkeypatch)
         rng = np.random.default_rng(23)
         parts = _chunked_partitions(rng, 1, 6, 200)
         hp = Hyperparameters([0.1], 1.0, 0.01)
@@ -455,6 +464,7 @@ class TestGrbcmWorkerShares:
         # to the slots as often as they can; a lost or misplaced write
         # would change the bits
         monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        one_blas_thread(monkeypatch)
         rng = np.random.default_rng(24)
         parts = _chunked_partitions(rng, 1, 12, 20)
         hp = Hyperparameters([0.3], 1.0, 0.05)
@@ -508,6 +518,20 @@ class TestGrbcmThreadHygiene:
         assert baselines._augmented_work(max(sizes), sizes, 300) < _workers.PARALLEL_WORK
         monkeypatch.setattr(_workers.threading, "Thread", refuse)
         grbcm_aggregate(parts, Hyperparameters([0.5], 1.3, 0.01), rng.uniform(0, 1, (300, 3)), 0)
+
+
+    @pytest.mark.parametrize("cpus, blas", [(2, 2), (3, 2), (4, 4)])
+    def test_blas_threads_on_every_cpu_leave_no_worker(self, monkeypatch, cpus, blas):
+        # unpinned, OpenBLAS already spreads each call over the CPUs
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker was started next to BLAS's own threads")
+
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        monkeypatch.setattr(_workers, "worker_count", lambda: cpus)
+        monkeypatch.setattr(baselines, "blas_threads", lambda: blas)
+        monkeypatch.setattr(_workers.threading, "Thread", refuse)
+        rng = np.random.default_rng(26)
+        grbcm_aggregate(_chunked_partitions(rng, 1, 6, 20), Hyperparameters([0.3], 1.0, 0.05), rng.uniform(0, 1, (9, 1)), 0)
 
 
 class TestGrbcmJitterWarning:

@@ -2,6 +2,9 @@
 
 import ast
 import ctypes
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +321,16 @@ class TestPointerRoute:
                 if not in_place:
                     assert np.array_equal(out, before), name
         assert pointer_calls == [name for name in calls for _ in range(3)] * routed_on(n)
+
+
+@pytest.mark.skipif(_linalg._blas_thread_count is None, reason="scipy's BLAS reports no thread count")
+def test_blas_threads_reads_openblas_own_setting():
+    src = Path(_linalg.__file__).resolve().parent.parent
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); from gpagg._linalg import blas_threads; print(blas_threads())"
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.strip() == threads
 
 
 def _linalg_uses(tree: ast.AST) -> list[str]:

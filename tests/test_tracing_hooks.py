@@ -80,6 +80,7 @@ def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypa
     # GRBCM's and NPAE's shapes here are above PARALLEL_WORK, so both run
     # on worker threads; only the calling thread may enter a hooked call
     monkeypatch.setattr(gpagg._workers, "worker_count", lambda: 3)
+    monkeypatch.setattr(gpagg.baselines, "blas_threads", lambda: 1)
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 1, (1500, 1))
     data = Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(1500))
