@@ -9,26 +9,27 @@ tenfold up to 1e-4, times mean(diag); past that a NumericalError carries
 the last jitter tried. A non-finite matrix raises before any jitter.
 
 It is also the package's one BLAS module: gp's dgemv and dsyr come from
-here, and so do dtrmm, dsyrk and dgemm, which take the arguments of
-scipy's wrappers that the package passes.
+here, and so do GRBCM's in-place updates ``dtrmm``, ``dsyrk`` and
+``dgemm``, each in the one form GRBCM uses.
 
-Two routes reach the same OpenBLAS. scipy's f2py wrappers hold the
-interpreter lock for the whole call, so worker threads that run them
-take turns. The pointers that ``scipy.linalg.cython_lapack`` and
-``cython_blas`` export, called through ctypes, release it. dpotrf,
-dpotrs, dtrtrs, dtrmm, dsyrk and dgemm take that route when an operand
-has a dimension of at least POINTER_MIN, with the operand layouts f2py
-would use (a Fortran-ordered copy wherever f2py copies), so both routes
-give the same bits.
+Two routes reach the same OpenBLAS: scipy's f2py wrappers, which hold
+the interpreter lock for the whole call, and the pointers that
+``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which ctypes
+calls with the lock released and with a leading dimension, for 11-14 us
+more per call. dtrtrs, the BLAS updates and the blocked inverse's dtrmm
+always take the pointers; dtrtri, dlauum, dgemv and dsyr always take
+f2py; dpotrf and dpotrs choose by size (POINTER_MIN). Operands are
+copied to Fortran order exactly where f2py copies, so both routes give
+the same bits.
 """
 
 import ctypes
 
 import numpy as np
-from scipy.linalg import blas, cython_blas, cython_lapack, lapack
+from scipy.linalg import cython_blas, cython_lapack, lapack
 from scipy.linalg.blas import dgemv, dsyr  # noqa: F401 - gp's BLAS, imported from here
 
-from .errors import NumericalError
+from .errors import DimensionError, NumericalError
 
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
@@ -36,14 +37,14 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
-# A call takes the pointer route when its largest operand dimension
-# reaches this. The route's ctypes arguments add 6-9 us per call (2
-# cores, one BLAS thread, scipy's OpenBLAS 0.3.30, medians of 9 runs):
-# 70-180% of a call at order 20 (NPAE's K_A), 30-135% at 41 (the
-# graphical lasso), and at 128-256 4-24% for dtrtrs, dtrmm, dsyrk and
-# dgemm with 51 right-hand sides and 15-47% for a one-column dpotrs,
-# while dpotrf ran 11-23% faster. Two threads ran each routed call
-# 1.3-2.0x as fast as one, against 0.8-1.1x through f2py.
+# ``cholesky`` and ``cho_solve`` take the pointer route from this order
+# up: they run hundreds of times per benchmark draw on each side of it.
+# At orders 5 / 20 / 41 (NPAE's K_A, the graphical lasso) dpotrf took
+# 16 / 18 / 28 us through the pointer against 1.7 / 4.0 / 14 us through
+# f2py (2 cores, one BLAS thread, OpenBLAS 0.3.30, medians of 9); from
+# 128 up it ran 10-14% faster. A one-column dpotrs there ran 11-22%
+# slower (~90 calls, ~1 ms per desk draw) but stays routed: the fit's
+# solves need the lock released before they can run on worker threads.
 POINTER_MIN = 128
 
 
@@ -124,16 +125,6 @@ def _copy(x: np.ndarray) -> np.ndarray:
     return np.array(x, dtype=float, order="F")
 
 
-def _out(x: np.ndarray, overwrite) -> np.ndarray:
-    """The operand the routine overwrites with its result: ``x`` itself
-    when the caller allows it and it is writable Fortran-ordered float64,
-    else a copy."""
-    flags = x.flags
-    if overwrite and x.dtype == np.float64 and flags.f_contiguous and flags.writeable and flags.aligned:
-        return x
-    return _copy(x)
-
-
 def _columns(x: np.ndarray) -> int:
     """Right-hand sides in a solve's 1-D or 2-D ``x``."""
     return x.shape[1] if x.ndim == 2 else 1
@@ -189,17 +180,16 @@ def chol_jitter(A: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, 
     )
 
 
-def _solvable(L: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a solve with factor ``L`` takes the pointer route: it is
-    large and its shapes are ones the f2py wrapper accepts as they are."""
-    square = L.ndim == 2 and L.shape[0] == L.shape[1]
-    return square and b.ndim in (1, 2) and b.shape[0] == L.shape[0] and _large(L, b)
+def _check_solve(L: np.ndarray, b: np.ndarray) -> None:
+    if not (L.ndim == 2 and L.shape[0] == L.shape[1] and b.ndim in (1, 2) and b.shape[0] == L.shape[0]):
+        raise DimensionError(f"cannot solve with a {L.shape} factor for a {b.shape} right-hand side")
 
 
 def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L') x = b for a lower Cholesky factor ``L``."""
     L, b = np.asarray(L), np.asarray(b)
-    if not _solvable(L, b):
+    _check_solve(L, b)
+    if not _large(L, b):
         return lapack.dpotrs(L, b, lower=1)[0]  # info < 0 only flags a malformed call
     L, x = _in(L), _copy(b)
     info = ctypes.c_int()
@@ -212,29 +202,27 @@ def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b for a lower-triangular ``L``."""
     L, b = np.asarray(L), np.asarray(b)
-    if _solvable(L, b):
-        L, x = _in(L), _copy(b)
-        info = ctypes.c_int()
-        _dtrtrs(
-            b"L", b"N", b"N", _int(L.shape[0]), _int(_columns(x)),
-            L.ctypes.data, _ld(L), x.ctypes.data, _ld(x), ctypes.byref(info),
-        )
-        info = info.value
-    else:
-        x, info = lapack.dtrtrs(L, b, lower=1)
-    if info > 0:
-        raise NumericalError(f"triangular factor is singular at diagonal entry {info - 1}")
+    _check_solve(L, b)
+    L, x = _in(L), _copy(b)
+    info = ctypes.c_int()
+    _dtrtrs(
+        b"L", b"N", b"N", _int(L.shape[0]), _int(_columns(x)),
+        L.ctypes.data, _ld(L), x.ctypes.data, _ld(x), ctypes.byref(info),
+    )
+    if info.value > 0:
+        raise NumericalError(f"triangular factor is singular at diagonal entry {info.value - 1}")
     return x
 
 
 def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
-    """Invert the lower-triangular block X[lo:hi, lo:hi] in place.
+    """Invert the lower-triangular block X[lo:hi, lo:hi] of a
+    Fortran-ordered float64 ``X`` in place.
 
     Above INVERSE_BLOCK the block is split in halves, each inverted
     recursively, and the corner becomes X21 = -X22^-1 L21 X11^-1 by two
     triangular multiplies (LAPACK's blocked scheme; Du Croz & Higham,
-    IMA J. Numer. Anal. 1992). The wrappers take no leading dimension,
-    so each call on a strict sub-block works on a contiguous copy of it.
+    IMA J. Numer. Anal. 1992) on the sub-blocks X11, X21 and X22 where
+    they lie in ``X``, through its leading dimension.
     """
     if hi - lo <= INVERSE_BLOCK:
         X[lo:hi, lo:hi] = lapack.dtrtri(X[lo:hi, lo:hi], lower=1, overwrite_c=1)[0]
@@ -242,8 +230,10 @@ def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
     mid = (lo + hi) // 2
     _invert_lower(X, lo, mid)
     _invert_lower(X, mid, hi)
-    corner = blas.dtrmm(-1.0, X[mid:hi, mid:hi], X[mid:hi, lo:mid], lower=1)
-    X[mid:hi, lo:mid] = blas.dtrmm(1.0, X[lo:mid, lo:mid], corner, side=1, lower=1, overwrite_b=1)
+    x11, x21, x22 = (X.ctypes.data + X.itemsize * (i + j * X.shape[0]) for i, j in ((lo, lo), (mid, lo), (mid, mid)))
+    rows, cols, ld = _int(hi - mid), _int(mid - lo), _ld(X)
+    _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _float(-1.0), x22, ld, x21, ld)
+    _dtrmm(b"R", b"L", b"N", b"N", rows, cols, _float(1.0), x11, ld, x21, ld)
 
 
 def inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -251,9 +241,10 @@ def inverse_lower(L: np.ndarray) -> np.ndarray:
 
     ``L`` must have a positive diagonal and a zero strict upper triangle,
     as ``cholesky`` returns; it is overwritten, and is the result when it
-    is Fortran-ordered. The strict upper triangle of the result is zero.
+    is Fortran-ordered float64. The strict upper triangle of the result
+    is zero.
     """
-    X = np.asfortranarray(L)
+    X = np.asfortranarray(L, dtype=float)
     _invert_lower(X, 0, X.shape[0])
     return X
 
@@ -281,56 +272,45 @@ def spd_inverse(A: np.ndarray) -> np.ndarray:
     return inv
 
 
-def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, lower=0, overwrite_b=0) -> np.ndarray:
-    """alpha a b for a triangular ``a``: scipy's ``dtrmm`` with ``a`` on
-    the left, not transposed, and its diagonal read."""
-    a, b = np.asarray(a), np.asarray(b)
-    shapes_fit = a.ndim == b.ndim == 2 and a.shape[0] == a.shape[1] == b.shape[0]
-    if not (shapes_fit and _large(a, b)):
-        return blas.dtrmm(alpha, a, b, lower=lower, overwrite_b=overwrite_b)
-    a, b = _in(a), _out(b, overwrite_b)
-    _dtrmm(
-        b"L", b"L" if lower else b"U", b"N", b"N", _int(b.shape[0]), _int(b.shape[1]),
-        _float(alpha), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b),
-    )
+def _output(x: np.ndarray) -> None:
+    float64 = isinstance(x, np.ndarray) and x.dtype == np.float64
+    if not (float64 and x.flags.f_contiguous and x.flags.writeable and x.flags.aligned):
+        raise ValueError("the output must be a writable, Fortran-ordered float64 array")
+
+
+def dtrmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b := a b in place for a lower-triangular ``a`` (its strict upper
+    triangle is not read); returns ``b``."""
+    a = _in(a)
+    _output(b)
+    if not (a.ndim == b.ndim == 2 and a.shape[0] == a.shape[1] == b.shape[0]):
+        raise DimensionError(f"cannot multiply a {b.shape} matrix by a {a.shape} triangle")
+    m, n = b.shape
+    _dtrmm(b"L", b"L", b"N", b"N", _int(m), _int(n), _float(1.0), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b))
     return b
 
 
-def dsyrk(alpha: float, a: np.ndarray, beta: float, c: np.ndarray, trans=0, lower=0, overwrite_c=0) -> np.ndarray:
-    """One triangle of alpha a a' + beta c (trans 0) or alpha a' a + beta c
-    (trans 1): scipy's ``dsyrk`` with ``c`` given."""
-    a, c = np.asarray(a), np.asarray(c)
-    if a.ndim == c.ndim == 2:
-        n, k = a.shape[::-1] if trans else a.shape
-        routed = c.shape == (n, n) and _large(a, c)
-    else:
-        routed = False
-    if not routed:
-        return blas.dsyrk(alpha, a, beta=beta, c=c, trans=trans, lower=lower, overwrite_c=overwrite_c)
-    a, c = _in(a), _out(c, overwrite_c)
-    _dsyrk(
-        b"L" if lower else b"U", b"T" if trans else b"N", _int(n), _int(k),
-        _float(alpha), a.ctypes.data, _ld(a), _float(beta), c.ctypes.data, _ld(c),
-    )
+def dsyrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The lower triangle of c := c - a' a in place (the strict upper
+    triangle of ``c`` is neither read nor written); returns ``c``."""
+    a = _in(a)
+    _output(c)
+    if not (a.ndim == c.ndim == 2 and c.shape == (a.shape[1], a.shape[1])):
+        raise DimensionError(f"cannot update a {c.shape} matrix by the Gram matrix of a {a.shape} one")
+    k, n = a.shape
+    _dsyrk(b"L", b"T", _int(n), _int(k), _float(-1.0), a.ctypes.data, _ld(a), _float(1.0), c.ctypes.data, _ld(c))
     return c
 
 
-def dgemm(
-    alpha: float, a: np.ndarray, b: np.ndarray, beta: float, c: np.ndarray, trans_a=0, overwrite_c=0
-) -> np.ndarray:
-    """alpha op(a) b + beta c: scipy's ``dgemm`` with ``c`` given and ``b``
-    not transposed."""
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    if a.ndim == b.ndim == c.ndim == 2:
-        m, k = a.shape[::-1] if trans_a else a.shape
-        routed = b.shape[0] == k and c.shape == (m, b.shape[1]) and _large(a, b, c)
-    else:
-        routed = False
-    if not routed:
-        return blas.dgemm(alpha, a, b, beta=beta, c=c, trans_a=trans_a, overwrite_c=overwrite_c)
-    a, b, c = _in(a), _in(b), _out(c, overwrite_c)
+def dgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c := c - a' b in place; returns ``c``."""
+    a, b = _in(a), _in(b)
+    _output(c)
+    if not (a.ndim == b.ndim == c.ndim == 2 and a.shape[0] == b.shape[0] and c.shape == (a.shape[1], b.shape[1])):
+        raise DimensionError(f"cannot update a {c.shape} matrix by a {a.shape}' {b.shape} product")
+    (k, m), n = a.shape, b.shape[1]
     _dgemm(
-        b"T" if trans_a else b"N", b"N", _int(m), _int(c.shape[1]), _int(k),
-        _float(alpha), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b), _float(beta), c.ctypes.data, _ld(c),
+        b"T", b"N", _int(m), _int(n), _int(k),
+        _float(-1.0), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b), _float(1.0), c.ctypes.data, _ld(c),
     )
     return c

@@ -213,14 +213,14 @@ def grbcm_aggregate(
         # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
         # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
         # W_i and S_i's lower triangle over them in place.
-        W = dtrmm(1.0, L_b_inv, kernel_matrix(part.X, base.X, hp).T, lower=1, overwrite_b=1)
+        W = dtrmm(L_b_inv, kernel_matrix(part.X, base.X, hp).T)
         C = kernel_matrix(part.X, part.X, hp)
         C.flat[:: part.n + 1] += hp.noise_variance
-        S = dsyrk(-1.0, W, beta=1.0, c=C.T, trans=1, lower=1, overwrite_c=1)
+        S = dsyrk(W, C.T)
         # S_i carries rounding on the scale of C_i's diagonal, which its
         # own diagonal (down to sigma^2) can undercut by orders of magnitude.
         L_S, jitter = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
-        rhs = dgemm(-1.0, W, wz_b, beta=1.0, c=with_targets(part, X_star, hp), trans_a=1, overwrite_c=1)
+        rhs = dgemm(W, wz_b, with_targets(part, X_star, hp))
         mean, explained = posterior_terms(solve_lower(L_S, rhs))
         slots[k] = (base_mean + mean, posterior_variance(hp, base_explained + explained), jitter)
 

@@ -38,7 +38,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -140,6 +140,17 @@ def metrics(pred: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
     return float(np.mean(np.abs(delta))), float(math.sqrt(np.mean(delta**2)))
 
 
+def _known_fields(cls, obj, what: str) -> dict:
+    """``obj`` when it is a dict whose keys are all fields of ``cls``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; choose from {names}")
+    return obj
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark campaign; JSON config files mirror these field names."""
@@ -177,14 +188,17 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchmarkConfig":
-        obj = dict(obj)
-        if "emggm" in obj and isinstance(obj["emggm"], dict):
-            obj["emggm"] = EmggmConfig(**obj["emggm"])
+        obj = dict(_known_fields(cls, obj, "config"))
+        if "emggm" in obj:
+            obj["emggm"] = EmggmConfig(**_known_fields(EmggmConfig, obj["emggm"], "config section 'emggm'"))
         return cls(**obj)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "BenchmarkConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,7 +23,9 @@ which stay on the caller's thread. Every K_A entry is written by one
 share from the same operands and BLAS calls as on one thread, so the
 predictions do not depend on the number of workers. An expert's Gamma_i
 solve takes ``_linalg``'s pointer route from ``POINTER_MIN`` points up,
-which releases the interpreter lock, so the workers' solves overlap.
+which releases the interpreter lock, so the workers' solves overlap;
+where BLAS runs each call on several threads, fewer workers share the
+per-expert phase.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import time
 
 import numpy as np
 
-from ._linalg import cho_solve, chol_jitter
+from ._linalg import blas_threads, cho_solve, chol_jitter
 from ._workers import in_shares, workers_for
 from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
 
@@ -63,8 +65,9 @@ def npae_aggregate(
     all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
     one cross block with its product per worker; no n x n joint exists.
     A block whose pair work reaches ``_workers.PARALLEL_WORK`` computes the
-    Gamma_i and the pair products on ``worker_count()`` threads, the
-    caller's among them, with bitwise the same results as on one.
+    pair products on ``worker_count()`` threads and the Gamma_i on
+    ``worker_count() // blas_threads()``, the caller's among them, with
+    bitwise the same results as on one.
     K_A is solved per point with the shared jitter policy on the
     caller's thread; a jittered call logs one warning with the number of
     jittered points and the largest jitter over all blocks. ``hp`` must
@@ -126,8 +129,10 @@ def _aggregate_block(
         g_i, g_j = gammas[i], gammas[j]
         K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
 
+    # Each Gamma_i solve may run on BLAS's own threads, so the expert phase
+    # shares the CPUs with them, as in ``grbcm_aggregate``; the pairs gain from every worker.
     workers = workers_for(_pair_work([e.data.n for e in experts], n_t))
-    in_shares(expert, list(range(M)), workers)
+    in_shares(expert, list(range(M)), workers // blas_threads())
     in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers)
 
     jitters = []

@@ -301,11 +301,11 @@ class TestRunBenchmark:
             assert math.isnan(row.mae) == (row.method != "full_gp")
 
     def test_unknown_emggm_setting_rejected(self):
-        with pytest.raises(TypeError, match="conv_tol"):
+        with pytest.raises(ValueError, match="conv_tol"):
             BenchmarkConfig.from_dict({"emggm": {"conv_tol": 1e-3}})
 
     def test_unknown_config_field_rejected(self):
-        with pytest.raises(TypeError, match="make_svg"):
+        with pytest.raises(ValueError, match="make_svg"):
             BenchmarkConfig.from_dict({"make_svg": True})
 
     def test_unknown_method_rejected(self, tmp_path):
@@ -459,3 +459,20 @@ class TestCli:
         assert err.startswith("gpagg plot: error: ") and err.count("\n") == 1
         assert str(csv_path) in err
         assert not list(tmp_path.rglob("*.svg"))
+
+    @pytest.mark.parametrize("command", ["bench", "generate"])
+    @pytest.mark.parametrize(
+        "content, named",
+        [('{"M_lists": [5]}', "M_lists"), ('{"emggm": {"lamda": 0.1}}', "lamda"), ("[1, 2]", "JSON object")],
+        ids=["unknown-key", "unknown-emggm-key", "not-an-object"],
+    )
+    def test_bad_config_reported_in_one_line(self, tmp_path, capsys, command, content, named):
+        # exit 2 with the file and the fault named, no traceback, no output
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gpagg {command}: error: ") and err.count("\n") == 1
+        assert str(config) in err and named in err
+        assert not out.exists()

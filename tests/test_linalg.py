@@ -13,7 +13,10 @@ from scipy.linalg import blas, lapack
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotri, dtrtri
 
-from gpagg import NumericalError, _linalg
+from gpagg import Dataset, DimensionError, Hyperparameters, NumericalError, _linalg
+from gpagg.baselines import grbcm_aggregate, grbcm_base_index
+from gpagg.gp import predict, train_expert
+from gpagg.partition import Partitioning
 from gpagg._linalg import (
     INVERSE_BLOCK,
     POINTER_MIN,
@@ -154,6 +157,28 @@ class TestCholInverse:
         assert dsyr(1.0, x, lower=1, a=inv, overwrite_a=1) is inv
 
 
+def _invert_lower_reference(X, lo, hi):
+    """``_invert_lower``'s blocked scheme with each corner product on a
+    contiguous copy of its sub-blocks, through scipy's f2py dtrmm."""
+    if hi - lo <= INVERSE_BLOCK:
+        X[lo:hi, lo:hi] = dtrtri(X[lo:hi, lo:hi], lower=1, overwrite_c=1)[0]
+        return
+    mid = (lo + hi) // 2
+    _invert_lower_reference(X, lo, mid)
+    _invert_lower_reference(X, mid, hi)
+    corner = blas.dtrmm(-1.0, X[mid:hi, mid:hi], X[mid:hi, lo:mid], lower=1)
+    X[mid:hi, lo:mid] = blas.dtrmm(1.0, X[lo:mid, lo:mid], corner, side=1, lower=1, overwrite_b=1)
+
+
+@pytest.mark.parametrize("n", [129, 199, 250, 365, 434, 1000])
+def test_blocked_inverse_equals_the_copying_reference(n):
+    L = cholesky(random_spd(np.random.default_rng(n), n))
+    expected = np.asfortranarray(L.copy())
+    _invert_lower_reference(expected, 0, n)
+    assert np.array_equal(inverse_lower(L.copy(order="F")), expected)
+    assert np.array_equal(chol_inverse(L.copy(order="F")), lapack.dlauum(expected, lower=1)[0])
+
+
 ROUTED = {
     "dpotrf": "_dpotrf",
     "dpotrs": "_dpotrs",
@@ -178,6 +203,16 @@ def pointer_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def f2py_refused(monkeypatch):
+    """scipy's f2py dtrtrs, dtrmm, dsyrk and dgemm raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached one of scipy's f2py wrappers")
+
+    for module, name in ((lapack, "dtrtrs"), (blas, "dtrmm"), (blas, "dsyrk"), (blas, "dgemm")):
+        monkeypatch.setattr(module, name, refuse)
+
+
 def strided(x):
     """``x`` as a view with neither C nor Fortran layout."""
     big = np.zeros(tuple(2 * k for k in x.shape))
@@ -199,9 +234,10 @@ def factor(n, seed=0):
 
 
 class TestPointerRoute:
-    """Above POINTER_MIN, _linalg calls LAPACK/BLAS through the pointers
-    that scipy's Cython modules export; below it, through scipy's f2py
-    wrappers. Both must give f2py's bits for any operand layout."""
+    """dtrtrs, dtrmm, dsyrk and dgemm run through the pointers that
+    scipy's Cython modules export at every size; dpotrf and dpotrs from
+    POINTER_MIN up, and through scipy's f2py wrappers below it. Every call
+    must give f2py's bits for any layout of the operands it reads."""
 
     def test_pointer_calls_release_the_interpreter_lock(self):
         for attr in ROUTED.values():
@@ -234,11 +270,11 @@ class TestPointerRoute:
         assert np.array_equal(L, lapack.dpotrf(A + jitter * np.eye(n), lower=1)[0])
         assert set(pointer_calls) == ({"dpotrf"} if routed_on(n) else set())
 
-    @pytest.mark.parametrize("solve, name", [(cho_solve, "dpotrs"), (solve_lower, "dtrtrs")])
+    @pytest.mark.parametrize("solve, name, routed", [(cho_solve, "dpotrs", routed_on), (solve_lower, "dtrtrs", bool)])
     @pytest.mark.parametrize("L_layout", LAYOUTS)
     @pytest.mark.parametrize("b_layout", [*LAYOUTS, "1-D"])
     @pytest.mark.parametrize("n", ORDERS)
-    def test_solves_equal_f2py(self, pointer_calls, solve, name, L_layout, b_layout, n):
+    def test_solves_equal_f2py(self, pointer_calls, solve, name, routed, L_layout, b_layout, n):
         L = LAYOUTS[L_layout](factor(n))
         b = np.random.default_rng(n).standard_normal((n, 7))
         b = b[:, 0] if b_layout == "1-D" else LAYOUTS[b_layout](b)
@@ -247,7 +283,7 @@ class TestPointerRoute:
         assert np.array_equal(x, getattr(lapack, name)(L, b, lower=1)[0])
         assert x.shape == b.shape
         assert np.array_equal(L, before[0]) and np.array_equal(b, before[1])
-        assert pointer_calls == [name] * routed_on(n)
+        assert pointer_calls == [name] * routed(n)
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_singular_factor_still_raises(self, pointer_calls, n):
@@ -255,72 +291,110 @@ class TestPointerRoute:
         L[n // 2, n // 2] = 0.0
         with pytest.raises(NumericalError, match=f"singular at diagonal entry {n // 2}"):
             solve_lower(L, np.ones((n, 3)))
-        assert pointer_calls == ["dtrtrs"] * routed_on(n)
+        assert pointer_calls == ["dtrtrs"]
 
-    @pytest.mark.parametrize("lower", [1, 0])
+    @pytest.mark.parametrize("a_layout", LAYOUTS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dtrmm_equals_f2py(self, pointer_calls, a_layout, n):
+        # a full random a: dtrmm must read only its lower triangle
+        rng = np.random.default_rng(n)
+        a = LAYOUTS[a_layout](rng.standard_normal((n, n)))
+        b = np.asfortranarray(rng.standard_normal((n, 9)))
+        expected = blas.dtrmm(1.0, a, b, lower=1)
+        assert dtrmm(a, b) is b
+        assert np.array_equal(b, expected)
+        assert pointer_calls == ["dtrmm"]
+
+    @pytest.mark.parametrize("a_layout", LAYOUTS)
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_dsyrk_equals_f2py(self, pointer_calls, a_layout, n):
+        rng = np.random.default_rng(n)
+        a = LAYOUTS[a_layout](rng.standard_normal((11, n)))
+        c = np.asfortranarray(rng.standard_normal((n, n)))
+        expected = blas.dsyrk(-1.0, a, beta=1.0, c=c, trans=1, lower=1)
+        assert dsyrk(a, c) is c
+        assert np.array_equal(c, expected)
+        assert pointer_calls == ["dsyrk"]
+
     @pytest.mark.parametrize("a_layout", LAYOUTS)
     @pytest.mark.parametrize("b_layout", LAYOUTS)
     @pytest.mark.parametrize("n", ORDERS)
-    def test_dtrmm_equals_f2py(self, pointer_calls, lower, a_layout, b_layout, n):
-        # a full random a: dtrmm must read only the named triangle of it
+    def test_dgemm_equals_f2py(self, pointer_calls, a_layout, b_layout, n):
         rng = np.random.default_rng(n)
-        a = LAYOUTS[a_layout](rng.standard_normal((n, n)))
-        b = LAYOUTS[b_layout](rng.standard_normal((n, 9)))
-        before = b.copy()
-        out = dtrmm(1.5, a, b, lower=lower)
-        assert np.array_equal(out, blas.dtrmm(1.5, a, b, lower=lower))
-        assert np.array_equal(b, before)
-        assert pointer_calls == ["dtrmm"] * routed_on(n)
+        a = LAYOUTS[a_layout](rng.standard_normal((n, 6)))
+        b = LAYOUTS[b_layout](rng.standard_normal((n, 5)))
+        c = np.asfortranarray(rng.standard_normal((6, 5)))
+        expected = blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=1)
+        assert dgemm(a, b, c) is c
+        assert np.array_equal(c, expected)
+        assert pointer_calls == ["dgemm"]
 
-    @pytest.mark.parametrize("trans, lower", [(1, 1), (0, 1), (1, 0), (0, 0)])
-    @pytest.mark.parametrize("a_layout", LAYOUTS)
-    @pytest.mark.parametrize("c_layout", LAYOUTS)
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_dsyrk_equals_f2py(self, pointer_calls, trans, lower, a_layout, c_layout, n):
-        rng = np.random.default_rng(n)
-        a = LAYOUTS[a_layout](rng.standard_normal((11, n) if trans else (n, 11)))
-        c = LAYOUTS[c_layout](rng.standard_normal((n, n)))
+    @pytest.mark.parametrize("out", ["C", "strided", "read-only", "float32"])
+    def test_blas_output_must_be_updatable_in_place(self, pointer_calls, out):
+        # an output BLAS cannot overwrite is refused, not copied
+        rng = np.random.default_rng(5)
+        n = 6
+        a, w = factor(n), rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n))
+        if out == "C":
+            c = np.ascontiguousarray(c)
+        elif out == "strided":
+            c = strided(c)
+        elif out == "read-only":
+            c = np.asfortranarray(c)
+            c.flags.writeable = False
+        else:
+            c = np.asfortranarray(c, dtype=np.float32)
         before = c.copy()
-        out = dsyrk(-1.0, a, beta=0.5, c=c, trans=trans, lower=lower)
-        assert np.array_equal(out, blas.dsyrk(-1.0, a, beta=0.5, c=c, trans=trans, lower=lower))
+        for call in (lambda: dtrmm(a, c), lambda: dsyrk(w, c), lambda: dgemm(w, a, c), lambda: dgemm(w, a, [[0.0]])):
+            with pytest.raises(ValueError, match="writable, Fortran-ordered float64"):
+                call()
         assert np.array_equal(c, before)
-        assert pointer_calls == ["dsyrk"] * routed_on(n)
+        assert pointer_calls == []
 
-    @pytest.mark.parametrize("trans_a", [1, 0])
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_dgemm_equals_f2py(self, pointer_calls, trans_a, layout, n):
-        rng = np.random.default_rng(n)
-        a = LAYOUTS[layout](rng.standard_normal((n, 6) if trans_a else (6, n)))
-        b = LAYOUTS[layout](rng.standard_normal((n, 5)))
-        c = LAYOUTS[layout](rng.standard_normal((6, 5)))
-        before = c.copy()
-        out = dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a)
-        assert np.array_equal(out, blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=trans_a))
-        assert np.array_equal(c, before)
-        assert pointer_calls == ["dgemm"] * routed_on(n)
+    def test_mismatched_shapes_raise(self, pointer_calls):
+        L, F = factor(5), np.asfortranarray
+        for solve in (cho_solve, solve_lower):
+            for lhs, rhs in ((L[:4], np.ones(4)), (L, np.ones(4)), (L, np.ones((5, 2, 1))), (L[0], np.ones(5))):
+                with pytest.raises(DimensionError, match="cannot solve"):
+                    solve(lhs, rhs)
+        for call in (
+            lambda: dtrmm(L, F(np.ones((4, 3)))),
+            lambda: dtrmm(L[:, :4], F(np.ones((5, 3)))),
+            lambda: dsyrk(np.ones((3, 5)), F(np.ones((4, 4)))),
+            lambda: dgemm(np.ones((3, 5)), np.ones((4, 2)), F(np.ones((5, 2)))),
+            lambda: dgemm(np.ones((3, 5)), np.ones((3, 2)), F(np.ones((5, 3)))),
+        ):
+            with pytest.raises(DimensionError, match="cannot"):
+                call()
+        assert pointer_calls == []
 
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_overwrite_writes_in_place_only_where_f2py_does(self, pointer_calls, n):
-        # a writable Fortran-ordered output is overwritten and returned;
-        # a C-ordered or strided one is copied and left as it was
-        rng = np.random.default_rng(n)
-        a, w, c = factor(n), rng.standard_normal((n, n)), rng.standard_normal((n, n))
-        calls = {
-            "dtrmm": lambda out, f=dtrmm, o=1: f(1.0, a, out, lower=1, overwrite_b=o),
-            "dsyrk": lambda out, f=dsyrk, o=1: f(-1.0, w, beta=1.0, c=out, trans=1, lower=1, overwrite_c=o),
-            "dgemm": lambda out, f=dgemm, o=1: f(-1.0, w, a, beta=1.0, c=out, trans_a=1, overwrite_c=o),
-        }
-        for name, call in calls.items():
-            expected = call(c, f=getattr(blas, name), o=0)
-            for out, in_place in ((np.asfortranarray(c), True), (c.copy(), False), (strided(c), False)):
-                before = out.copy()
-                got = call(out)
-                assert np.array_equal(got, expected), name
-                assert (got is out) == in_place, name
-                if not in_place:
-                    assert np.array_equal(out, before), name
-        assert pointer_calls == [name for name in calls for _ in range(3)] * routed_on(n)
+
+class TestOneRoute:
+    """Solves with a triangle and GRBCM's BLAS updates never reach scipy's
+    f2py wrappers, on either side of POINTER_MIN."""
+
+    @pytest.mark.parametrize(
+        "sizes", [[POINTER_MIN - 22, POINTER_MIN + 22], [12] * 20], ids=["M=2 around the cut", "M=20 small"]
+    )
+    def test_predict_and_grbcm(self, f2py_refused, sizes):
+        rng = np.random.default_rng(len(sizes))
+        hp = Hyperparameters([0.2], 1.0, 0.05)
+        subsets = [Dataset(rng.uniform(0, 1, (k, 1)), rng.standard_normal(k)) for k in sizes]
+        parts = Partitioning(np.repeat(np.arange(len(sizes)), sizes), subsets, "random")
+        X_star = rng.uniform(0, 1, (7, 1))
+        for data in subsets:
+            assert np.isfinite(predict(train_expert(data, hp), X_star, hp)[0]).all()
+        # a base of each size on M=2
+        bases = sorted({grbcm_base_index(len(sizes), seed): seed for seed in range(20)}.items())[:2]
+        assert len(bases) == 2
+        for _, seed in bases:
+            assert np.isfinite(grbcm_aggregate(parts, hp, X_star, seed)[0]).all()
+
+    @pytest.mark.parametrize("n", [129, 250, 434])
+    def test_chol_inverse(self, f2py_refused, n):
+        L = cholesky(random_spd(np.random.default_rng(n), n))
+        assert np.isfinite(chol_inverse(L)).all()
 
 
 @pytest.mark.skipif(_linalg._blas_thread_count is None, reason="scipy's BLAS reports no thread count")

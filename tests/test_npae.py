@@ -448,9 +448,11 @@ class TestLoopReference:
 @pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
 def threaded(request, monkeypatch):
     """Every block on ``request.param`` workers, however small: the
-    threshold is 0, and 3 workers split the experts and pairs unevenly."""
+    threshold is 0, and 3 workers split the experts and pairs unevenly.
+    BLAS counts as one thread, so both phases use every worker."""
     monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
     monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
+    monkeypatch.setattr(npae, "blas_threads", lambda: 1)
     return request.param
 
 
@@ -532,6 +534,35 @@ class TestWorkerShares:
         assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
         assert threading.main_thread() in threads
         assert len(set(threads)) >= min(_workers.worker_count(), 12)
+
+
+    def test_blas_threads_on_every_cpu_keep_the_expert_phase_on_the_caller(self, monkeypatch):
+        # with BLAS on two threads per call and two CPUs, the Gamma_i
+        # solves run on the calling thread alone while the pair phase
+        # still starts a worker; the means do not change
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        rng = np.random.default_rng(23)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        _, experts = make_experts(rng, hp, 6, 20)
+        X_star = rng.uniform(0, 1, (30, 1))
+        monkeypatch.setattr(_workers, "worker_count", lambda: 1)
+        expected = npae_aggregate(experts, hp, X_star)
+        monkeypatch.setattr(_workers, "worker_count", lambda: 2)
+        monkeypatch.setattr(npae, "blas_threads", lambda: 2)
+        index = {id(e.data.X): i for i, e in enumerate(experts)}
+        calls = []
+
+        def recording(X, X2, hp):
+            calls.append((id(X) in index, threading.current_thread()))
+            return kernel_matrix(X, X2, hp)
+
+        monkeypatch.setattr(npae, "kernel_matrix", recording)
+        assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
+        expert_threads = {t for pair, t in calls if not pair}
+        pair_threads = {t for pair, t in calls if pair}
+        assert len([c for c in calls if not c[0]]) == 6
+        assert expert_threads == {threading.main_thread()}
+        assert len(pair_threads) == 2
 
 
 class TestThreadHygiene:
