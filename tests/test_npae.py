@@ -535,7 +535,6 @@ class TestWorkerShares:
         assert threading.main_thread() in threads
         assert len(set(threads)) >= min(_workers.worker_count(), 12)
 
-
     def test_blas_threads_on_every_cpu_keep_the_expert_phase_on_the_caller(self, monkeypatch):
         # with BLAS on two threads per call and two CPUs, the Gamma_i
         # solves run on the calling thread alone while the pair phase
@@ -549,11 +548,11 @@ class TestWorkerShares:
         expected = npae_aggregate(experts, hp, X_star)
         monkeypatch.setattr(_workers, "worker_count", lambda: 2)
         monkeypatch.setattr(npae, "blas_threads", lambda: 2)
-        index = {id(e.data.X): i for i, e in enumerate(experts)}
+        expert_inputs = {id(e.data.X) for e in experts}
         calls = []
 
         def recording(X, X2, hp):
-            calls.append((id(X) in index, threading.current_thread()))
+            calls.append((id(X) in expert_inputs, threading.current_thread()))
             return kernel_matrix(X, X2, hp)
 
         monkeypatch.setattr(npae, "kernel_matrix", recording)
