@@ -370,6 +370,129 @@ class TestPointerRoute:
         assert pointer_calls == []
 
 
+# (n_b, n_i): GRBCM's base and augmented partition sizes, from one point
+# to serve's 250, square and not, on either side of POINTER_MIN
+GRBCM_SHAPES = [
+    (1, 1), (1, 5), (5, 1), (2, 3), (3, 2), (1, 250),
+    (127, 128), (128, 127), (128, 128), (249, 250), (250, 249), (250, 1),
+]
+
+BLAS_UPDATES = ["dtrmm", "dsyrk", "dgemm"]
+
+
+def no_illegal_argument(capfd):
+    """OpenBLAS reports a call with an illegal argument on the console and
+    returns without computing; nothing may have been reported."""
+    out = capfd.readouterr()
+    assert "illegal value" not in out.out + out.err
+
+
+class TestBlasShapes:
+    """dtrmm, dsyrk and dgemm on the operand shapes GRBCM makes: L_b^-1
+    (n_b x n_b), K_bi and W_i (n_b x n_i), C_i (n_i x n_i) and [k | y]
+    with one column more than the queries. Each call passes its own
+    dimensions and leading dimensions, gives f2py's bits in place, and
+    leaves the operands it reads as they were."""
+
+    @pytest.mark.parametrize("n_b, n_i", GRBCM_SHAPES)
+    def test_dtrmm_equals_f2py(self, n_b, n_i):
+        rng = np.random.default_rng([n_b, n_i])
+        a = rng.standard_normal((n_b, n_b))
+        b = np.asfortranarray(rng.standard_normal((n_b, n_i)))
+        before = a.copy()
+        expected = blas.dtrmm(1.0, a, b, lower=1)
+        assert dtrmm(a, b) is b
+        assert np.array_equal(b, expected)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("n_b, n_i", GRBCM_SHAPES)
+    def test_dsyrk_equals_f2py(self, n_b, n_i):
+        rng = np.random.default_rng([n_b, n_i])
+        a = rng.standard_normal((n_b, n_i))
+        c = np.asfortranarray(rng.standard_normal((n_i, n_i)))
+        before = a.copy()
+        expected = blas.dsyrk(-1.0, a, beta=1.0, c=c, trans=1, lower=1)
+        assert dsyrk(a, c) is c
+        assert np.array_equal(c, expected)
+        assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("columns", [1, 2, 51])
+    @pytest.mark.parametrize("n_b, n_i", GRBCM_SHAPES)
+    def test_dgemm_equals_f2py(self, n_b, n_i, columns):
+        rng = np.random.default_rng([n_b, n_i, columns])
+        a = rng.standard_normal((n_b, n_i))
+        b = rng.standard_normal((n_b, columns))
+        c = np.asfortranarray(rng.standard_normal((n_i, columns)))
+        before = (a.copy(), b.copy())
+        expected = blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=1)
+        assert dgemm(a, b, c) is c
+        assert np.array_equal(c, expected)
+        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+    # f2py itself reports an illegal leading dimension on some of these
+    # (dsyrk with no rows to a), so the results are checked against the
+    # arithmetic: an empty product changes nothing
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0)])
+    def test_dtrmm_on_empty_operands(self, capfd, m, n):
+        b = np.asfortranarray(np.ones((m, n)))
+        assert dtrmm(np.ones((m, m)), b) is b
+        assert b.shape == (m, n)
+        no_illegal_argument(capfd)
+
+    @pytest.mark.parametrize("k, n", [(0, 0), (0, 3), (4, 0)])
+    def test_dsyrk_on_empty_operands(self, capfd, k, n):
+        c = np.asfortranarray(np.arange(n * n, dtype=float).reshape(n, n))
+        before = c.copy()
+        assert dsyrk(np.ones((k, n)), c) is c
+        assert np.array_equal(c, before)
+        no_illegal_argument(capfd)
+
+    @pytest.mark.parametrize("k, m, n", [(0, 3, 2), (4, 0, 2), (4, 3, 0)])
+    def test_dgemm_on_empty_operands(self, capfd, k, m, n):
+        c = np.asfortranarray(np.arange(m * n, dtype=float).reshape(m, n))
+        before = c.copy()
+        assert dgemm(np.ones((k, m)), np.ones((k, n)), c) is c
+        assert np.array_equal(c, before)
+        no_illegal_argument(capfd)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("routine", BLAS_UPDATES)
+    def test_read_operands_converted_as_f2py_converts(self, routine, dtype):
+        rng = np.random.default_rng(11)
+        a = (10 * rng.standard_normal((6, 6))).astype(dtype)
+        b = (10 * rng.standard_normal((6, 4))).astype(dtype)
+        c = np.asfortranarray(rng.standard_normal((6, 6 if routine == "dsyrk" else 4)))
+        if routine == "dtrmm":
+            expected, got = blas.dtrmm(1.0, a, c, lower=1), dtrmm(a, c)
+        elif routine == "dsyrk":
+            expected, got = blas.dsyrk(-1.0, a, beta=1.0, c=c, trans=1, lower=1), dsyrk(a, c)
+        else:
+            expected, got = blas.dgemm(-1.0, a, b, beta=1.0, c=c, trans_a=1), dgemm(a, b, c)
+        assert got is c
+        assert np.array_equal(c, expected)
+
+    @pytest.mark.parametrize("routine", BLAS_UPDATES)
+    def test_output_column_block_is_the_only_memory_written(self, routine):
+        # a run of whole columns of a Fortran-ordered array is itself
+        # Fortran-ordered, so BLAS may update it where it lies
+        n = 7
+        rng = np.random.default_rng(12)
+        a, w = factor(n), rng.standard_normal((5, n))
+        big = np.asfortranarray(rng.standard_normal((n, 3 * n)))
+        before = big.copy()
+        block = big[:, n : 2 * n]
+        expected = {
+            "dtrmm": lambda: blas.dtrmm(1.0, a, block, lower=1),
+            "dsyrk": lambda: blas.dsyrk(-1.0, w, beta=1.0, c=block, trans=1, lower=1),
+            "dgemm": lambda: blas.dgemm(-1.0, w, w, beta=1.0, c=block, trans_a=1),
+        }[routine]()
+        call = {"dtrmm": lambda: dtrmm(a, block), "dsyrk": lambda: dsyrk(w, block), "dgemm": lambda: dgemm(w, w, block)}
+        assert call[routine]() is block
+        assert np.array_equal(block, expected)
+        assert np.array_equal(big[:, :n], before[:, :n]) and np.array_equal(big[:, 2 * n :], before[:, 2 * n :])
+
+
 class TestOneRoute:
     """Solves with a triangle and GRBCM's BLAS updates never reach scipy's
     f2py wrappers, on either side of POINTER_MIN."""
