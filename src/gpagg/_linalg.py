@@ -1,5 +1,7 @@
 """Every Cholesky factorization, SPD solve and SPD inverse of the package:
-LAPACK dpotrf, dpotrs, dtrtrs, dtrtri and dlauum, and BLAS dtrmm.
+LAPACK dpotrf, dpotrs, dtrtrs, dtrtri and dlauum, and BLAS dtrmm; and
+the packed storage that trained experts keep their factors in, LAPACK
+dtrttp and dtpttr.
 
 Factors are lower triangular; only the lower triangle of a matrix to
 factor is read. dpotrf reports success with NaN on the diagonal, so a
@@ -16,11 +18,16 @@ Two routes reach the same OpenBLAS: scipy's f2py wrappers, which hold
 the interpreter lock for the whole call, and the pointers that
 ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which ctypes
 calls with the lock released and with a leading dimension, for 11-14 us
-more per call. dtrtrs, the BLAS updates and the blocked inverse's dtrmm
-always take the pointers; dtrtri, dlauum, dgemv and dsyr always take
-f2py; dpotrf and dpotrs choose by size (POINTER_MIN). Operands are
-copied to Fortran order exactly where f2py copies, so both routes give
-the same bits.
+more per call. dtrtrs, dtrttp, dtpttr, the BLAS updates and the blocked
+inverse's dtrmm always take the pointers; dtrtri, dlauum, dgemv and
+dsyr always take f2py; dpotrf and dpotrs choose by size (POINTER_MIN).
+Operands are copied to Fortran order exactly where f2py copies, so both
+routes give the same bits.
+
+A packed triangle (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999)
+holds the n(n+1)/2 entries of a lower triangle column by column, half
+the memory of the full array. ``pack_lower`` and ``unpack_lower`` copy
+between the two forms, so a factor comes back with its exact bits.
 """
 
 import ctypes
@@ -67,6 +74,8 @@ _dpotrf = _capsule_function(cython_lapack, "dpotrf", 5)
 _dpotrs = _capsule_function(cython_lapack, "dpotrs", 8)
 _dtrtrs = _capsule_function(cython_lapack, "dtrtrs", 10)
 _dlaset = _capsule_function(cython_lapack, "dlaset", 7)
+_dtrttp = _capsule_function(cython_lapack, "dtrttp", 6)
+_dtpttr = _capsule_function(cython_lapack, "dtpttr", 6)
 _dtrmm = _capsule_function(cython_blas, "dtrmm", 11)
 _dsyrk = _capsule_function(cython_blas, "dsyrk", 10)
 _dgemm = _capsule_function(cython_blas, "dgemm", 13)
@@ -185,11 +194,36 @@ def _check_solve(L: np.ndarray, b: np.ndarray) -> None:
         raise DimensionError(f"cannot solve with a {L.shape} factor for a {b.shape} right-hand side")
 
 
+def pack_lower(L: np.ndarray) -> np.ndarray:
+    """The lower triangle of a square ``L`` in packed storage (dtrttp);
+    its strict upper triangle is not read."""
+    L = _in(L)
+    if not (L.ndim == 2 and L.shape[0] == L.shape[1]):
+        raise DimensionError(f"cannot pack the lower triangle of a {L.shape} matrix")
+    n = L.shape[0]
+    ap = np.empty(n * (n + 1) // 2)
+    info = ctypes.c_int()
+    _dtrttp(b"L", _int(n), L.ctypes.data, _ld(L), ap.ctypes.data, ctypes.byref(info))
+    return ap
+
+
+def unpack_lower(ap: np.ndarray, n: int) -> np.ndarray:
+    """The n x n lower triangle packed in ``ap`` (dtpttr), as a new
+    Fortran-ordered array over a zero strict upper triangle."""
+    ap = np.ascontiguousarray(ap, dtype=float)
+    if ap.shape != (n * (n + 1) // 2,):
+        raise DimensionError(f"{ap.shape} entries do not pack an order-{n} triangle")
+    L = np.zeros((n, n), order="F")
+    info = ctypes.c_int()
+    _dtpttr(b"L", _int(n), ap.ctypes.data, L.ctypes.data, _ld(L), ctypes.byref(info))
+    return L
+
+
 def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L') x = b for a lower Cholesky factor ``L``."""
     L, b = np.asarray(L), np.asarray(b)
     _check_solve(L, b)
-    if not _large(L, b):
+    if L.shape[0] and not _large(L, b):  # f2py's dpotrs refuses an order-0 factor
         return lapack.dpotrs(L, b, lower=1)[0]  # info < 0 only flags a malformed call
     L, x = _in(L), _copy(b)
     info = ctypes.c_int()

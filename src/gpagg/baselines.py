@@ -213,14 +213,18 @@ def grbcm_aggregate(
         # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
         # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
         # W_i and S_i's lower triangle over them in place.
+        # Each temporary is dropped as soon as its last use is done, so
+        # W_i, C_i (as S_i) and L_Si are never all alive at once.
         W = dtrmm(L_b_inv, kernel_matrix(part.X, base.X, hp).T)
+        rhs = dgemm(W, wz_b, with_targets(part, X_star, hp))
         C = kernel_matrix(part.X, part.X, hp)
         C.flat[:: part.n + 1] += hp.noise_variance
         S = dsyrk(W, C.T)
+        del W, C
         # S_i carries rounding on the scale of C_i's diagonal, which its
         # own diagonal (down to sigma^2) can undercut by orders of magnitude.
         L_S, jitter = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
-        rhs = dgemm(W, wz_b, with_targets(part, X_star, hp))
+        del S
         mean, explained = posterior_terms(solve_lower(L_S, rhs))
         slots[k] = (base_mean + mean, posterior_variance(hp, base_explained + explained), jitter)
 

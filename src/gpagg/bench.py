@@ -151,6 +151,32 @@ def _known_fields(cls, obj, what: str) -> dict:
     return obj
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a float is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _list_of(check, name: str, values) -> tuple:
+    """``values`` as a tuple of checked entries; it must be a list or tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return tuple(check(f"{name} entry", v) for v in values)
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark campaign; JSON config files mirror these field names."""
@@ -168,11 +194,20 @@ class BenchmarkConfig:
     output_dir: str = "bench_out"
 
     def __post_init__(self):
+        for name, check in (("n", _integer), ("n_t", _integer), ("noise_sd", _number), ("partitioner", _string)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        for name, check in (
+            ("M_list", _integer), ("seeds", _integer), ("methods", _string),
+            ("train_range", _number), ("test_range", _number),
+        ):
+            object.__setattr__(self, name, _list_of(check, name, getattr(self, name)))
+        _string("output_dir", self.output_dir)
         if self.n < 1 or self.n_t < 1:
             raise ValueError("n and n_t must be >= 1")
-        for rng in (self.train_range, self.test_range):
-            if not rng[0] < rng[1]:
-                raise ValueError(f"range must be increasing, got {rng}")
+        for name in ("train_range", "test_range"):
+            rng = getattr(self, name)
+            if not (len(rng) == 2 and rng[0] < rng[1]):
+                raise ValueError(f"{name} must be an increasing pair, got {rng}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         unknown = set(self.methods) - set(METHODS)
@@ -180,11 +215,6 @@ class BenchmarkConfig:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
         if self.partitioner not in PARTITIONERS:
             raise ValueError(f"unknown partitioner {self.partitioner!r}")
-        object.__setattr__(self, "M_list", tuple(int(m) for m in self.M_list))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "train_range", tuple(float(v) for v in self.train_range))
-        object.__setattr__(self, "test_range", tuple(float(v) for v in self.test_range))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BenchmarkConfig":

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import cho_solve, chol_inverse, chol_jitter, dgemv, dsyr, solve_lower
+from ._linalg import cho_solve, chol_inverse, chol_jitter, dgemv, dsyr, pack_lower, solve_lower, unpack_lower
 from .errors import DimensionError, FitError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -179,22 +179,33 @@ def kernel_eval(x: np.ndarray, x2: np.ndarray, hp: Hyperparameters) -> float:
 class TrainedExpert:
     """One partition plus its factorized covariance, ready for prediction.
 
-    ``chol_C`` is the lower Cholesky factor of C = K + sigma^2 I (plus any
-    jitter applied).
+    ``chol_packed`` holds the lower Cholesky factor L of C = K + sigma^2 I
+    (plus any jitter applied) in packed storage, n(n+1)/2 doubles
+    (``_linalg.pack_lower``): half the memory of the full factor, which
+    every aggregator keeps alive for each expert.
     """
 
     data: Dataset
     hp: Hyperparameters
-    chol_C: np.ndarray
+    chol_packed: np.ndarray
     jitter: float = 0.0
+
+    @property
+    def chol_C(self) -> np.ndarray:
+        """L rebuilt on each access as a new Fortran-ordered n x n array
+        over a zero strict upper triangle, bitwise the factor that
+        ``train_expert`` packed; writing into it leaves the expert as it
+        was."""
+        return unpack_lower(self.chol_packed, self.data.n)
 
 
 def train_expert(data: Dataset, hp: Hyperparameters) -> TrainedExpert:
-    """Factorize one partition's covariance for O(n^2) prediction."""
+    """Factorize one partition's covariance for O(n^2) prediction and
+    keep the factor packed."""
     C = kernel_matrix(data.X, data.X, hp)
     C.flat[:: data.n + 1] += hp.noise_variance
     L, jitter = chol_jitter(C)
-    return TrainedExpert(data=data, hp=hp, chol_C=L, jitter=jitter)
+    return TrainedExpert(data=data, hp=hp, chol_packed=pack_lower(L), jitter=jitter)
 
 
 def _lml_from_factors(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
