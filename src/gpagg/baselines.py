@@ -212,9 +212,8 @@ def grbcm_aggregate(
         part = augmented[k]
         # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
         # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
-        # W_i and S_i's lower triangle over them in place.
-        # Each temporary is dropped as soon as its last use is done, so
-        # W_i, C_i (as S_i) and L_Si are never all alive at once.
+        # W_i and S_i's lower triangle over them in place. Each is dropped
+        # after its last use, so W_i, S_i and L_Si are never alive at once.
         W = dtrmm(L_b_inv, kernel_matrix(part.X, base.X, hp).T)
         rhs = dgemm(W, wz_b, with_targets(part, X_star, hp))
         C = kernel_matrix(part.X, part.X, hp)

@@ -37,10 +37,11 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -151,30 +152,15 @@ def _known_fields(cls, obj, what: str) -> dict:
     return obj
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a float is refused, not rounded."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+# A field's JSON value must be of its kind; numpy scalars count, but a
+# bool is no number and a float no integer.
+_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
-def _number(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _string(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _list_of(check, name: str, values) -> tuple:
-    """``values`` as a tuple of checked entries; it must be a list or tuple."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {values!r}")
-    return tuple(check(f"{name} entry", v) for v in values)
+def _of_kind(name: str, value, kind: type):
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -194,14 +180,15 @@ class BenchmarkConfig:
     output_dir: str = "bench_out"
 
     def __post_init__(self):
-        for name, check in (("n", _integer), ("n_t", _integer), ("noise_sd", _number), ("partitioner", _string)):
-            object.__setattr__(self, name, check(name, getattr(self, name)))
-        for name, check in (
-            ("M_list", _integer), ("seeds", _integer), ("methods", _string),
-            ("train_range", _number), ("test_range", _number),
-        ):
-            object.__setattr__(self, name, _list_of(check, name, getattr(self, name)))
-        _string("output_dir", self.output_dir)
+        for name, kind in get_type_hints(BenchmarkConfig).items():
+            value = getattr(self, name)
+            if get_origin(kind) is tuple:
+                if not isinstance(value, (list, tuple)):
+                    raise ValueError(f"{name} must be a list, got {value!r}")
+                value = tuple(_of_kind(f"{name} entry", v, get_args(kind)[0]) for v in value)
+            elif kind in _KINDS:
+                value = _of_kind(name, value, kind)
+            object.__setattr__(self, name, value)
         if self.n < 1 or self.n_t < 1:
             raise ValueError("n and n_t must be >= 1")
         for name in ("train_range", "test_range"):
