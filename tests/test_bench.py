@@ -463,8 +463,16 @@ class TestCli:
     @pytest.mark.parametrize("command", ["bench", "generate"])
     @pytest.mark.parametrize(
         "content, named",
-        [('{"M_lists": [5]}', "M_lists"), ('{"emggm": {"lamda": 0.1}}', "lamda"), ("[1, 2]", "JSON object")],
-        ids=["unknown-key", "unknown-emggm-key", "not-an-object"],
+        [
+            ('{"M_lists": [5]}', "M_lists"),
+            ('{"emggm": {"lamda": 0.1}}', "lamda"),
+            ("[1, 2]", "JSON object"),
+            ('{"n": "abc"}', "n must be of type int"),
+            ('{"M_list": 5}', "M_list must be a list"),
+            ('{"seeds": [1.5]}', "seeds entry must be of type int"),
+            ('{"n": true}', "n must be of type int"),
+        ],
+        ids=["unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "bool-n"],
     )
     def test_bad_config_reported_in_one_line(self, tmp_path, capsys, command, content, named):
         # exit 2 with the file and the fault named, no traceback, no output

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import gpagg.gp as gp
-from gpagg._linalg import cho_solve, solve_lower
+from gpagg._linalg import cho_solve, chol_jitter, cholesky, solve_lower
 from gpagg import (
     Dataset,
     DimensionError,
@@ -238,6 +238,56 @@ class TestTypes:
         recon = expert.chol_C @ expert.chol_C.T
         rel = np.linalg.norm(recon - C) / np.linalg.norm(C)
         assert rel < 1e-8
+
+
+def expert_covariance(data, hp):
+    """C = K + sigma^2 I as ``train_expert`` forms it."""
+    C = kernel_matrix(data.X, data.X, hp)
+    C.flat[:: data.n + 1] += hp.noise_variance
+    return C
+
+
+class TestPackedFactor:
+    """A trained expert keeps only the packed lower triangle of its factor
+    and rebuilds the full factor, bit for bit, on each access to ``chol_C``."""
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 434])
+    def test_chol_C_is_the_cholesky_factor(self, n):
+        rng = np.random.default_rng(n)
+        data, hp = random_dataset(rng, n), Hyperparameters([0.3], 1.0, 0.05)
+        expert = train_expert(data, hp)
+        assert expert.jitter == 0.0
+        assert np.array_equal(expert.chol_C, cholesky(expert_covariance(data, hp)))
+        assert expert.chol_packed.nbytes == 8 * n * (n + 1) // 2
+        assert set(vars(expert)) == {"data", "hp", "chol_packed", "jitter"}  # no full factor is kept
+
+    def test_jittered_expert(self):
+        # noise far below the roundoff of sigma_f^2 on near-duplicate inputs
+        rng = np.random.default_rng(18)
+        base = rng.uniform(-1, 1, 10)
+        data = Dataset(np.concatenate([base, base + 1e-9]), rng.standard_normal(20))
+        hp = Hyperparameters([1.0], 1e4, 1e-12)
+        expert = train_expert(data, hp)
+        L, jitter = chol_jitter(expert_covariance(data, hp))
+        assert expert.jitter == jitter > 0
+        assert np.array_equal(expert.chol_C, L)
+
+    def test_each_access_is_a_new_array_the_caller_may_overwrite(self):
+        rng = np.random.default_rng(5)
+        expert = train_expert(random_dataset(rng, 130), Hyperparameters([0.3], 1.0, 0.05))
+        packed = expert.chol_packed.copy()
+        first, second = expert.chol_C, expert.chol_C
+        assert not np.shares_memory(first, second)
+        for L in (first, second):
+            assert L.flags.f_contiguous and L.flags.writeable and not np.triu(L, 1).any()
+        first[:] = np.nan
+        assert np.array_equal(expert.chol_C, second)
+        assert np.array_equal(expert.chol_packed, packed)
+
+    def test_chol_C_cannot_be_assigned(self):
+        expert = train_expert(random_dataset(np.random.default_rng(6), 4), Hyperparameters([0.3], 1.0, 0.05))
+        with pytest.raises(AttributeError):
+            expert.chol_C = np.eye(4)
 
 
 class TestLogMarginalLikelihood:

@@ -28,8 +28,10 @@ from gpagg._linalg import (
     dsyrk,
     dtrmm,
     inverse_lower,
+    pack_lower,
     solve_lower,
     spd_inverse,
+    unpack_lower,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gpagg"
@@ -186,6 +188,8 @@ ROUTED = {
     "dtrmm": "_dtrmm",
     "dsyrk": "_dsyrk",
     "dgemm": "_dgemm",
+    "dtrttp": "_dtrttp",
+    "dtpttr": "_dtpttr",
 }
 ORDERS = [POINTER_MIN - 1, POINTER_MIN]
 
@@ -456,6 +460,15 @@ class TestBlasShapes:
         assert np.array_equal(c, before)
         no_illegal_argument(capfd)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (0, 3), (0, POINTER_MIN)], ids=["0", "0x0", "0x3", "0x128"])
+    def test_cho_solve_on_an_empty_factor(self, capfd, shape):
+        # the same empty solution as solve_lower
+        L, b = np.ones((0, 0)), np.ones(shape)
+        x = cho_solve(L, b)
+        assert x.shape == shape
+        assert np.array_equal(x, solve_lower(L, b))
+        no_illegal_argument(capfd)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     @pytest.mark.parametrize("routine", BLAS_UPDATES)
     def test_read_operands_converted_as_f2py_converts(self, routine, dtype):
@@ -491,6 +504,33 @@ class TestBlasShapes:
         assert call[routine]() is block
         assert np.array_equal(block, expected)
         assert np.array_equal(big[:, :n], before[:, :n]) and np.array_equal(big[:, 2 * n :], before[:, 2 * n :])
+
+
+class TestPackedStorage:
+    """pack_lower and unpack_lower copy a lower triangle into packed
+    storage (column by column) and back, exactly."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [0, 1, 5, POINTER_MIN - 1, POINTER_MIN, 434])
+    def test_round_trip(self, pointer_calls, n, layout):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))  # the strict upper triangle is not read
+        before = A.copy()
+        ap = pack_lower(LAYOUTS[layout](A) if n > 1 else A)  # orders 0 and 1 have one layout
+        assert np.array_equal(ap, A.T[np.triu_indices(n)])  # column-major lower triangle
+        assert ap.nbytes == 8 * n * (n + 1) // 2
+        L = unpack_lower(ap, n)
+        assert np.array_equal(L, np.tril(A)) and L.flags.f_contiguous
+        assert np.array_equal(A, before)
+        assert pointer_calls == ["dtrttp", "dtpttr"]
+
+    def test_shapes_must_match(self):
+        with pytest.raises(DimensionError):
+            pack_lower(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            pack_lower(np.ones(3))
+        with pytest.raises(DimensionError):
+            unpack_lower(np.ones(5), 3)
 
 
 class TestOneRoute:
