@@ -59,7 +59,6 @@ from .emggm import EmggmConfig, emggm_aggregate
 from .errors import DimensionError
 from .gp import (
     Dataset,
-    FitOptions,
     Hyperparameters,
     TrainedExpert,
     fit_shared_hyperparameters,
@@ -195,8 +194,11 @@ class BenchmarkConfig:
             rng = getattr(self, name)
             if not (len(rng) == 2 and rng[0] < rng[1]):
                 raise ValueError(f"{name} must be an increasing pair, got {rng}")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
+        for name in ("methods", "seeds", "M_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
+        if min(self.M_list) < 1:
+            raise ValueError(f"M_list entries must be >= 1, got {self.M_list}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
@@ -398,13 +400,12 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
         train_raw = generate_synthetic(cfg.n, cfg.train_range, cfg.noise_sd, seed)
         test_raw = generate_synthetic(cfg.n_t, cfg.test_range, cfg.noise_sd, seed + _TEST_SEED_OFFSET)
         train, test, state = normalize(train_raw, test_raw)
-        fit_opts = FitOptions(seed=seed)
 
         full_gp: tuple | Exception | None = None  # row values after (method, M, seed), or the failure
         if "full_gp" in cfg.methods:
             try:
                 tic = time.perf_counter()
-                hp_full = fit_shared_hyperparameters([train], _default_init(train), fit_opts)
+                hp_full = fit_shared_hyperparameters([train], _default_init(train))
                 expert = train_expert(train, hp_full)
                 t_train = time.perf_counter() - tic
                 tic = time.perf_counter()
@@ -421,7 +422,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
             try:
                 parts = partition(train, M, seed)
                 tic = time.perf_counter()
-                hp = fit_shared_hyperparameters(parts.subsets, _default_init(train), fit_opts)
+                hp = fit_shared_hyperparameters(parts.subsets, _default_init(train))
                 experts = [train_expert(s, hp) for s in parts.subsets]
                 train_time = time.perf_counter() - tic
                 tic = time.perf_counter()

@@ -18,6 +18,7 @@ built from blocks of the converged covariance. Index 0 of every
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -48,13 +49,18 @@ class EmggmConfig:
     max_iters: int = 20
 
     def __post_init__(self):
+        # BenchmarkConfig's rule: a bool is no number and a float no integer
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be of type int, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         _check_lambda(self.lam)
 
 
 def _check_lambda(lam: float | str) -> None:
-    if lam != "auto" and (isinstance(lam, str) or not (math.isfinite(lam) and lam >= 0)):
+    if lam == "auto":
+        return
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be 'auto' or a finite number >= 0, got {lam!r}")
 
 

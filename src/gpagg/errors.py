@@ -18,10 +18,10 @@ class NumericalError(GPAggError, RuntimeError):
 
 
 class FitError(GPAggError, RuntimeError):
-    """Every optimizer restart failed numerically.
+    """Neither the fit's init nor its optimizer run could be scored.
 
-    ``diagnostics`` holds one dict per attempted restart (starting point
-    and the error it hit).
+    ``diagnostics`` holds one dict per failed step: its ``stage``
+    ("init" or "run") and the ``error`` it hit.
     """
 
     def __init__(self, message: str, diagnostics: list[dict]):

@@ -27,9 +27,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Bounds (in log space) for the optimizer; wide enough to be inactive for
 # any sane problem, tight enough to keep exp() finite.
 _LOG_BOUNDS = (-15.0, 15.0)
-_MAX_ITER = 200  # L-BFGS-B iterations per restart
+_MAX_ITER = 200  # L-BFGS-B iterations in the fit's one run
 _GRAD_TOL = 1e-5
-_PERTURB_SCALE = 0.5  # sd of the log-space perturbation seeding each extra restart
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,19 +301,13 @@ def minimize(*args, **kwargs):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Settings for shared-hyperparameter optimization.
+    """Accepted and ignored: the fit has no settings.
 
-    ``restarts`` counts total optimization runs: the first starts at the
-    given init, the rest at seeded log-space perturbations of it. The
-    default is one run. Restarts guard against local optima of the
-    marginal likelihood (Rasmussen & Williams 2006, sec. 5.4.1), but on
-    the benchmark's desk cells the perturbed runs end within 5e-4 of the
-    first in log theta, at the same summed lml to 1e-9 relative, and each
-    costs as much as the first (``test_restarts_agree_on_held_out_desk_cells``
-    keeps two such cells under test).
+    Kept only because perfbench's pipeline still builds
+    ``FitOptions(seed=...)`` and passes it to
+    ``fit_shared_hyperparameters``; both go once that call does.
     """
 
-    restarts: int = 1
     seed: int = 0
 
 
@@ -326,14 +319,15 @@ def fit_shared_hyperparameters(
     """Maximize the summed per-partition lml over one shared parameter set.
 
     All experts share a single theta; the objective is the factorized
-    marginal likelihood sum_i log p(y_i | X_i, theta), optimized with
-    L-BFGS-B in log-parameter space. The kernel is ARD when ``init``
-    carries d lengthscales and isotropic when it carries one. The
-    returned theta never scores worse than ``init``. A run that raises or
-    ends non-finite is logged, one warning per fit; ``FitError`` is
-    raised only when neither ``init`` nor any run could be scored.
+    marginal likelihood sum_i log p(y_i | X_i, theta), optimized by one
+    L-BFGS-B run from ``init`` in log-parameter space. The kernel is ARD
+    when ``init`` carries d lengthscales and isotropic when it carries
+    one. The returned theta is whichever of ``init`` and the run's end
+    scores better (``init`` on a tie), so it never scores worse than
+    ``init``. A run that raises or ends non-finite is logged as one
+    warning; ``FitError`` is raised only when neither ``init`` nor the run
+    could be scored. ``opts`` is ignored (see ``FitOptions``).
     """
-    opts = opts or FitOptions()
     datasets = list(partitions)
     if not datasets or any(ds.n == 0 for ds in datasets):
         raise ValueError("need at least one non-empty partition")
@@ -360,46 +354,31 @@ def fit_shared_hyperparameters(
         return -total, -grad.copy()
 
     x0 = init.log_vector()
-    rng = np.random.default_rng(opts.seed)
-    starts = [x0] + [
-        x0 + _PERTURB_SCALE * rng.standard_normal(x0.size) for _ in range(opts.restarts - 1)
-    ]
-    bounds = [_LOG_BOUNDS] * x0.size
-
-    candidates: list[tuple[float, np.ndarray]] = []
+    best: tuple[float, np.ndarray] | None = None
     failures: list[dict] = []
     try:
-        f0, _ = objective(x0)
-        candidates.append((f0, x0))
+        best = (objective(x0)[0], x0)
     except NumericalError as exc:
-        failures.append({"start": x0.tolist(), "error": str(exc)})
-    init_failures = len(failures)
-    for start in starts:
-        try:
-            res = minimize(
-                objective,
-                np.clip(start, *_LOG_BOUNDS),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL},
-            )
-        except (NumericalError, FloatingPointError) as exc:
-            failures.append({"start": start.tolist(), "error": str(exc)})
-            continue
-        if math.isfinite(res.fun):
-            candidates.append((float(res.fun), res.x))
-        else:
-            failures.append({"start": start.tolist(), "error": "non-finite objective"})
-    if not candidates:
-        raise FitError("all optimizer restarts failed", failures)
-    run_failures = failures[init_failures:]
-    if run_failures:
-        log.warning(
-            "fit_shared_hyperparameters: %d of %d optimizer runs failed (%s)",
-            len(run_failures), len(starts), "; ".join(f["error"] for f in run_failures),
+        failures.append({"stage": "init", "error": str(exc)})
+    try:
+        res = minimize(
+            objective,
+            np.clip(x0, *_LOG_BOUNDS),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[_LOG_BOUNDS] * x0.size,
+            options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL},
         )
-    best = min(candidates, key=lambda t: t[0])
+        run_error = None if math.isfinite(res.fun) else "non-finite objective"
+    except (NumericalError, FloatingPointError) as exc:
+        run_error = str(exc)
+    if run_error is not None:
+        failures.append({"stage": "run", "error": run_error})
+        log.warning("fit_shared_hyperparameters: 1 of 1 optimizer runs failed (%s)", run_error)
+    elif best is None or res.fun < best[0]:
+        best = (float(res.fun), res.x)
+    if best is None:
+        raise FitError("neither the init nor the optimizer run could be scored", failures)
     return Hyperparameters.from_log_vector(best[1])
 
 

@@ -17,7 +17,6 @@ from gpagg import (
     BenchmarkConfig,
     Dataset,
     EmggmConfig,
-    FitOptions,
     Hyperparameters,
     bcm,
     collect_predictions,
@@ -139,9 +138,7 @@ class TestCriterion3:
         raw_train = generate_synthetic(240, (0.0, 1.0), 0.2, seed=11)
         raw_test = generate_synthetic(60, (-0.2, 1.2), 0.2, seed=12)
         train, test, _ = normalize(raw_train, raw_test)
-        hp = fit_shared_hyperparameters(
-            [train], Hyperparameters([0.3], 1.0, 0.05), FitOptions(restarts=1)
-        )
+        hp = fit_shared_hyperparameters([train], Hyperparameters([0.3], 1.0, 0.05))
         full = train_expert(train, hp)
         full_mean, _ = predict(full, test.X, hp)
         preds = collect_predictions([full], test.X, hp)
@@ -286,9 +283,7 @@ class TestCriterion8:
             X = rng.uniform(0, 8, (500, 1))
             C = kernel_matrix(X, X, truth) + truth.noise_variance * np.eye(500)
             y = np.linalg.cholesky(C) @ rng.standard_normal(500)
-            fitted = fit_shared_hyperparameters(
-                [Dataset(X, y)], Hyperparameters([0.5], 0.5, 0.1), FitOptions(seed=seed)
-            )
+            fitted = fit_shared_hyperparameters([Dataset(X, y)], Hyperparameters([0.5], 0.5, 0.1))
             err = float(np.max(np.abs(fitted.log_vector() - truth.log_vector())))
             errors.append(err)
             hits += err < 0.5

@@ -471,8 +471,17 @@ class TestCli:
             ('{"M_list": 5}', "M_list must be a list"),
             ('{"seeds": [1.5]}', "seeds entry must be of type int"),
             ('{"n": true}', "n must be of type int"),
+            ('{"emggm": {"max_iters": "x"}}', "max_iters must be of type int"),
+            ('{"emggm": {"max_iters": 2.5}}', "max_iters must be of type int"),
+            ('{"emggm": {"lam": true}}', "lambda must be 'auto' or a finite number"),
+            ('{"seeds": []}', "seeds must be non-empty"),
+            ('{"M_list": []}', "M_list must be non-empty"),
+            ('{"M_list": [0]}', "M_list entries must be >= 1"),
         ],
-        ids=["unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "bool-n"],
+        ids=[
+            "unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "bool-n",
+            "string-max_iters", "float-max_iters", "bool-lam", "empty-seeds", "empty-M_list", "zero-M",
+        ],
     )
     def test_bad_config_reported_in_one_line(self, tmp_path, capsys, command, content, named):
         # exit 2 with the file and the fault named, no traceback, no output
