@@ -522,24 +522,28 @@ class TestFit:
         diagnostics = info.value.diagnostics
         assert [d["stage"] for d in diagnostics] == ["init", "run"]
         assert all(d["error"] == "not positive definite" for d in diagnostics)
+        (record,) = caplog.records
+        assert "1 of 1 optimizer runs failed" in record.getMessage()
 
-    def test_init_returned_bitwise_when_the_run_ends_worse(self, monkeypatch):
+    @pytest.mark.parametrize("run_end", ["worse", "tie"])
+    def test_init_returned_bitwise_unless_the_run_scores_better(self, monkeypatch, run_end):
+        # a finite run that ends at another theta, scoring worse than the
+        # init or exactly as well
         from scipy.optimize import OptimizeResult
 
         rng = np.random.default_rng(24)
         parts = [random_dataset(rng, 15) for _ in range(2)]
         init = Hyperparameters([0.5], 1.0, 0.1)
-        worse = init.log_vector() - 1.0
-        f_worse = -sum(log_marginal_likelihood(p, Hyperparameters.from_log_vector(worse)) for p in parts)
-        f_init = -sum(log_marginal_likelihood(p, init) for p in parts)
-        assert math.isfinite(f_worse) and f_worse > f_init
+        end = init.log_vector() - 1.0
         calls = []
 
-        def worse_run(*args, **kwargs):
-            calls.append(args[1])
-            return OptimizeResult(x=worse, fun=f_worse, success=True)
+        def run(objective, x0, **kwargs):
+            calls.append(x0)
+            f_init, f_end = objective(x0)[0], objective(end)[0]
+            assert math.isfinite(f_end) and f_end > f_init
+            return OptimizeResult(x=end, fun=f_end if run_end == "worse" else f_init, success=True)
 
-        monkeypatch.setattr(gp, "minimize", worse_run)
+        monkeypatch.setattr(gp, "minimize", run)
         hp = fit_shared_hyperparameters(parts, init)
         assert len(calls) == 1
         assert hp == Hyperparameters.from_log_vector(init.log_vector())
