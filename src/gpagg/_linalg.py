@@ -233,14 +233,14 @@ def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for a lower-triangular ``L``."""
+def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve L x = b, or L' x = b with ``transpose``, for a lower-triangular ``L``."""
     L, b = np.asarray(L), np.asarray(b)
     _check_solve(L, b)
     L, x = _in(L), _copy(b)
     info = ctypes.c_int()
     _dtrtrs(
-        b"L", b"N", b"N", _int(L.shape[0]), _int(_columns(x)),
+        b"L", b"T" if transpose else b"N", b"N", _int(L.shape[0]), _int(_columns(x)),
         L.ctypes.data, _ld(L), x.ctypes.data, _ld(x), ctypes.byref(info),
     )
     if info.value > 0:

@@ -12,21 +12,36 @@ family (BCM, RBCM) from the plain products (PoE, GPoE); the GP prior has
 prior_mean = 0. PoE and BCM set beta = 1, GPoE 1/M, RBCM the entropy gain
 (``entropy_weights``); other weights go to ``poe_family_aggregate``.
 GRBCM is RBCM's rule over base-augmented experts with the base expert
-(its mean and its variance) as the prior. Every expert's mean and
-variance, GRBCM's too, come from ``gp.posterior_terms``.
+(its mean and its variance) as the prior; its query-independent factors
+are trained once per partitioning, theta and seed, and the process holds
+the latest such model. Every expert's mean and variance, GRBCM's too,
+come from ``gp.posterior_terms``.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import blas_threads, chol_jitter, dgemm, dsyrk, dtrmm, inverse_lower, solve_lower
+from ._linalg import (
+    blas_threads,
+    chol_jitter,
+    dgemm,
+    dsyrk,
+    dtrmm,
+    inverse_lower,
+    pack_lower,
+    solve_lower,
+    unpack_lower,
+)
 from ._workers import in_shares, workers_for
 from .errors import DimensionError, NumericalError
 from .gp import (
+    Dataset,
     Hyperparameters,
     TrainedExpert,
     check_test_inputs,
@@ -156,13 +171,152 @@ def grbcm_base_index(M: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(M))
 
 
-def _augmented_work(n_b: int, sizes: list[int], n_t: int) -> int:
-    """Multiply-adds of GRBCM's augmented experts with n_b base points:
-    per expert of n_i points, W_i (n_b^2 n_i / 2), S_i (n_b n_i^2 / 2),
-    its factor (n_i^3 / 6), the right-hand side (n_b n_i (n_t + 1)) and
-    the triangular solve (n_i^2 (n_t + 1) / 2)."""
+def _training_work(n_b: int, sizes: list[int]) -> int:
+    """Multiply-adds of training GRBCM's augmented experts on n_b base
+    points: per expert of n_i points, W_i (n_b^2 n_i / 2), S_i
+    (n_b n_i^2 / 2) and its factor (n_i^3 / 6)."""
+    return sum(n_b * n_i * (n_b + n_i) // 2 + n_i**3 // 6 for n_i in sizes)
+
+
+def _prediction_work(n_b: int, sizes: list[int], n_t: int) -> int:
+    """Multiply-adds of one call's augmented experts on n_t queries: per
+    expert of n_i points, the right-hand side (n_b n_i (n_t + 1)) and the
+    triangular solve (n_i^2 (n_t + 1) / 2)."""
     k = n_t + 1
-    return sum(n_b * n_i * (n_b + n_i) // 2 + n_i**3 // 6 + n_b * n_i * k + n_i * n_i * k // 2 for n_i in sizes)
+    return sum(n_b * n_i * k + n_i * n_i * k // 2 for n_i in sizes)
+
+
+@dataclass(frozen=True, eq=False)
+class _GrbcmModel:
+    """GRBCM's query-independent part for one partitioning, theta and seed.
+
+    ``base`` is the trained base expert and ``augmented`` the other
+    partitions in order; ``schur_packed[i]`` is the factor L_Si of
+    augmented expert i's Schur complement in packed storage
+    (``_linalg.pack_lower``). The partitioning is held by a weak
+    reference only.
+    """
+
+    partitioning: weakref.ref
+    hp: Hyperparameters
+    seed: int
+    base: TrainedExpert
+    augmented: list[Dataset]
+    schur_packed: list[np.ndarray]
+
+    def fits(self, partitioning: Partitioning, hp: Hyperparameters, seed: int) -> bool:
+        return self.partitioning() is partitioning and self.hp == hp and self.seed == seed
+
+    def predict(self, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """RBCM's rule over the augmented experts at ``X_star``, with the
+        base expert as the prior."""
+        hp, base = self.hp, self.base.data
+        X_star = check_test_inputs(X_star, base.d)
+        L_b = self.base.chol_C
+        wz_b = solve_lower(L_b, with_targets(base, X_star, hp))
+        # v = C_b^-1 [k_b | y_b], so K_ib v = W_i' [w_b | z_b]
+        v = solve_lower(L_b, wz_b, transpose=True)
+        del L_b
+        base_mean, base_explained = posterior_terms(wz_b)
+        slots = [None] * len(self.augmented)
+
+        def expert(i):
+            part = self.augmented[i]
+            # kernel_matrix's C-ordered n_i x n_b output is the Fortran-ordered K_bi
+            rhs = dgemm(kernel_matrix(part.X, base.X, hp).T, v, with_targets(part, X_star, hp))
+            L_S = unpack_lower(self.schur_packed[i], part.n)
+            mean, explained = posterior_terms(solve_lower(L_S, rhs))
+            slots[i] = (base_mean + mean, posterior_variance(hp, base_explained + explained))
+
+        work = _prediction_work(base.n, [part.n for part in self.augmented], X_star.shape[0])
+        in_shares(expert, list(range(len(self.augmented))), workers_for(work) // blas_threads())
+        means, variances = zip(*slots)
+        preds = ExpertPredictions(
+            np.column_stack(means),
+            np.column_stack(variances),
+            posterior_variance(hp, base_explained),
+            base_mean,
+        )
+        beta = entropy_weights(preds)
+        beta[:, 0] = 1.0
+        return poe_family_aggregate(preds, beta, True)
+
+
+class _HeldModel:
+    """The one trained GRBCM model of the process, or None.
+
+    A model is dropped when a call with another key replaces it, and when
+    its partitioning is collected (its weak reference's callback). The
+    lock is reentrant because a collection, and so the callback, can
+    start on the thread that holds it.
+    """
+
+    def __init__(self):
+        self.model: _GrbcmModel | None = None
+        self._lock = threading.RLock()
+
+    def hold(self, model: _GrbcmModel) -> None:
+        with self._lock:
+            self.model = model
+
+    def release(self, ref: weakref.ref) -> None:
+        with self._lock:
+            if self.model is not None and self.model.partitioning is ref:
+                self.model = None
+
+
+_held = _HeldModel()
+
+
+def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> _GrbcmModel:
+    """Factor the base partition, C_b = L_b L_b', and for every other
+    partition i the Schur complement S_i = C_i - W_i' W_i = L_Si L_Si' of
+    W_i = L_b^-1 K_bi; keep L_b and every L_Si packed and drop the rest."""
+    M = len(partitioning.subsets)
+    if M < 2:
+        raise ValueError("GRBCM needs at least 2 partitions")
+    # a copy, so that writing into the caller's lengthscale cannot change the key
+    hp = Hyperparameters(hp.lengthscale.copy(), hp.signal_variance, hp.noise_variance)
+    base_idx = grbcm_base_index(M, seed)
+    base = train_expert(partitioning.subsets[base_idx], hp)
+    L_b_inv = inverse_lower(base.chol_C)
+    augmented = [part for i, part in enumerate(partitioning.subsets) if i != base_idx]
+    slots = [None] * len(augmented)
+
+    def expert(i):
+        part = augmented[i]
+        # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
+        # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
+        # W_i and S_i's lower triangle over them in place. Each is dropped
+        # after its last use, so W_i, S_i and L_Si are never alive at once.
+        W = dtrmm(L_b_inv, kernel_matrix(part.X, base.data.X, hp).T)
+        C = kernel_matrix(part.X, part.X, hp)
+        C.flat[:: part.n + 1] += hp.noise_variance
+        S = dsyrk(W, C.T)
+        del W, C
+        # S_i carries rounding on the scale of C_i's diagonal, which its
+        # own diagonal (down to sigma^2) can undercut by orders of magnitude.
+        L_S, jitter = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
+        del S
+        slots[i] = (pack_lower(L_S), jitter)
+
+    # Every step of an expert is a BLAS or LAPACK call large enough for
+    # OpenBLAS to spread over its own threads. On 2 cores with two BLAS
+    # threads, two workers ran a serve-shape call (n = 5000, M = 20, 50
+    # queries, training and prediction) in 76-90 ms against 59-60 ms on
+    # the caller's thread alone, so the workers share the CPUs with BLAS's
+    # threads; prediction divides them the same way.
+    work = _training_work(base.data.n, [part.n for part in augmented])
+    in_shares(expert, list(range(len(augmented))), workers_for(work) // blas_threads())
+    packed, jitters = zip(*slots)
+    jittered = [j for j in jitters if j > 0.0]
+    if jittered:
+        log.warning(
+            "grbcm_aggregate: %d of %d augmented experts needed Cholesky jitter on the Schur complement"
+            " (largest %.3e)",
+            len(jittered), len(augmented), max(jittered),
+        )
+    return _GrbcmModel(weakref.ref(partitioning, _held.release), hp, seed, base, augmented, list(packed))
 
 
 def grbcm_aggregate(
@@ -174,80 +328,40 @@ def grbcm_aggregate(
     """Generalized robust BCM over base-augmented experts.
 
     A base partition is drawn by ``seed`` and every other partition i is
-    augmented with it. The base is factored once, C_b = L_b L_b'; with
-    W_i = L_b^-1 K_bi, the Schur complement S_i = C_i - W_i' W_i =
+    augmented with it. Training factors the base once, C_b = L_b L_b';
+    with W_i = L_b^-1 K_bi, the Schur complement S_i = C_i - W_i' W_i =
     L_Si L_Si' completes the block factor [[L_b, 0], [W_i', L_Si]] that
     Cholesky builds on the merged covariance without jitter, so the
-    predictions move only by rounding. That factor's solve of [k | y]
-    stacks the base expert's, as in ``predict``, over L_Si^-1 ([k_i | y_i]
-    - W_i' [w_b | z_b]), and each block adds its ``posterior_terms``.
-    Jitter, when needed, lands on the base factor and then on each Schur
-    complement, never on a merged matrix; a call that jitters a Schur
-    complement logs one warning with the number of jittered experts and
-    the largest jitter. The experts are combined by RBCM's rule with the
-    base expert as the prior: beta is the entropy gain relative to it,
-    except 1 for the first.
+    predictions move only by rounding. A call solves [w_b | z_b] =
+    L_b^-1 [k_b | y_b] and v = L_b^-T [w_b | z_b], and that factor's
+    solve of [k | y] stacks the base expert's, as in ``predict``, over
+    L_Si^-1 ([k_i | y_i] - K_ib v), since W_i' [w_b | z_b] = K_ib v; each
+    block adds its ``posterior_terms``. Jitter, when needed, lands on the
+    base factor and then on each Schur complement, never on a merged
+    matrix; a training that jitters a Schur complement logs one warning
+    with the number of jittered experts and the largest jitter. The
+    experts are combined by RBCM's rule with the base expert as the
+    prior: beta is the entropy gain relative to it, except 1 for the
+    first.
 
-    The augmented experts are independent given the base. A call whose
-    work on them reaches ``_workers.PARALLEL_WORK`` multiply-adds runs
-    them in fixed shares on ``worker_count() // blas_threads()`` threads,
-    the caller's among them; their BLAS and LAPACK calls release the
-    interpreter lock (see ``_linalg``). Each expert writes its own slot,
-    so the outputs are bitwise those of one thread.
+    The process holds one trained model: L_b and every L_Si in packed
+    storage, sum_i n_i (n_i + 1) / 2 doubles in all, plus references to
+    the partitions. A call with the same partitioning object, an equal
+    ``hp`` and the same ``seed`` reuses it and gives bitwise the outputs
+    of a first call; any other call trains a new model in its place. The
+    partitioning is referenced weakly, and its model is freed when it is
+    collected; it must not be changed in place once used.
+
+    The augmented experts are independent given the base. Training, and
+    each call, runs them in fixed shares on ``worker_count() //
+    blas_threads()`` threads, the caller's among them, when its work on
+    them reaches ``_workers.PARALLEL_WORK`` multiply-adds; their BLAS and
+    LAPACK calls release the interpreter lock (see ``_linalg``). Each
+    expert writes its own slot, so the outputs are bitwise those of one
+    thread.
     """
-    M = len(partitioning.subsets)
-    if M < 2:
-        raise ValueError("GRBCM needs at least 2 partitions")
-    base_idx = grbcm_base_index(M, seed)
-    base = partitioning.subsets[base_idx]
-    X_star = check_test_inputs(X_star, base.d)
-    L_b = train_expert(base, hp).chol_C
-    wz_b = solve_lower(L_b, with_targets(base, X_star, hp))
-    L_b_inv = inverse_lower(L_b)
-    base_mean, base_explained = posterior_terms(wz_b)
-    augmented = [part for i, part in enumerate(partitioning.subsets) if i != base_idx]
-    slots = [None] * len(augmented)
-
-    def expert(k):
-        part = augmented[k]
-        # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
-        # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
-        # W_i and S_i's lower triangle over them in place. Each is dropped
-        # after its last use, so W_i, S_i and L_Si are never alive at once.
-        W = dtrmm(L_b_inv, kernel_matrix(part.X, base.X, hp).T)
-        rhs = dgemm(W, wz_b, with_targets(part, X_star, hp))
-        C = kernel_matrix(part.X, part.X, hp)
-        C.flat[:: part.n + 1] += hp.noise_variance
-        S = dsyrk(W, C.T)
-        del W, C
-        # S_i carries rounding on the scale of C_i's diagonal, which its
-        # own diagonal (down to sigma^2) can undercut by orders of magnitude.
-        L_S, jitter = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
-        del S
-        mean, explained = posterior_terms(solve_lower(L_S, rhs))
-        slots[k] = (base_mean + mean, posterior_variance(hp, base_explained + explained), jitter)
-
-    # Every step of an expert is a BLAS or LAPACK call large enough for
-    # OpenBLAS to spread over its own threads. On 2 cores with two BLAS
-    # threads, two workers ran a serve-shape call (n = 5000, M = 20, 50
-    # queries) in 76-90 ms against 59-60 ms on the caller's thread alone,
-    # so the workers share the CPUs with BLAS's threads.
-    work = _augmented_work(base.n, [part.n for part in augmented], X_star.shape[0])
-    in_shares(expert, list(range(len(augmented))), workers_for(work) // blas_threads())
-    means, variances, jitters = zip(*slots)
-    jittered = [j for j in jitters if j > 0.0]
-    if jittered:
-        log.warning(
-            "grbcm_aggregate: %d of %d augmented experts needed Cholesky jitter on the Schur complement"
-            " (largest %.3e)",
-            len(jittered), len(augmented), max(jittered),
-        )
-    preds = ExpertPredictions(
-        np.column_stack(means),
-        np.column_stack(variances),
-        posterior_variance(hp, base_explained),
-        base_mean,
-    )
-    beta = entropy_weights(preds)
-    beta[:, 0] = 1.0
-    return poe_family_aggregate(preds, beta, True)
+    model = _held.model
+    if model is None or not model.fits(partitioning, hp, seed):
+        model = _train_grbcm(partitioning, hp, seed)
+        _held.hold(model)
+    return model.predict(X_star)

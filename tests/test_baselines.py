@@ -1,9 +1,12 @@
 import ast
+import gc
 import inspect
 import logging
 import math
 import sys
+import textwrap
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -298,15 +301,17 @@ def _numpy_blas_uses(tree: ast.AST) -> list[str]:
 def test_collect_loop_and_grbcm_run_on_scipy_blas_alone():
     # numpy's and scipy's OpenBLAS each keep a thread pool; a loop that
     # alternates between them leaves one pool's threads holding the cores.
-    # collect_predictions' loop and GRBCM's call _linalg on scipy's.
+    # collect_predictions' loop and GRBCM's two phases call _linalg on scipy's.
     for fn in (
         baselines.grbcm_aggregate,
+        baselines._train_grbcm,
+        baselines._GrbcmModel.predict,
         baselines.collect_predictions,
         gp.predict,
         gp.with_targets,
         gp.posterior_terms,
     ):
-        assert _numpy_blas_uses(ast.parse(inspect.getsource(fn))) == [], fn.__name__
+        assert _numpy_blas_uses(ast.parse(textwrap.dedent(inspect.getsource(fn)))) == [], fn.__name__
     for snippet in ("a @ b", "a @= b", "np.dot(a, b)", "np.matmul(a, b)", "a.dot(b)"):
         assert _numpy_blas_uses(ast.parse(snippet)), snippet
 
@@ -387,6 +392,16 @@ def _chunked_partitions(rng, d, M, n_per):
     return Partitioning(np.repeat(np.arange(M), n_per), subsets, "random")
 
 
+def _fresh(parts):
+    """A new partitioning object over the same subsets: its first GRBCM
+    call trains."""
+    return Partitioning(parts.assignments, list(parts.subsets), parts.method)
+
+
+def _bitwise(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 def one_blas_thread(monkeypatch):
     """BLAS on one thread, as the benchmark pins it, whatever this
     process's OpenBLAS runs."""
@@ -410,21 +425,32 @@ def _on_one_worker(monkeypatch, *args):
         return grbcm_aggregate(*args)
 
 
-def _recording_kernel_matrix(monkeypatch):
-    """Patch ``baselines.kernel_matrix`` to record the thread of every call."""
+def _recording_threads(monkeypatch, name):
+    """Patch ``baselines.<name>`` to record the thread of every call:
+    ``kernel_matrix`` runs in both of GRBCM's phases, ``chol_jitter``
+    only in training."""
     threads = []
+    original = getattr(baselines, name)
 
-    def recording(X, X2, hp):
+    def recording(*args, **kwargs):
         threads.append(threading.current_thread())
-        return gp.kernel_matrix(X, X2, hp)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(baselines, "kernel_matrix", recording)
+    monkeypatch.setattr(baselines, name, recording)
     return threads
 
 
+def _refuse_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(_workers.threading, "Thread", refuse)
+
+
 class TestGrbcmWorkerShares:
-    """Each augmented expert runs on one share and writes its own slot, so
-    any number of workers gives the bits of one."""
+    """Each augmented expert runs on one share and writes its own slot, in
+    training and in every call, so any number of workers gives the bits
+    of one."""
 
     # M = 2 has one augmented expert, of POINTER_MIN + 22 points, so its
     # calls take _linalg's pointer route; M = 20's take the f2py one
@@ -436,33 +462,46 @@ class TestGrbcmWorkerShares:
         parts = _chunked_partitions(rng, d, M, n_per)
         hp = Hyperparameters([0.3] * d, 1.3, 0.01)
         X_star = rng.uniform(-0.1, 1.1, (n_t, d))
-        threads = _recording_kernel_matrix(monkeypatch)
+        threads = _recording_threads(monkeypatch, "kernel_matrix")
         for seed in (0, 1):
-            expected = _on_one_worker(monkeypatch, parts, hp, X_star, seed)
-            threads.clear()
-            mean, var = grbcm_aggregate(parts, hp, X_star, seed)
-            assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
-            assert len(set(threads)) == min(threaded, M - 1)
+            one = _fresh(parts)
+            cold_one = _on_one_worker(monkeypatch, one, hp, X_star, seed)
+            warm_one = _on_one_worker(monkeypatch, one, hp, X_star, seed)
+            many = _fresh(parts)
+            spread = []
+            for expected in (cold_one, warm_one):
+                threads.clear()
+                assert _bitwise(grbcm_aggregate(many, hp, X_star, seed), expected)
+                spread.append(len(set(threads)))
+            # each phase of a call starts workers of its own; the caller's
+            # thread runs share 0 of both
+            w = min(threaded, M - 1)
+            assert spread == [2 * w - 1, w]
 
     def test_call_above_the_threshold_runs_on_every_worker(self, monkeypatch):
-        # unpatched threshold: the augmented experts' work is above PARALLEL_WORK
+        # unpatched threshold: training the augmented experts is above
+        # PARALLEL_WORK and a call's prediction below it
         one_blas_thread(monkeypatch)
         rng = np.random.default_rng(23)
         parts = _chunked_partitions(rng, 1, 6, 200)
         hp = Hyperparameters([0.1], 1.0, 0.01)
         X_star = rng.uniform(0, 1, (60, 1))
-        assert baselines._augmented_work(200, [200] * 5, 60) >= _workers.PARALLEL_WORK
+        assert baselines._prediction_work(200, [200] * 5, 60) < _workers.PARALLEL_WORK
+        assert baselines._training_work(200, [200] * 5) >= _workers.PARALLEL_WORK
         expected = _on_one_worker(monkeypatch, parts, hp, X_star, 0)
-        threads = _recording_kernel_matrix(monkeypatch)
-        mean, var = grbcm_aggregate(parts, hp, X_star, 0)
-        assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
+        threads = _recording_threads(monkeypatch, "chol_jitter")
+        fresh = _fresh(parts)
+        assert _bitwise(grbcm_aggregate(fresh, hp, X_star, 0), expected)
         assert threading.main_thread() in threads
         assert len(set(threads)) == min(_workers.worker_count(), 5)
+        _refuse_threads(monkeypatch)
+        assert _bitwise(grbcm_aggregate(fresh, hp, X_star, 0), expected)
+        assert len(threads) == 5
 
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
         # five workers on a short switch interval interleave their writes
-        # to the slots as often as they can; a lost or misplaced write
-        # would change the bits
+        # to the slots as often as they can, in training and in a warm
+        # call; a lost or misplaced write would change the bits
         monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
         one_blas_thread(monkeypatch)
         rng = np.random.default_rng(24)
@@ -474,22 +513,25 @@ class TestGrbcmWorkerShares:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):
-                mean, var = grbcm_aggregate(parts, hp, X_star, 0)
-                assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
+            for _ in range(5):
+                fresh = _fresh(parts)
+                for _ in range(2):
+                    assert _bitwise(grbcm_aggregate(fresh, hp, X_star, 0), expected)
         finally:
             sys.setswitchinterval(interval)
 
 
 class TestGrbcmThreadHygiene:
     def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
-        # the second augmented expert belongs to share 1, on a worker thread
+        # the second augmented expert belongs to share 1, on a worker thread,
+        # in training and in a warm call
         class KernelError(RuntimeError):
             pass
 
         rng = np.random.default_rng(25)
         parts = _chunked_partitions(rng, 1, 4, 20)
         hp = Hyperparameters([0.3], 1.0, 0.05)
+        X_star = rng.uniform(0, 1, (30, 1))
         second = [s for i, s in enumerate(parts.subsets) if i != grbcm_base_index(4, 0)][1]
         raised_on = []
 
@@ -499,39 +541,148 @@ class TestGrbcmThreadHygiene:
                 raise KernelError("second augmented expert")
             return gp.kernel_matrix(X, X2, hp)
 
-        monkeypatch.setattr(baselines, "kernel_matrix", failing)
         started = threading.active_count()
-        with pytest.raises(KernelError, match="second augmented expert"):
-            grbcm_aggregate(parts, hp, rng.uniform(0, 1, (30, 1)), 0)
-        assert raised_on and raised_on[0] is not threading.main_thread()
-        assert threading.active_count() == started
+        for warm in (False, True):
+            if warm:
+                grbcm_aggregate(parts, hp, X_star, 0)
+            with monkeypatch.context() as m:
+                m.setattr(baselines, "kernel_matrix", failing)
+                raised_on.clear()
+                with pytest.raises(KernelError, match="second augmented expert"):
+                    grbcm_aggregate(parts, hp, X_star, 0)
+            assert raised_on and raised_on[0] is not threading.main_thread()
+            assert threading.active_count() == started
+            # a training that raised holds no model; one that finished stays held
+            held = baselines._held.model
+            assert (held is not None and held.fits(parts, hp, 0)) == warm
 
     def test_call_below_the_threshold_starts_no_thread(self, monkeypatch):
         # the largest shapes of TestGrbcmAgainstMergedExperts stay on the
-        # caller's thread
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread was started below the threshold")
-
+        # caller's thread, in training and in a warm call
         rng = np.random.default_rng(20)
         parts = kmeans_partition(Dataset(rng.uniform(0, 1, (300, 3)), rng.standard_normal(300)), 20, seed=0)
         sizes = [s.n for s in parts.subsets]
-        assert baselines._augmented_work(max(sizes), sizes, 300) < _workers.PARALLEL_WORK
-        monkeypatch.setattr(_workers.threading, "Thread", refuse)
-        grbcm_aggregate(parts, Hyperparameters([0.5], 1.3, 0.01), rng.uniform(0, 1, (300, 3)), 0)
-
+        assert baselines._training_work(max(sizes), sizes) < _workers.PARALLEL_WORK
+        assert baselines._prediction_work(max(sizes), sizes, 300) < _workers.PARALLEL_WORK
+        _refuse_threads(monkeypatch)
+        trainings = _recording_threads(monkeypatch, "train_expert")
+        for _ in range(2):
+            grbcm_aggregate(parts, Hyperparameters([0.5], 1.3, 0.01), rng.uniform(0, 1, (300, 3)), 0)
+        assert len(trainings) == 1
 
     @pytest.mark.parametrize("cpus, blas", [(2, 2), (3, 2), (4, 4)])
     def test_blas_threads_on_every_cpu_leave_no_worker(self, monkeypatch, cpus, blas):
         # unpinned, OpenBLAS already spreads each call over the CPUs
-        def refuse(*args, **kwargs):
-            raise AssertionError("a worker was started next to BLAS's own threads")
-
         monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
         monkeypatch.setattr(_workers, "worker_count", lambda: cpus)
         monkeypatch.setattr(baselines, "blas_threads", lambda: blas)
-        monkeypatch.setattr(_workers.threading, "Thread", refuse)
+        _refuse_threads(monkeypatch)
         rng = np.random.default_rng(26)
-        grbcm_aggregate(_chunked_partitions(rng, 1, 6, 20), Hyperparameters([0.3], 1.0, 0.05), rng.uniform(0, 1, (9, 1)), 0)
+        parts = _chunked_partitions(rng, 1, 6, 20)
+        for _ in range(2):
+            grbcm_aggregate(parts, Hyperparameters([0.3], 1.0, 0.05), rng.uniform(0, 1, (9, 1)), 0)
+
+
+class TestGrbcmHeldModel:
+    """One trained model per process, keyed by the partitioning object,
+    theta's value and the seed."""
+
+    @staticmethod
+    def _setup():
+        rng = np.random.default_rng(30)
+        parts = _chunked_partitions(rng, 1, 5, 30)
+        return parts, Hyperparameters([0.3], 1.0, 0.05), rng.uniform(-0.1, 1.1, (25, 1))
+
+    def test_warm_call_trains_nothing_and_gives_cold_call_bits(self, monkeypatch):
+        parts, hp, X_star = self._setup()
+        grbcm_aggregate(parts, hp, X_star, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm call trained")
+
+        with monkeypatch.context() as m:
+            m.setattr(baselines, "train_expert", refuse)
+            m.setattr(baselines, "chol_jitter", refuse)
+            # an equal theta, not the same object
+            warm = grbcm_aggregate(parts, Hyperparameters([0.3], 1.0, 0.05), X_star, 3)
+        assert _bitwise(warm, grbcm_aggregate(_fresh(parts), hp, X_star, 3))
+
+    @pytest.mark.parametrize("change", ["seed", "theta", "theta in place", "partitioning"])
+    def test_another_key_retrains(self, monkeypatch, change):
+        parts, hp, X_star = self._setup()
+        trainings = _recording_threads(monkeypatch, "train_expert")
+        grbcm_aggregate(parts, hp, X_star, 0)
+        seed = 0
+        if change == "seed":
+            seed = 1
+        elif change == "theta":
+            hp = Hyperparameters([0.3], 1.0, 0.06)
+        elif change == "theta in place":
+            hp.lengthscale[0] = 0.4
+        else:
+            parts = _fresh(parts)
+        retrained = grbcm_aggregate(parts, hp, X_star, seed)
+        assert len(trainings) == 2
+        assert _bitwise(retrained, grbcm_aggregate(_fresh(parts), hp, X_star, seed))
+
+    def test_second_partitioning_evicts_the_first(self):
+        parts, hp, X_star = self._setup()
+        other = _fresh(parts)
+        grbcm_aggregate(parts, hp, X_star, 0)
+        first = weakref.ref(baselines._held.model)
+        grbcm_aggregate(other, hp, X_star, 0)
+        gc.collect()
+        assert first() is None
+        assert baselines._held.model.fits(other, hp, 0)
+
+    def test_model_is_freed_with_its_partitioning(self):
+        parts, hp, X_star = self._setup()
+        grbcm_aggregate(parts, hp, X_star, 0)
+        model = weakref.ref(baselines._held.model)
+        del parts
+        gc.collect()
+        assert model() is None
+        assert baselines._held.model is None
+
+    def test_two_threads_on_two_partitionings_get_their_own_bits(self, monkeypatch):
+        # each thread's calls evict the other's model; every call must still
+        # answer from its own partitioning
+        rng = np.random.default_rng(31)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        X_star = rng.uniform(0, 1, (20, 1))
+        both = [_chunked_partitions(rng, 1, 4, 25) for _ in range(2)]
+        expected = [grbcm_aggregate(_fresh(parts), hp, X_star, 0) for parts in both]
+        start = threading.Barrier(2)
+        results = [[], []]
+
+        def calls(k):
+            start.wait()
+            for _ in range(20):
+                results[k].append(grbcm_aggregate(both[k], hp, X_star, 0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=calls, args=(k,)) for k in range(2)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(2):
+            assert len(results[k]) == 20
+            assert all(_bitwise(out, expected[k]) for out in results[k])
+
+    def test_batches_of_a_warm_model_match_one_call(self):
+        rng = np.random.default_rng(32)
+        parts = _chunked_partitions(rng, 1, 6, 60)
+        hp = Hyperparameters([0.2], 1.0, 0.01)
+        X_star = rng.uniform(-0.1, 1.1, (400, 1))
+        mean, var = grbcm_aggregate(parts, hp, X_star, 0)
+        batches = [grbcm_aggregate(parts, hp, X_star[k : k + 50], 0) for k in range(0, 400, 50)]
+        for whole, parts_out in ((mean, [b[0] for b in batches]), (var, [b[1] for b in batches])):
+            assert np.all(np.abs(np.concatenate(parts_out) - whole) <= 1e-12 * np.max(np.abs(whole)))
 
 
 class TestGrbcmJitterWarning:
@@ -566,6 +717,17 @@ class TestGrbcmJitterWarning:
         assert record.getMessage() == (
             f"grbcm_aggregate: {len(jittered)} of 3 augmented experts needed Cholesky jitter "
             f"on the Schur complement (largest {max(jittered):.3e})"
+        )
+
+    def test_one_warning_per_trained_model(self, caplog):
+        parts, hp, X_star = self._near_duplicates()
+        with caplog.at_level(logging.WARNING, logger="gpagg.baselines"):
+            grbcm_aggregate(parts, hp, X_star, 0)
+            [first] = caplog.records
+            grbcm_aggregate(parts, hp, X_star[:5], 0)
+        assert caplog.records == [first]
+        assert first.getMessage().startswith(
+            "grbcm_aggregate: 3 of 3 augmented experts needed Cholesky jitter on the Schur complement (largest "
         )
 
     def test_call_without_jitter_logs_nothing(self, caplog):

@@ -107,6 +107,7 @@ class TestSolves:
         L, _ = chol_jitter(random_spd(rng, 10))
         b = rng.standard_normal((10, 3))
         assert np.allclose(solve_lower(L, b), np.linalg.solve(L, b), rtol=1e-12, atol=1e-14)
+        assert np.allclose(solve_lower(L, b, transpose=True), np.linalg.solve(L.T, b), rtol=1e-12, atol=1e-14)
 
     def test_solve_lower_rejects_a_singular_factor(self):
         L = np.tril(np.ones((3, 3)))
@@ -288,6 +289,20 @@ class TestPointerRoute:
         assert x.shape == b.shape
         assert np.array_equal(L, before[0]) and np.array_equal(b, before[1])
         assert pointer_calls == [name] * (routed_on(n) or solve is solve_lower)
+
+    @pytest.mark.parametrize("L_layout", LAYOUTS)
+    @pytest.mark.parametrize("b_layout", [*LAYOUTS, "1-D"])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_transposed_solve_equals_f2py(self, pointer_calls, L_layout, b_layout, n):
+        L = LAYOUTS[L_layout](factor(n))
+        b = np.random.default_rng(n).standard_normal((n, 7))
+        b = b[:, 0] if b_layout == "1-D" else LAYOUTS[b_layout](b)
+        before = (L.copy(), b.copy())
+        x = solve_lower(L, b, transpose=True)
+        assert np.array_equal(x, lapack.dtrtrs(L, b, lower=1, trans=1)[0])
+        assert x.shape == b.shape
+        assert np.array_equal(L, before[0]) and np.array_equal(b, before[1])
+        assert pointer_calls == ["dtrtrs"]
 
     @pytest.mark.parametrize("n", ORDERS)
     def test_singular_factor_still_raises(self, pointer_calls, n):

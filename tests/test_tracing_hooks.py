@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps module attributes of the package (see its
 ``instrument``). This checks that contract from the package side: GRBCM
 factors its base partition through ``baselines.train_expert`` once per
-call (its augmented experts are conditioned on that factor), EMGGM's E-steps, M-steps
+trained model (its augmented experts are conditioned on that factor, and
+a repeated call on the same partitioning, theta and seed trains
+nothing), EMGGM's E-steps, M-steps
 and glasso solves go through the ``emggm`` module's names, and every
 wrapped attribute is restored afterwards. The tracer keeps one span
 stack, so GRBCM's and NPAE's worker threads must never call a wrapped
@@ -61,6 +63,9 @@ def test_instrument_counts_grbcm_factorizations_and_em_work(tracing):
             calls = tracer.counts["baselines.train_expert_calls"]
             grbcm_aggregate(parts, hp, X_star, seed)
             assert tracer.counts["baselines.train_expert_calls"] - calls == 1
+        calls = tracer.counts["baselines.train_expert_calls"]
+        grbcm_aggregate(parts, hp, X_star[:5], 1)
+        assert tracer.counts["baselines.train_expert_calls"] == calls
         preds = collect_predictions([train_expert(s, hp) for s in parts.subsets], X_star, hp)
         emggm_aggregate(preds)
 
@@ -77,8 +82,9 @@ def test_instrument_counts_grbcm_factorizations_and_em_work(tracing):
 
 
 def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypatch):
-    # GRBCM's and NPAE's shapes here are above PARALLEL_WORK, so both run
-    # on worker threads; only the calling thread may enter a hooked call
+    # GRBCM's training and prediction and NPAE's shapes here are above
+    # PARALLEL_WORK, so all run on worker threads; only the calling thread
+    # may enter a hooked call
     monkeypatch.setattr(gpagg._workers, "worker_count", lambda: 3)
     monkeypatch.setattr(gpagg.baselines, "blas_threads", lambda: 1)
     rng = np.random.default_rng(1)
@@ -92,7 +98,8 @@ def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypa
     for seed in (0, 1):
         base = gpagg.baselines.grbcm_base_index(6, seed)
         augmented = sizes[:base] + sizes[base + 1 :]
-        assert gpagg.baselines._augmented_work(sizes[base], augmented, 60) >= gpagg._workers.PARALLEL_WORK
+        assert gpagg.baselines._training_work(sizes[base], augmented) >= gpagg._workers.PARALLEL_WORK
+        assert gpagg.baselines._prediction_work(sizes[base], augmented, 60) >= gpagg._workers.PARALLEL_WORK
     assert gpagg.npae._pair_work(sizes, 60) >= gpagg._workers.PARALLEL_WORK
     workers = []
     for module in (gpagg.baselines, gpagg.npae):
