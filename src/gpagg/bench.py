@@ -24,11 +24,13 @@ one expert's weight matrix for a block (max n_i b), still the largest
 single matrix when the block's cross blocks are built on several
 worker threads at once (each holds one); for GRBCM, the
 largest of the base factor and its inverse (n_b^2), a cross block
-L_b^-1 K_bi (n_b max n_i), a Schur complement (max n_i^2) and a
-right-hand side [k(X, X*) | y] of the base or an expert
-(max(n_b, max n_i) (n_t + 1)), still the largest single matrix when
-the augmented experts run on several worker threads (each holds one
-expert's at a time); for the rest, the stacked predictions
+(L_b^-1 K_bi in training, K_ib in a call; n_b max n_i), a Schur
+complement or its unpacked factor (max n_i^2) and a right-hand side
+[k(X, X*) | y] of the base or an expert (max(n_b, max n_i) (n_t + 1)),
+still the largest single matrix when the augmented experts run on
+several worker threads (each holds one expert's at a time), and not
+counting the packed Schur factors that its trained model holds; for
+the rest, the stacked predictions
 (n_t M) and one expert's [k(X, X*) | y] (max n_i (n_t + 1)).
 """
 
