@@ -245,7 +245,8 @@ class _GrbcmModel:
 class _HeldModel:
     """The one trained GRBCM model of the process, or None.
 
-    A model is dropped when a call with another key replaces it, and when
+    A model is dropped when a call asks for another key, before that call
+    trains its own, so that two models are never held at once; and when
     its partitioning is collected (its weak reference's callback). The
     lock is reentrant because a collection, and so the callback, can
     start on the thread that holds it.
@@ -254,6 +255,13 @@ class _HeldModel:
     def __init__(self):
         self.model: _GrbcmModel | None = None
         self._lock = threading.RLock()
+
+    def get(self, partitioning: Partitioning, hp: Hyperparameters, seed: int) -> _GrbcmModel | None:
+        """The held model if it fits this key; otherwise drop it and return None."""
+        with self._lock:
+            if self.model is not None and not self.model.fits(partitioning, hp, seed):
+                self.model = None
+            return self.model
 
     def hold(self, model: _GrbcmModel) -> None:
         with self._lock:
@@ -350,7 +358,9 @@ def grbcm_aggregate(
     ``hp`` and the same ``seed`` reuses it and gives bitwise the outputs
     of a first call; any other call trains a new model in its place. The
     partitioning is referenced weakly, and its model is freed when it is
-    collected; it must not be changed in place once used.
+    collected; it must not be changed in place once used. Calls from
+    several threads each answer from the model they found or trained;
+    when such calls ask for different keys, each may train in turn.
 
     The augmented experts are independent given the base. Training, and
     each call, runs them in fixed shares on ``worker_count() //
@@ -360,8 +370,8 @@ def grbcm_aggregate(
     expert writes its own slot, so the outputs are bitwise those of one
     thread.
     """
-    model = _held.model
-    if model is None or not model.fits(partitioning, hp, seed):
+    model = _held.get(partitioning, hp, seed)
+    if model is None:
         model = _train_grbcm(partitioning, hp, seed)
         _held.hold(model)
     return model.predict(X_star)

@@ -625,14 +625,22 @@ class TestGrbcmHeldModel:
         assert len(trainings) == 2
         assert _bitwise(retrained, grbcm_aggregate(_fresh(parts), hp, X_star, seed))
 
-    def test_second_partitioning_evicts_the_first(self):
+    def test_second_partitioning_evicts_the_first_before_training(self, monkeypatch):
         parts, hp, X_star = self._setup()
         other = _fresh(parts)
         grbcm_aggregate(parts, hp, X_star, 0)
         first = weakref.ref(baselines._held.model)
+        alive = []
+        train_expert = baselines.train_expert
+
+        def checking(*args):
+            gc.collect()
+            alive.append(first() is not None)
+            return train_expert(*args)
+
+        monkeypatch.setattr(baselines, "train_expert", checking)
         grbcm_aggregate(other, hp, X_star, 0)
-        gc.collect()
-        assert first() is None
+        assert alive == [False]
         assert baselines._held.model.fits(other, hp, 0)
 
     def test_model_is_freed_with_its_partitioning(self):
