@@ -10,19 +10,20 @@ shared jitter policy: on failure the diagonal is inflated by 1e-10, then
 tenfold up to 1e-4, times mean(diag); past that a NumericalError carries
 the last jitter tried. A non-finite matrix raises before any jitter.
 
-It is also the package's one BLAS module: gp's dgemv and dsyr come from
-here, and so do GRBCM's in-place updates ``dtrmm``, ``dsyrk`` and
-``dgemm``, each in the one form GRBCM uses.
+It is also the package's one BLAS module: gp's dgemv and ``dsyr`` come
+from here, and so do GRBCM's in-place updates ``dtrmm``, ``dsyrk`` and
+``dgemm``, each in the one form its caller uses.
 
 Two routes reach the same OpenBLAS: scipy's f2py wrappers, which hold
 the interpreter lock for the whole call, and the pointers that
 ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which ctypes
 calls with the lock released and with a leading dimension, for 11-14 us
-more per call. dtrtrs, dtrttp, dtpttr, the BLAS updates and the blocked
-inverse's dtrmm always take the pointers; dtrtri, dlauum, dgemv and
-dsyr always take f2py; dpotrf and dpotrs choose by size (POINTER_MIN).
-Operands are copied to Fortran order exactly where f2py copies, so both
-routes give the same bits.
+more per call. dtrtrs, dtrttp, dtpttr, GRBCM's BLAS updates and the
+blocked inverse's dtrmm always take the pointers; dgemv always takes
+f2py; dpotrf, dpotrs, the inverse's dtrtri and dlauum, and dsyr choose
+by the order of their matrix (POINTER_MIN). Operands are copied to
+Fortran order exactly where f2py copies, so both routes give the same
+bits.
 
 A packed triangle (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999)
 holds the n(n+1)/2 entries of a lower triangle column by column, half
@@ -33,8 +34,8 @@ between the two forms, so a factor comes back with its exact bits.
 import ctypes
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack, lapack
-from scipy.linalg.blas import dgemv, dsyr  # noqa: F401 - gp's BLAS, imported from here
+from scipy.linalg import blas, cython_blas, cython_lapack, lapack
+from scipy.linalg.blas import dgemv  # noqa: F401 - gp's BLAS, imported from here
 
 from .errors import DimensionError, NumericalError
 
@@ -44,14 +45,19 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
-# ``cholesky`` and ``cho_solve`` take the pointer route from this order
-# up: they run hundreds of times per benchmark draw on each side of it.
-# At orders 5 / 20 / 41 (NPAE's K_A, the graphical lasso) dpotrf took
-# 16 / 18 / 28 us through the pointer against 1.7 / 4.0 / 14 us through
-# f2py (2 cores, one BLAS thread, OpenBLAS 0.3.30, medians of 9); from
-# 128 up it ran 10-14% faster. A one-column dpotrs there ran 11-22%
-# slower (~90 calls, ~1 ms per desk draw) but stays routed: the fit's
-# solves need the lock released before they can run on worker threads.
+# ``cholesky``, ``cho_solve``, ``chol_inverse`` (its dtrtri leaves and
+# dlauum) and ``dsyr`` take the pointer route when their matrix has at
+# least this order: they run hundreds of times per benchmark draw on each
+# side of it. At orders 5 / 20 / 41 (NPAE's K_A, the graphical lasso)
+# dpotrf took 16 / 18 / 28 us through the pointer against 1.7 / 4.0 /
+# 14 us through f2py (2 cores, one BLAS thread, OpenBLAS 0.3.30, medians
+# of 9); from 128 up it ran 10-14% faster. A one-column dpotrs there ran
+# 11-22% slower (~90 calls, ~1 ms per desk draw) but stays routed: the
+# fit evaluates its partitions on worker threads, and from this order up
+# every LAPACK and BLAS call of an evaluation releases the lock. With
+# f2py's dtrtri, dlauum and dsyr, a desk evaluation (5 partitions of
+# 361-434) ran 1.37x faster on two workers than on one; with the
+# pointers, 1.50x (one BLAS thread, medians of 80 interleaved pairs).
 POINTER_MIN = 128
 
 
@@ -72,6 +78,8 @@ def _capsule_function(module, name: str, nargs: int):
 
 _dpotrf = _capsule_function(cython_lapack, "dpotrf", 5)
 _dpotrs = _capsule_function(cython_lapack, "dpotrs", 8)
+_dtrtri = _capsule_function(cython_lapack, "dtrtri", 6)
+_dlauum = _capsule_function(cython_lapack, "dlauum", 5)
 _dtrtrs = _capsule_function(cython_lapack, "dtrtrs", 10)
 _dlaset = _capsule_function(cython_lapack, "dlaset", 7)
 _dtrttp = _capsule_function(cython_lapack, "dtrttp", 6)
@@ -79,6 +87,7 @@ _dtpttr = _capsule_function(cython_lapack, "dtpttr", 6)
 _dtrmm = _capsule_function(cython_blas, "dtrmm", 11)
 _dsyrk = _capsule_function(cython_blas, "dsyrk", 10)
 _dgemm = _capsule_function(cython_blas, "dgemm", 13)
+_dsyr = _capsule_function(cython_blas, "dsyr", 7)
 
 
 def _blas_thread_getter():
@@ -248,6 +257,11 @@ def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.nda
     return x
 
 
+def _at(X: np.ndarray, i: int, j: int) -> int:
+    """Address of X[i, j] in a Fortran-ordered float64 ``X``."""
+    return X.ctypes.data + X.itemsize * (i + j * X.shape[0])
+
+
 def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
     """Invert the lower-triangular block X[lo:hi, lo:hi] of a
     Fortran-ordered float64 ``X`` in place.
@@ -256,15 +270,21 @@ def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
     recursively, and the corner becomes X21 = -X22^-1 L21 X11^-1 by two
     triangular multiplies (LAPACK's blocked scheme; Du Croz & Higham,
     IMA J. Numer. Anal. 1992) on the sub-blocks X11, X21 and X22 where
-    they lie in ``X``, through its leading dimension.
+    they lie in ``X``, through its leading dimension. A leaf of an ``X``
+    of order POINTER_MIN or more is inverted there too, by the pointer
+    dtrtri.
     """
     if hi - lo <= INVERSE_BLOCK:
-        X[lo:hi, lo:hi] = lapack.dtrtri(X[lo:hi, lo:hi], lower=1, overwrite_c=1)[0]
+        if _large(X):
+            info = ctypes.c_int()
+            _dtrtri(b"L", b"N", _int(hi - lo), _at(X, lo, lo), _ld(X), ctypes.byref(info))
+        else:
+            X[lo:hi, lo:hi] = lapack.dtrtri(X[lo:hi, lo:hi], lower=1, overwrite_c=1)[0]
         return
     mid = (lo + hi) // 2
     _invert_lower(X, lo, mid)
     _invert_lower(X, mid, hi)
-    x11, x21, x22 = (X.ctypes.data + X.itemsize * (i + j * X.shape[0]) for i, j in ((lo, lo), (mid, lo), (mid, mid)))
+    x11, x21, x22 = _at(X, lo, lo), _at(X, mid, lo), _at(X, mid, mid)
     rows, cols, ld = _int(hi - mid), _int(mid - lo), _ld(X)
     _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _float(-1.0), x22, ld, x21, ld)
     _dtrmm(b"R", b"L", b"N", b"N", rows, cols, _float(1.0), x11, ld, x21, ld)
@@ -291,7 +311,12 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     ``inverse_lower``. Up to INVERSE_BLOCK this is dpotri bit for bit:
     dtrtri, then dlauum forms X' X from the inverse factor X.
     """
-    return lapack.dlauum(inverse_lower(L), lower=1, overwrite_c=1)[0]
+    X = inverse_lower(L)
+    if not _large(X):
+        return lapack.dlauum(X, lower=1, overwrite_c=1)[0]
+    info = ctypes.c_int()
+    _dlauum(b"L", _int(X.shape[0]), X.ctypes.data, _ld(X), ctypes.byref(info))
+    return X
 
 
 def spd_inverse(A: np.ndarray) -> np.ndarray:
@@ -310,6 +335,20 @@ def _output(x: np.ndarray) -> None:
     float64 = isinstance(x, np.ndarray) and x.dtype == np.float64
     if not (float64 and x.flags.f_contiguous and x.flags.writeable and x.flags.aligned):
         raise ValueError("the output must be a writable, Fortran-ordered float64 array")
+
+
+def dsyr(alpha: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The lower triangle of a := a + alpha x x' in place for a 1-D ``x``
+    (the strict upper triangle of ``a`` is neither read nor written);
+    returns ``a``."""
+    x = _in(x)
+    _output(a)
+    if not (x.ndim == 1 and a.ndim == 2 and a.shape == (x.size, x.size)):
+        raise DimensionError(f"cannot update a {a.shape} matrix by the outer product of a {x.shape} vector")
+    if not _large(a):
+        return blas.dsyr(alpha, x, lower=1, a=a, overwrite_a=1)
+    _dsyr(b"L", _int(x.size), _float(alpha), x.ctypes.data, _int(1), a.ctypes.data, _ld(a))
+    return a
 
 
 def dtrmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Fixed shares of independent work on worker threads.
 
-NPAE's per-expert and pair phases and GRBCM's augmented experts are
-lists of items that write disjoint slots. ``in_shares`` splits such a
-list into fixed shares by position, so every item runs the same
-operands and calls whatever the number of workers, and the results do
-not depend on it. A call starts threads only when its work, counted in
-multiply-adds, reaches ``PARALLEL_WORK`` (``workers_for``).
+The shared fit's per-partition lml terms, NPAE's per-expert and pair
+phases and GRBCM's augmented experts are lists of items that write
+disjoint slots. ``in_shares`` splits such a list into fixed shares by
+position, so every item runs the same operands and calls whatever the
+number of workers, and the results do not depend on it; the caller sums
+or stacks the slots in item order. A call starts threads only when its
+work, counted in multiply-adds, reaches ``PARALLEL_WORK``
+(``workers_for``).
 """
 
 from __future__ import annotations
@@ -38,26 +40,32 @@ def workers_for(work: int) -> int:
 def in_shares(work, items: list, workers: int) -> None:
     """Call ``work`` on every item, share s taking items[s::workers]:
     share 0 on the caller's thread, every other share on a thread of its
-    own, all joined before this returns. A share's exception is raised
-    again here."""
+    own, all joined before this returns.
+
+    An item that raises ends its share. The error raised here is that of
+    the earliest failing item in ``items`` order, so it does not depend
+    on the number of workers or on which share failed first in time; an
+    interrupt or exit (a ``BaseException`` that is not an ``Exception``)
+    is raised in preference to any error.
+    """
     workers = max(1, min(workers, len(items)))
-    errors = []
+    failures = []  # (position in items, exception), at most one per share
 
     def run(share):
-        try:
-            for item in share:
-                work(item)
-        except BaseException as exc:
-            errors.append(exc)
+        for i in range(share, len(items), workers):
+            try:
+                work(items[i])
+            except BaseException as exc:
+                failures.append((i, exc))
+                return
 
-    threads = [threading.Thread(target=run, args=(items[s::workers],)) for s in range(1, workers)]
+    threads = [threading.Thread(target=run, args=(s,)) for s in range(1, workers)]
     for t in threads:
         t.start()
     try:
-        for item in items[::workers]:
-            work(item)
+        run(0)
     finally:
         for t in threads:
             t.join()
-    if errors:
-        raise errors[0]
+    if failures:
+        raise min(failures, key=lambda f: (isinstance(f[1], Exception), f[0]))[1]

@@ -17,7 +17,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import cho_solve, chol_inverse, chol_jitter, dgemv, dsyr, pack_lower, solve_lower, unpack_lower
+from ._linalg import (
+    blas_threads,
+    cho_solve,
+    chol_inverse,
+    chol_jitter,
+    dgemv,
+    dsyr,
+    pack_lower,
+    solve_lower,
+    unpack_lower,
+)
+from ._workers import in_shares, workers_for
 from .errors import DimensionError, FitError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -270,7 +281,7 @@ def _lml_and_grad(
     # for every symmetric B, which is all that each trace below needs.
     A = chol_inverse(L)
     A *= -2.0
-    A = dsyr(2.0, alpha, lower=1, a=A, overwrite_a=1)
+    dsyr(2.0, alpha, A)
     A[np.diag_indices(n)] *= 0.5
     k = ls.size
     grad = np.empty(k + 2)
@@ -327,6 +338,16 @@ def fit_shared_hyperparameters(
     ``init``. A run that raises or ends non-finite is logged as one
     warning; ``FitError`` is raised only when neither ``init`` nor the run
     could be scored. ``opts`` is ignored (see ``FitOptions``).
+
+    Each evaluation computes the partitions' terms in fixed shares
+    (``_workers.in_shares``) on ``worker_count() // blas_threads()``
+    threads, the caller's among them, once sum_i n_i^3 reaches
+    ``_workers.PARALLEL_WORK``, and on the caller's thread alone below it.
+    The terms are summed in partition order, so theta is bit for bit that
+    of one thread; a partition that raises fails the evaluation as it
+    would on one thread, with the error of the earliest failing
+    partition. Up to that many partitions' n_i x n_i working arrays are
+    alive at once.
     """
     datasets = list(partitions)
     if not datasets or any(ds.n == 0 for ds in datasets):
@@ -336,6 +357,7 @@ def fit_shared_hyperparameters(
         raise DimensionError("partitions disagree on input dimension")
     k = _check_lengthscale(init, d).size
     sqs = [_sq_dists(ds.X, k) for ds in datasets]
+    workers = workers_for(sum(ds.n**3 for ds in datasets)) // blas_threads()
     last: list = []  # the latest point evaluated, its value and gradient
 
     def objective(logv: np.ndarray) -> tuple[float, np.ndarray]:
@@ -344,10 +366,15 @@ def fit_shared_hyperparameters(
         if last and np.array_equal(last[0], logv):
             return last[1], last[2].copy()
         hp = Hyperparameters.from_log_vector(logv)
+        slots: list = [None] * len(datasets)
+
+        def partition(i):
+            slots[i] = _lml_and_grad(datasets[i], hp, sqs[i])
+
+        in_shares(partition, list(range(len(datasets))), workers)
         total = 0.0
         grad = np.zeros(logv.size)
-        for ds, sq in zip(datasets, sqs):  # fixed order keeps the reduction deterministic
-            v, g = _lml_and_grad(ds, hp, sq)
+        for v, g in slots:  # partition order keeps the reduction deterministic
             total += v
             grad += g
         last[:] = [logv.copy(), -total, -grad]

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import gpagg.gp as gp
+from gpagg import _workers
 from gpagg._linalg import cho_solve, chol_jitter, cholesky, solve_lower
 from gpagg import (
     Dataset,
@@ -558,6 +560,103 @@ class TestFit:
         init = Hyperparameters([0.5, 0.5], 1.0, 0.1)
         hp = fit_shared_hyperparameters([data], init)
         assert hp.lengthscale.size == 2
+
+
+def on_workers(monkeypatch, workers):
+    """The fit's threads as on ``workers`` CPUs with BLAS on one thread,
+    as the benchmark pins it, whatever this process's OpenBLAS runs."""
+    monkeypatch.setattr(_workers, "worker_count", lambda: workers)
+    monkeypatch.setattr(gp, "blas_threads", lambda: 1)
+
+
+def sine_partitions(rng, sizes):
+    parts = []
+    for n in sizes:
+        X = rng.uniform(0, 1, (n, 1))
+        parts.append(Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(n)))
+    return parts
+
+
+class TestThreadedFit:
+    """The fit evaluates its partitions on worker threads once sum n_i^3
+    reaches PARALLEL_WORK, with theta and its failures as on one thread."""
+
+    # sum n_i^3 = 26.8 M, on both sides of POINTER_MIN (128)
+    SIZES = [100, 170, 190, 215, 160]
+
+    def test_theta_bitwise_on_one_two_and_three_workers(self, monkeypatch):
+        parts = sine_partitions(np.random.default_rng(30), self.SIZES)
+        assert sum(p.n**3 for p in parts) >= _workers.PARALLEL_WORK
+        init = Hyperparameters([0.3], 1.0, 0.05)
+        real, on_main = gp._lml_and_grad, []
+
+        def recording(*args):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(gp, "_lml_and_grad", recording)
+        fitted = []
+        for workers in (1, 2, 3):
+            on_workers(monkeypatch, workers)
+            on_main.clear()
+            fitted.append(fit_shared_hyperparameters(parts, init).log_vector())
+            # the caller's share is partitions 0, w, 2w, ... of each evaluation
+            assert sum(on_main) * len(parts) == len(on_main) * len(range(0, len(parts), workers))
+        assert not np.array_equal(fitted[0], init.log_vector())
+        for theta in fitted[1:]:
+            assert np.array_equal(theta, fitted[0])
+
+    def test_fit_below_parallel_work_starts_no_thread(self, monkeypatch):
+        on_workers(monkeypatch, 3)
+        parts = sine_partitions(np.random.default_rng(31), [40] * 5)
+        assert sum(p.n**3 for p in parts) < _workers.PARALLEL_WORK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit started a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        hp = fit_shared_hyperparameters(parts, Hyperparameters([0.3], 1.0, 0.05))
+        assert np.isfinite(hp.log_vector()).all()
+
+    @pytest.mark.parametrize("init_fails", [False, True], ids=["run fails", "init fails too"])
+    def test_error_on_a_worker_takes_the_one_thread_path(self, monkeypatch, caplog, init_fails):
+        # partition 1 sits on the second share, a worker's, with 2 workers
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        parts = sine_partitions(np.random.default_rng(32), [30] * 4)
+        init = Hyperparameters([0.3], 1.0, 0.05)
+        start = Hyperparameters.from_log_vector(init.log_vector())  # the objective's init
+        real, raised_on = gp._lml_and_grad, []
+
+        def failing(data, hp, *args):
+            if data is parts[1] and (init_fails or hp != start):
+                raised_on.append(threading.current_thread())
+                raise NumericalError("partition 1 failed")
+            return real(data, hp, *args)
+
+        monkeypatch.setattr(gp, "_lml_and_grad", failing)
+        outcomes = []
+        for workers in (1, 2):
+            on_workers(monkeypatch, workers)
+            raised_on.clear()
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="gpagg.gp"):
+                if init_fails:
+                    with pytest.raises(FitError) as info:
+                        fit_shared_hyperparameters(parts, init)
+                    outcomes.append(info.value.diagnostics)
+                else:
+                    outcomes.append(fit_shared_hyperparameters(parts, init))
+            (record,) = caplog.records
+            assert "1 of 1 optimizer runs failed (partition 1 failed)" in record.getMessage()
+            assert raised_on
+            assert all((t is threading.main_thread()) == (workers == 1) for t in raised_on)
+        if init_fails:
+            assert outcomes[0] == outcomes[1] == [
+                {"stage": "init", "error": "partition 1 failed"},
+                {"stage": "run", "error": "partition 1 failed"},
+            ]
+        else:
+            assert outcomes[0] == outcomes[1] == start
 
 
 class TestPredict:

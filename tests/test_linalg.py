@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import blas, lapack
-from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotri, dtrtri
 
 from gpagg import Dataset, DimensionError, Hyperparameters, NumericalError, _linalg
 from gpagg.baselines import grbcm_aggregate, grbcm_base_index
-from gpagg.gp import predict, train_expert
+from gpagg.gp import _lml_and_grad, predict, train_expert
 from gpagg.partition import Partitioning
 from gpagg._linalg import (
     INVERSE_BLOCK,
@@ -25,6 +24,7 @@ from gpagg._linalg import (
     chol_jitter,
     cholesky,
     dgemm,
+    dsyr,
     dsyrk,
     dtrmm,
     inverse_lower,
@@ -157,7 +157,7 @@ class TestCholInverse:
         assert not np.triu(inv, 1).any()
         # dsyr updates the Fortran-ordered result in place
         x = rng.standard_normal(n)
-        assert dsyr(1.0, x, lower=1, a=inv, overwrite_a=1) is inv
+        assert dsyr(1.0, x, inv) is inv
 
 
 def _invert_lower_reference(X, lo, hi):
@@ -191,8 +191,13 @@ ROUTED = {
     "dgemm": "_dgemm",
     "dtrttp": "_dtrttp",
     "dtpttr": "_dtpttr",
+    "dtrtri": "_dtrtri",
+    "dlauum": "_dlauum",
+    "dsyr": "_dsyr",
 }
 ORDERS = [POINTER_MIN - 1, POINTER_MIN]
+# orders for the inverse and dsyr: around the cut, one split and two
+INVERSE_ORDERS = [POINTER_MIN - 1, POINTER_MIN, POINTER_MIN + 1, 250, 434]
 
 
 @pytest.fixture
@@ -218,6 +223,17 @@ def f2py_refused(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
 
 
+@pytest.fixture
+def f2py_refused_by_order(monkeypatch):
+    """scipy's f2py dpotrf, dpotrs, dtrtri, dlauum and dsyr, which _linalg
+    calls only below POINTER_MIN, raise when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached one of scipy's f2py wrappers")
+
+    for module, name in ((lapack, "dpotrf"), (lapack, "dpotrs"), (lapack, "dtrtri"), (lapack, "dlauum"), (blas, "dsyr")):
+        monkeypatch.setattr(module, name, refuse)
+
+
 def strided(x):
     """``x`` as a view with neither C nor Fortran layout."""
     big = np.zeros(tuple(2 * k for k in x.shape))
@@ -234,15 +250,22 @@ def routed_on(n) -> bool:
     return n >= POINTER_MIN
 
 
+def leaves(n) -> int:
+    """dtrtri calls of ``inverse_lower`` at order n: one per block of at
+    most INVERSE_BLOCK that the halving leaves."""
+    return 1 if n <= INVERSE_BLOCK else leaves(n // 2) + leaves(n - n // 2)
+
+
 def factor(n, seed=0):
     return lapack.dpotrf(random_spd(np.random.default_rng(seed), n), lower=1)[0]
 
 
 class TestPointerRoute:
     """dtrtrs, dtrmm, dsyrk and dgemm run through the pointers that
-    scipy's Cython modules export at every size; dpotrf and dpotrs from
-    POINTER_MIN up, and through scipy's f2py wrappers below it. Every call
-    must give f2py's bits for any layout of the operands it reads."""
+    scipy's Cython modules export at every size; dpotrf, dpotrs, dtrtri,
+    dlauum and dsyr from POINTER_MIN up, and through scipy's f2py wrappers
+    below it. Every call must give f2py's bits for any layout of the
+    operands it reads."""
 
     def test_pointer_calls_release_the_interpreter_lock(self):
         for attr in ROUTED.values():
@@ -348,6 +371,35 @@ class TestPointerRoute:
         assert np.array_equal(c, expected)
         assert pointer_calls == ["dgemm"]
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", INVERSE_ORDERS)
+    def test_inverse_equals_f2py(self, pointer_calls, layout, n):
+        # dtrtri on each leaf, f2py's dtrmm joins, then dlauum: the
+        # copying reference runs every routine through f2py
+        L = factor(n)
+        expected = np.asfortranarray(L.copy())
+        _invert_lower_reference(expected, 0, n)
+        X = inverse_lower(LAYOUTS[layout](L.copy()))
+        assert np.array_equal(X, expected)
+        assert pointer_calls.count("dtrtri") == leaves(n) * routed_on(n)
+        pointer_calls.clear()
+        assert np.array_equal(chol_inverse(LAYOUTS[layout](L.copy())), lapack.dlauum(expected, lower=1)[0])
+        assert pointer_calls.count("dlauum") == routed_on(n)
+
+    @pytest.mark.parametrize("x_layout", LAYOUTS)
+    @pytest.mark.parametrize("n", INVERSE_ORDERS)
+    def test_dsyr_equals_f2py(self, pointer_calls, x_layout, n):
+        # a full random a: dsyr must read and write only its lower triangle
+        rng = np.random.default_rng(n)
+        x = LAYOUTS[x_layout](rng.standard_normal(n))
+        a = np.asfortranarray(rng.standard_normal((n, n)))
+        before = x.copy()
+        expected = blas.dsyr(2.0, x, lower=1, a=a)
+        assert dsyr(2.0, x, a) is a
+        assert np.array_equal(a, expected)
+        assert np.array_equal(x, before)
+        assert pointer_calls == ["dsyr"] * routed_on(n)
+
     @pytest.mark.parametrize("out", ["C", "strided", "read-only", "float32"])
     def test_blas_output_must_be_updatable_in_place(self, pointer_calls, out):
         # an output BLAS cannot overwrite is refused, not copied
@@ -365,7 +417,14 @@ class TestPointerRoute:
         else:
             c = np.asfortranarray(c, dtype=np.float32)
         before = c.copy()
-        for call in (lambda: dtrmm(a, c), lambda: dsyrk(w, c), lambda: dgemm(w, a, c), lambda: dgemm(w, a, [[0.0]])):
+        calls = (
+            lambda: dtrmm(a, c),
+            lambda: dsyrk(w, c),
+            lambda: dgemm(w, a, c),
+            lambda: dgemm(w, a, [[0.0]]),
+            lambda: dsyr(1.0, w[0], c),
+        )
+        for call in calls:
             with pytest.raises(ValueError, match="writable, Fortran-ordered float64"):
                 call()
         assert np.array_equal(c, before)
@@ -383,6 +442,9 @@ class TestPointerRoute:
             lambda: dsyrk(np.ones((3, 5)), F(np.ones((4, 4)))),
             lambda: dgemm(np.ones((3, 5)), np.ones((4, 2)), F(np.ones((5, 2)))),
             lambda: dgemm(np.ones((3, 5)), np.ones((3, 2)), F(np.ones((5, 3)))),
+            lambda: dsyr(1.0, np.ones(4), F(np.ones((5, 5)))),
+            lambda: dsyr(1.0, np.ones((5, 1)), F(np.ones((5, 5)))),
+            lambda: dsyr(1.0, np.ones(5), F(np.ones((5, 4)))),
         ):
             with pytest.raises(DimensionError, match="cannot"):
                 call()
@@ -550,7 +612,8 @@ class TestPackedStorage:
 
 class TestOneRoute:
     """Solves with a triangle and GRBCM's BLAS updates never reach scipy's
-    f2py wrappers, on either side of POINTER_MIN."""
+    f2py wrappers, on either side of POINTER_MIN; from POINTER_MIN up, the
+    SPD inverse and a fit evaluation reach none of them."""
 
     @pytest.mark.parametrize(
         "sizes", [[POINTER_MIN - 22, POINTER_MIN + 22], [12] * 20], ids=["M=2 around the cut", "M=20 small"]
@@ -569,10 +632,20 @@ class TestOneRoute:
         for _, seed in bases:
             assert np.isfinite(grbcm_aggregate(parts, hp, X_star, seed)[0]).all()
 
-    @pytest.mark.parametrize("n", [129, 250, 434])
-    def test_chol_inverse(self, f2py_refused, n):
+    @pytest.mark.parametrize("n", [POINTER_MIN, 129, 250, 434])
+    def test_chol_inverse(self, f2py_refused, f2py_refused_by_order, n):
         L = cholesky(random_spd(np.random.default_rng(n), n))
         assert np.isfinite(chol_inverse(L)).all()
+
+    @pytest.mark.parametrize("n", [POINTER_MIN, 250])
+    def test_fit_evaluation(self, f2py_refused, f2py_refused_by_order, n):
+        # from POINTER_MIN up, the fit's worker threads run every LAPACK
+        # and BLAS call of an evaluation with the interpreter lock released
+        rng = np.random.default_rng(n)
+        X = rng.uniform(0, 1, (n, 1))
+        data = Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(n))
+        value, grad = _lml_and_grad(data, Hyperparameters([0.2], 1.0, 0.05))
+        assert np.isfinite(value) and np.isfinite(grad).all()
 
 
 @pytest.mark.skipif(_linalg._blas_thread_count is None, reason="scipy's BLAS reports no thread count")

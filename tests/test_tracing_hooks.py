@@ -8,9 +8,13 @@ a repeated call on the same partitioning, theta and seed trains
 nothing), EMGGM's E-steps, M-steps
 and glasso solves go through the ``emggm`` module's names, and every
 wrapped attribute is restored afterwards. The tracer keeps one span
-stack, so GRBCM's and NPAE's worker threads must never call a wrapped
-attribute. The benchmark's own self-test runs too, since it reads the
-fields of ``PrecisionEstimate``.
+stack. GRBCM's and NPAE's worker threads never call a wrapped attribute.
+The shared fit's workers do: they enter ``gp._lml_and_grad`` and
+``gp.chol_jitter``, so in a traced run whose BLAS is pinned (the fit
+then runs threads) the gp and linalg self times are approximate, while
+the counts and the span around the whole fit stay exact. The benchmark's
+own self-test runs too, since it reads the fields of
+``PrecisionEstimate``.
 """
 
 import json
@@ -146,6 +150,45 @@ def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypa
     assert {"gpagg.baselines.train_expert", "gpagg.gp.chol_jitter", "gpagg.npae.chol_jitter"} <= callers.keys()
     for name, threads in callers.items():
         assert threads == {threading.main_thread()}, name
+
+
+def test_fit_on_two_workers_counts_and_fits_as_on_one(tracing, monkeypatch):
+    # the fit's workers enter the hooked gp._lml_and_grad and gp.chol_jitter;
+    # the counts and theta must be those of one worker
+    monkeypatch.setattr(gpagg._workers, "PARALLEL_WORK", 0)
+    monkeypatch.setattr(gpagg.gp, "blas_threads", lambda: 1)
+    rng = np.random.default_rng(2)
+    parts = []
+    for n in (40, 50, 60, 45):
+        X = rng.uniform(0, 1, (n, 1))
+        parts.append(Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(n)))
+    init = Hyperparameters([0.3], 1.0, 0.05)
+    results = []
+    for workers in (1, 2):
+        monkeypatch.setattr(gpagg._workers, "worker_count", lambda w=workers: w)
+        tracer, on_main = tracing.Tracer(), []
+        with tracing.instrument(gpagg, tracer):
+            hooked = gpagg.gp._lml_and_grad
+
+            def recording(*args, _hooked=hooked):
+                on_main.append(threading.current_thread() is threading.main_thread())
+                return _hooked(*args)
+
+            gpagg.gp._lml_and_grad = recording
+            try:
+                with tracer.span("gp.fit"):
+                    hp = gpagg.fit_shared_hyperparameters(parts, init)
+            finally:
+                gpagg.gp._lml_and_grad = hooked
+        assert (False in on_main) == (workers > 1)
+        (fit,) = [s for s in tracer.spans if s.name == "gp.fit"]
+        evaluations = [s for s in tracer.spans if s.name == "gp.lml_and_grad"]
+        assert len(evaluations) == tracer.counts["gp.lml_and_grad_calls"] == len(on_main)
+        assert all(fit.start <= s.start <= s.end <= fit.end for s in evaluations)
+        results.append((hp.log_vector(), tracer.counts["gp.lml_and_grad_calls"]))
+    assert results[0][1] == results[1][1] > 0
+    assert results[0][1] % len(parts) == 0
+    assert np.array_equal(results[0][0], results[1][0])
 
 
 @pytest.mark.slow
