@@ -18,10 +18,10 @@ Two routes reach the same OpenBLAS: scipy's f2py wrappers, which hold
 the interpreter lock for the whole call, and the pointers that
 ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which ctypes
 calls with the lock released and with a leading dimension, for 11-14 us
-more per call. dtrtrs, dtrttp, dtpttr, GRBCM's BLAS updates and the
-blocked inverse's dtrmm always take the pointers; dgemv always takes
-f2py; dpotrf, dpotrs, the inverse's dtrtri and dlauum, and dsyr choose
-by the order of their matrix (POINTER_MIN). Operands are copied to
+more per call. dtrtrs, dtrttp, dtpttr, GRBCM's BLAS updates, gp's dsyr
+and the blocked inverse's dtrmm always take the pointers; dgemv always
+takes f2py; dpotrf, dpotrs and the inverse's dtrtri and dlauum choose by
+the order of their matrix (POINTER_MIN). Operands are copied to
 Fortran order exactly where f2py copies, so both routes give the same
 bits.
 
@@ -34,7 +34,7 @@ between the two forms, so a factor comes back with its exact bits.
 import ctypes
 
 import numpy as np
-from scipy.linalg import blas, cython_blas, cython_lapack, lapack
+from scipy.linalg import cython_blas, cython_lapack, lapack
 from scipy.linalg.blas import dgemv  # noqa: F401 - gp's BLAS, imported from here
 
 from .errors import DimensionError, NumericalError
@@ -45,19 +45,22 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
-# ``cholesky``, ``cho_solve``, ``chol_inverse`` (its dtrtri leaves and
-# dlauum) and ``dsyr`` take the pointer route when their matrix has at
-# least this order: they run hundreds of times per benchmark draw on each
-# side of it. At orders 5 / 20 / 41 (NPAE's K_A, the graphical lasso)
-# dpotrf took 16 / 18 / 28 us through the pointer against 1.7 / 4.0 /
-# 14 us through f2py (2 cores, one BLAS thread, OpenBLAS 0.3.30, medians
-# of 9); from 128 up it ran 10-14% faster. A one-column dpotrs there ran
-# 11-22% slower (~90 calls, ~1 ms per desk draw) but stays routed: the
-# fit evaluates its partitions on worker threads, and from this order up
-# every LAPACK and BLAS call of an evaluation releases the lock. With
+# ``cholesky``, ``cho_solve`` and ``chol_inverse`` (its dtrtri leaves and
+# dlauum) take the pointer route when their matrix has at least this
+# order: dpotrf and dpotrs run hundreds of times per benchmark draw on
+# each side of it. At orders 5 / 20 / 41 (NPAE's K_A, the graphical
+# lasso) dpotrf took 16 / 18 / 28 us through the pointer against 1.7 /
+# 4.0 / 14 us through f2py (2 cores, one BLAS thread, OpenBLAS 0.3.30,
+# medians of 9); from 128 up it ran 10-14% faster. A one-column dpotrs
+# there ran 11-22% slower (~90 calls, ~1 ms per desk draw) but stays
+# routed: with BLAS pinned the fit evaluates its partitions on worker
+# threads, and from this order up every LAPACK and BLAS call of an
+# evaluation releases the lock. With
 # f2py's dtrtri, dlauum and dsyr, a desk evaluation (5 partitions of
 # 361-434) ran 1.37x faster on two workers than on one; with the
 # pointers, 1.50x (one BLAS thread, medians of 80 interleaved pairs).
+# ``dsyr``, called only on a fit partition's inverse, always takes the
+# pointer, as GRBCM's BLAS updates do.
 POINTER_MIN = 128
 
 
@@ -345,8 +348,6 @@ def dsyr(alpha: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     _output(a)
     if not (x.ndim == 1 and a.ndim == 2 and a.shape == (x.size, x.size)):
         raise DimensionError(f"cannot update a {a.shape} matrix by the outer product of a {x.shape} vector")
-    if not _large(a):
-        return blas.dsyr(alpha, x, lower=1, a=a, overwrite_a=1)
     _dsyr(b"L", _int(x.size), _float(alpha), x.ctypes.data, _int(1), a.ctypes.data, _ld(a))
     return a
 

@@ -196,8 +196,10 @@ ROUTED = {
     "dsyr": "_dsyr",
 }
 ORDERS = [POINTER_MIN - 1, POINTER_MIN]
-# orders for the inverse and dsyr: around the cut, one split and two
+# orders for the inverse: around the cut, one split and two
 INVERSE_ORDERS = [POINTER_MIN - 1, POINTER_MIN, POINTER_MIN + 1, 250, 434]
+# dsyr takes the pointer at every order, so it is checked far below the cut too
+DSYR_ORDERS = [2, 5, *INVERSE_ORDERS]
 
 
 @pytest.fixture
@@ -215,22 +217,22 @@ def pointer_calls(monkeypatch):
 
 @pytest.fixture
 def f2py_refused(monkeypatch):
-    """scipy's f2py dtrtrs, dtrmm, dsyrk and dgemm raise when called."""
+    """scipy's f2py dtrtrs, dtrmm, dsyrk, dgemm and dsyr raise when called."""
     def refuse(*args, **kwargs):
         raise AssertionError("reached one of scipy's f2py wrappers")
 
-    for module, name in ((lapack, "dtrtrs"), (blas, "dtrmm"), (blas, "dsyrk"), (blas, "dgemm")):
+    for module, name in ((lapack, "dtrtrs"), (blas, "dtrmm"), (blas, "dsyrk"), (blas, "dgemm"), (blas, "dsyr")):
         monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture
 def f2py_refused_by_order(monkeypatch):
-    """scipy's f2py dpotrf, dpotrs, dtrtri, dlauum and dsyr, which _linalg
-    calls only below POINTER_MIN, raise when called."""
+    """scipy's f2py dpotrf, dpotrs, dtrtri and dlauum, which _linalg calls
+    only below POINTER_MIN, raise when called."""
     def refuse(*args, **kwargs):
         raise AssertionError("reached one of scipy's f2py wrappers")
 
-    for module, name in ((lapack, "dpotrf"), (lapack, "dpotrs"), (lapack, "dtrtri"), (lapack, "dlauum"), (blas, "dsyr")):
+    for module, name in ((lapack, "dpotrf"), (lapack, "dpotrs"), (lapack, "dtrtri"), (lapack, "dlauum")):
         monkeypatch.setattr(module, name, refuse)
 
 
@@ -261,9 +263,9 @@ def factor(n, seed=0):
 
 
 class TestPointerRoute:
-    """dtrtrs, dtrmm, dsyrk and dgemm run through the pointers that
-    scipy's Cython modules export at every size; dpotrf, dpotrs, dtrtri,
-    dlauum and dsyr from POINTER_MIN up, and through scipy's f2py wrappers
+    """dtrtrs, dtrmm, dsyrk, dgemm and dsyr run through the pointers that
+    scipy's Cython modules export at every size; dpotrf, dpotrs, dtrtri
+    and dlauum from POINTER_MIN up, and through scipy's f2py wrappers
     below it. Every call must give f2py's bits for any layout of the
     operands it reads."""
 
@@ -387,7 +389,7 @@ class TestPointerRoute:
         assert pointer_calls.count("dlauum") == routed_on(n)
 
     @pytest.mark.parametrize("x_layout", LAYOUTS)
-    @pytest.mark.parametrize("n", INVERSE_ORDERS)
+    @pytest.mark.parametrize("n", DSYR_ORDERS)
     def test_dsyr_equals_f2py(self, pointer_calls, x_layout, n):
         # a full random a: dsyr must read and write only its lower triangle
         rng = np.random.default_rng(n)
@@ -398,7 +400,14 @@ class TestPointerRoute:
         assert dsyr(2.0, x, a) is a
         assert np.array_equal(a, expected)
         assert np.array_equal(x, before)
-        assert pointer_calls == ["dsyr"] * routed_on(n)
+        assert pointer_calls == ["dsyr"]
+
+    def test_dsyr_on_an_empty_vector(self, capfd):
+        # f2py's dsyr refuses an empty x; the pointer updates nothing
+        a = np.asfortranarray(np.ones((0, 0)))
+        assert dsyr(2.0, np.ones(0), a) is a
+        assert a.shape == (0, 0)
+        no_illegal_argument(capfd)
 
     @pytest.mark.parametrize("out", ["C", "strided", "read-only", "float32"])
     def test_blas_output_must_be_updatable_in_place(self, pointer_calls, out):
