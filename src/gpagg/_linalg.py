@@ -18,12 +18,13 @@ Two routes reach the same OpenBLAS: scipy's f2py wrappers, which hold
 the interpreter lock for the whole call, and the pointers that
 ``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which ctypes
 calls with the lock released and with a leading dimension, for 11-14 us
-more per call. dtrtrs, dtrttp, dtpttr, GRBCM's BLAS updates, gp's dsyr
-and the blocked inverse's dtrmm always take the pointers; dgemv always
-takes f2py; dpotrf, dpotrs and the inverse's dtrtri and dlauum choose by
-the order of their matrix (POINTER_MIN). Operands are copied to
-Fortran order exactly where f2py copies, so both routes give the same
-bits.
+more per call. dtrtrs, the inverse's dtrtri, dtrmm and dlauum, dtrttp,
+dtpttr, GRBCM's BLAS updates and gp's dsyr always take the pointers;
+dgemv always takes f2py; dpotrf and dpotrs take the pointers when the
+largest dimension of any operand reaches POINTER_MIN (dpotrf's order;
+dpotrs's order or its number of right-hand sides), and f2py below.
+Operands are copied to Fortran order exactly where f2py copies, so both
+routes give the same bits.
 
 A packed triangle (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999)
 holds the n(n+1)/2 entries of a lower triangle column by column, half
@@ -45,22 +46,24 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
-# ``cholesky``, ``cho_solve`` and ``chol_inverse`` (its dtrtri leaves and
-# dlauum) take the pointer route when their matrix has at least this
-# order: dpotrf and dpotrs run hundreds of times per benchmark draw on
-# each side of it. At orders 5 / 20 / 41 (NPAE's K_A, the graphical
-# lasso) dpotrf took 16 / 18 / 28 us through the pointer against 1.7 /
-# 4.0 / 14 us through f2py (2 cores, one BLAS thread, OpenBLAS 0.3.30,
-# medians of 9); from 128 up it ran 10-14% faster. A one-column dpotrs
-# there ran 11-22% slower (~90 calls, ~1 ms per desk draw) but stays
-# routed: with BLAS pinned the fit evaluates its partitions on worker
-# threads, and from this order up every LAPACK and BLAS call of an
-# evaluation releases the lock. With
-# f2py's dtrtri, dlauum and dsyr, a desk evaluation (5 partitions of
-# 361-434) ran 1.37x faster on two workers than on one; with the
-# pointers, 1.50x (one BLAS thread, medians of 80 interleaved pairs).
-# ``dsyr``, called only on a fit partition's inverse, always takes the
-# pointer, as GRBCM's BLAS updates do.
+# ``cholesky`` and ``cho_solve`` take the pointer route when the largest
+# dimension of an operand (the matrix's order, or a solve's number of
+# right-hand sides) reaches this: dpotrf and dpotrs run hundreds of
+# times per benchmark draw on each side of it. At orders 5 / 20 / 41
+# (NPAE's K_A, the graphical lasso) dpotrf took 16 / 18 / 28 us through
+# the pointer against 1.7 / 4.0 / 14 us through f2py (2 cores, one BLAS
+# thread, OpenBLAS 0.3.30, medians of 9); from 128 up it ran 10-14%
+# faster. A one-column dpotrs there ran 11-22% slower (~90 calls, ~1 ms
+# per desk draw) but stays routed: with BLAS pinned the fit evaluates
+# its partitions on worker threads, and from this order up every LAPACK
+# and BLAS call of an evaluation releases the lock. With f2py's dtrtri, dlauum and dsyr, a
+# desk evaluation (5 partitions of 361-434) ran 1.37x faster on two
+# workers than on one; with the pointers, 1.50x (one BLAS thread,
+# medians of 80 interleaved pairs). The inverse's dtrtri and dlauum take
+# the pointer at every order: below the cut the benchmark reaches them
+# only through the graphical lasso's order-(M+1) ``spd_inverse``, about
+# 95 calls per desk draw, and at order 6 one took 32 against 26 us with
+# f2py's, under 1 ms per draw.
 POINTER_MIN = 128
 
 
@@ -132,7 +135,8 @@ def _ld(x: np.ndarray):
 
 
 def _large(*operands: np.ndarray) -> bool:
-    """Whether a call on these operands takes the pointer route."""
+    """Whether a call on these operands takes the pointer route: the
+    largest dimension of any of them reaches POINTER_MIN."""
     return max(max(x.shape, default=0) for x in operands) >= POINTER_MIN
 
 
@@ -273,16 +277,12 @@ def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
     recursively, and the corner becomes X21 = -X22^-1 L21 X11^-1 by two
     triangular multiplies (LAPACK's blocked scheme; Du Croz & Higham,
     IMA J. Numer. Anal. 1992) on the sub-blocks X11, X21 and X22 where
-    they lie in ``X``, through its leading dimension. A leaf of an ``X``
-    of order POINTER_MIN or more is inverted there too, by the pointer
-    dtrtri.
+    they lie in ``X``, through its leading dimension. A leaf is inverted
+    there too, by dtrtri.
     """
     if hi - lo <= INVERSE_BLOCK:
-        if _large(X):
-            info = ctypes.c_int()
-            _dtrtri(b"L", b"N", _int(hi - lo), _at(X, lo, lo), _ld(X), ctypes.byref(info))
-        else:
-            X[lo:hi, lo:hi] = lapack.dtrtri(X[lo:hi, lo:hi], lower=1, overwrite_c=1)[0]
+        info = ctypes.c_int()
+        _dtrtri(b"L", b"N", _int(hi - lo), _at(X, lo, lo), _ld(X), ctypes.byref(info))
         return
     mid = (lo + hi) // 2
     _invert_lower(X, lo, mid)
@@ -298,10 +298,10 @@ def inverse_lower(L: np.ndarray) -> np.ndarray:
 
     ``L`` must have a positive diagonal and a zero strict upper triangle,
     as ``cholesky`` returns; it is overwritten, and is the result when it
-    is Fortran-ordered float64. The strict upper triangle of the result
-    is zero.
+    is a writable Fortran-ordered float64 array. The strict upper
+    triangle of the result is zero.
     """
-    X = np.asfortranarray(L, dtype=float)
+    X = np.require(L, dtype=float, requirements="FW")
     _invert_lower(X, 0, X.shape[0])
     return X
 
@@ -315,8 +315,6 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     dtrtri, then dlauum forms X' X from the inverse factor X.
     """
     X = inverse_lower(L)
-    if not _large(X):
-        return lapack.dlauum(X, lower=1, overwrite_c=1)[0]
     info = ctypes.c_int()
     _dlauum(b"L", _int(X.shape[0]), X.ctypes.data, _ld(X), ctypes.byref(info))
     return X

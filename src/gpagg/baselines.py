@@ -13,15 +13,15 @@ prior_mean = 0. PoE and BCM set beta = 1, GPoE 1/M, RBCM the entropy gain
 (``entropy_weights``); other weights go to ``poe_family_aggregate``.
 GRBCM is RBCM's rule over base-augmented experts with the base expert
 (its mean and its variance) as the prior; its query-independent factors
-are trained once per partitioning, theta and seed, and the process holds
-the latest such model. Every expert's mean and variance, GRBCM's too,
-come from ``gp.posterior_terms``.
+are trained once per partitioning, theta and seed, and held under the
+partitioning object until another training or the partitioning's
+collection. Every expert's mean and variance, GRBCM's too, come from
+``gp.posterior_terms``.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -193,19 +193,15 @@ class _GrbcmModel:
     ``base`` is the trained base expert and ``augmented`` the other
     partitions in order; ``schur_packed[i]`` is the factor L_Si of
     augmented expert i's Schur complement in packed storage
-    (``_linalg.pack_lower``). The partitioning is held by a weak
-    reference only.
+    (``_linalg.pack_lower``). Nothing here references the partitioning,
+    which keys the model in ``_held``.
     """
 
-    partitioning: weakref.ref
     hp: Hyperparameters
     seed: int
     base: TrainedExpert
     augmented: list[Dataset]
     schur_packed: list[np.ndarray]
-
-    def fits(self, partitioning: Partitioning, hp: Hyperparameters, seed: int) -> bool:
-        return self.partitioning() is partitioning and self.hp == hp and self.seed == seed
 
     def predict(self, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """RBCM's rule over the augmented experts at ``X_star``, with the
@@ -242,38 +238,9 @@ class _GrbcmModel:
         return poe_family_aggregate(preds, beta, True)
 
 
-class _HeldModel:
-    """The one trained GRBCM model of the process, or None.
-
-    A model is dropped when a call asks for another key, before that call
-    trains its own, so that two models are never held at once; and when
-    its partitioning is collected (its weak reference's callback). The
-    lock is reentrant because a collection, and so the callback, can
-    start on the thread that holds it.
-    """
-
-    def __init__(self):
-        self.model: _GrbcmModel | None = None
-        self._lock = threading.RLock()
-
-    def get(self, partitioning: Partitioning, hp: Hyperparameters, seed: int) -> _GrbcmModel | None:
-        """The held model if it fits this key; otherwise drop it and return None."""
-        with self._lock:
-            if self.model is not None and not self.model.fits(partitioning, hp, seed):
-                self.model = None
-            return self.model
-
-    def hold(self, model: _GrbcmModel) -> None:
-        with self._lock:
-            self.model = model
-
-    def release(self, ref: weakref.ref) -> None:
-        with self._lock:
-            if self.model is not None and self.model.partitioning is ref:
-                self.model = None
-
-
-_held = _HeldModel()
+# The trained model of the latest partitioning, keyed by the object itself
+# (``Partitioning`` compares by identity) and dropped when it is collected.
+_held: weakref.WeakKeyDictionary[Partitioning, _GrbcmModel] = weakref.WeakKeyDictionary()
 
 
 def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> _GrbcmModel:
@@ -324,7 +291,7 @@ def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> 
             " (largest %.3e)",
             len(jittered), len(augmented), max(jittered),
         )
-    return _GrbcmModel(weakref.ref(partitioning, _held.release), hp, seed, base, augmented, list(packed))
+    return _GrbcmModel(hp, seed, base, augmented, list(packed))
 
 
 def grbcm_aggregate(
@@ -352,15 +319,15 @@ def grbcm_aggregate(
     prior: beta is the entropy gain relative to it, except 1 for the
     first.
 
-    The process holds one trained model: L_b and every L_Si in packed
-    storage, sum_i n_i (n_i + 1) / 2 doubles in all, plus references to
-    the partitions. A call with the same partitioning object, an equal
-    ``hp`` and the same ``seed`` reuses it and gives bitwise the outputs
-    of a first call; any other call trains a new model in its place. The
-    partitioning is referenced weakly, and its model is freed when it is
-    collected; it must not be changed in place once used. Calls from
-    several threads each answer from the model they found or trained;
-    when such calls ask for different keys, each may train in turn.
+    The trained model is held in a mapping weakly keyed by the
+    partitioning object: L_b and every L_Si in packed storage, sum_i n_i
+    (n_i + 1) / 2 doubles in all, plus references to the partitions. A
+    call with the same partitioning object, an equal ``hp`` and the same
+    ``seed`` reuses it and gives bitwise the outputs of a first call; any
+    other call drops every held model, then trains its own. The model is
+    freed with its partitioning, which must not be changed in place once
+    used. Overlapping calls with different keys may each leave their
+    model until the next training clears them.
 
     The augmented experts are independent given the base. Training, and
     each call, runs them in fixed shares on ``worker_count() //
@@ -370,8 +337,8 @@ def grbcm_aggregate(
     expert writes its own slot, so the outputs are bitwise those of one
     thread.
     """
-    model = _held.get(partitioning, hp, seed)
-    if model is None:
-        model = _train_grbcm(partitioning, hp, seed)
-        _held.hold(model)
+    model = _held.get(partitioning)
+    if model is None or model.hp != hp or model.seed != seed:
+        _held.clear()  # the old model goes before the new one is built
+        model = _held[partitioning] = _train_grbcm(partitioning, hp, seed)
     return model.predict(X_star)

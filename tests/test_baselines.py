@@ -521,6 +521,12 @@ class TestGrbcmWorkerShares:
             sys.setswitchinterval(interval)
 
 
+def _holds_only(parts, hp, seed):
+    """Whether GRBCM's held mapping holds one model, that of this key."""
+    model = baselines._held.get(parts)
+    return len(baselines._held) == 1 and model is not None and model.hp == hp and model.seed == seed
+
+
 class TestGrbcmThreadHygiene:
     def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
         # the second augmented expert belongs to share 1, on a worker thread,
@@ -553,8 +559,7 @@ class TestGrbcmThreadHygiene:
             assert raised_on and raised_on[0] is not threading.main_thread()
             assert threading.active_count() == started
             # a training that raised holds no model; one that finished stays held
-            held = baselines._held.model
-            assert (held is not None and held.fits(parts, hp, 0)) == warm
+            assert len(baselines._held) == warm and _holds_only(parts, hp, 0) == warm
 
     def test_call_below_the_threshold_starts_no_thread(self, monkeypatch):
         # the largest shapes of TestGrbcmAgainstMergedExperts stay on the
@@ -584,8 +589,8 @@ class TestGrbcmThreadHygiene:
 
 
 class TestGrbcmHeldModel:
-    """One trained model per process, keyed by the partitioning object,
-    theta's value and the seed."""
+    """The trained model of the latest partitioning object, held in a weak
+    mapping and reused for an equal theta and the same seed."""
 
     @staticmethod
     def _setup():
@@ -629,7 +634,7 @@ class TestGrbcmHeldModel:
         parts, hp, X_star = self._setup()
         other = _fresh(parts)
         grbcm_aggregate(parts, hp, X_star, 0)
-        first = weakref.ref(baselines._held.model)
+        first = weakref.ref(baselines._held[parts])
         alive = []
         train_expert = baselines.train_expert
 
@@ -641,16 +646,20 @@ class TestGrbcmHeldModel:
         monkeypatch.setattr(baselines, "train_expert", checking)
         grbcm_aggregate(other, hp, X_star, 0)
         assert alive == [False]
-        assert baselines._held.model.fits(other, hp, 0)
+        assert _holds_only(other, hp, 0)
+        # after cold calls on three partitionings in turn, only the last is held
+        last = _fresh(parts)
+        grbcm_aggregate(last, hp, X_star, 0)
+        assert _holds_only(last, hp, 0)
 
     def test_model_is_freed_with_its_partitioning(self):
         parts, hp, X_star = self._setup()
         grbcm_aggregate(parts, hp, X_star, 0)
-        model = weakref.ref(baselines._held.model)
+        model = weakref.ref(baselines._held[parts])
         del parts
         gc.collect()
         assert model() is None
-        assert baselines._held.model is None
+        assert len(baselines._held) == 0
 
     def test_two_threads_on_two_partitionings_get_their_own_bits(self, monkeypatch):
         # each thread's calls evict the other's model; every call must still

@@ -142,6 +142,18 @@ class TestInverseLower:
             assert np.array_equal(X, dtrtri(L, lower=1)[0])
         assert np.max(np.abs(X @ L - np.eye(n))) <= 1e-13
 
+    @pytest.mark.parametrize("n", [6, POINTER_MIN + 1])
+    def test_a_read_only_factor_is_copied_not_overwritten(self, n):
+        L = cholesky(random_spd(np.random.default_rng(n), n))
+        expected = inverse_lower(L.copy(order="F"))
+        L.flags.writeable = False
+        before = L.copy()
+        X = inverse_lower(L)
+        assert X is not L and np.array_equal(L, before)
+        assert np.array_equal(X, expected)
+        writable = L.copy(order="F")
+        assert inverse_lower(writable) is writable
+
 
 class TestCholInverse:
     @pytest.mark.parametrize("n", [1, 41, INVERSE_BLOCK])
@@ -196,10 +208,12 @@ ROUTED = {
     "dsyr": "_dsyr",
 }
 ORDERS = [POINTER_MIN - 1, POINTER_MIN]
-# orders for the inverse: around the cut, one split and two
-INVERSE_ORDERS = [POINTER_MIN - 1, POINTER_MIN, POINTER_MIN + 1, 250, 434]
-# dsyr takes the pointer at every order, so it is checked far below the cut too
-DSYR_ORDERS = [2, 5, *INVERSE_ORDERS]
+# around the cut, one split and two
+SPLIT_ORDERS = [POINTER_MIN - 1, POINTER_MIN, POINTER_MIN + 1, 250, 434]
+# the inverse and dsyr take the pointer at every order, so they are
+# checked far below the cut too (the graphical lasso inverts order M + 1)
+INVERSE_ORDERS = [2, 6, 21, *SPLIT_ORDERS]
+DSYR_ORDERS = [2, 5, *SPLIT_ORDERS]
 
 
 @pytest.fixture
@@ -217,23 +231,27 @@ def pointer_calls(monkeypatch):
 
 @pytest.fixture
 def f2py_refused(monkeypatch):
-    """scipy's f2py dtrtrs, dtrmm, dsyrk, dgemm and dsyr raise when called."""
+    """scipy's f2py dtrtrs, dtrtri, dlauum, dtrmm, dsyrk, dgemm and dsyr
+    raise when called."""
     def refuse(*args, **kwargs):
         raise AssertionError("reached one of scipy's f2py wrappers")
 
-    for module, name in ((lapack, "dtrtrs"), (blas, "dtrmm"), (blas, "dsyrk"), (blas, "dgemm"), (blas, "dsyr")):
+    for module, name in (
+        (lapack, "dtrtrs"), (lapack, "dtrtri"), (lapack, "dlauum"),
+        (blas, "dtrmm"), (blas, "dsyrk"), (blas, "dgemm"), (blas, "dsyr"),
+    ):
         monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture
 def f2py_refused_by_order(monkeypatch):
-    """scipy's f2py dpotrf, dpotrs, dtrtri and dlauum, which _linalg calls
-    only below POINTER_MIN, raise when called."""
+    """scipy's f2py dpotrf and dpotrs, which _linalg calls only below
+    POINTER_MIN, raise when called."""
     def refuse(*args, **kwargs):
         raise AssertionError("reached one of scipy's f2py wrappers")
 
-    for module, name in ((lapack, "dpotrf"), (lapack, "dpotrs"), (lapack, "dtrtri"), (lapack, "dlauum")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("dpotrf", "dpotrs"):
+        monkeypatch.setattr(lapack, name, refuse)
 
 
 def strided(x):
@@ -263,11 +281,11 @@ def factor(n, seed=0):
 
 
 class TestPointerRoute:
-    """dtrtrs, dtrmm, dsyrk, dgemm and dsyr run through the pointers that
-    scipy's Cython modules export at every size; dpotrf, dpotrs, dtrtri
-    and dlauum from POINTER_MIN up, and through scipy's f2py wrappers
-    below it. Every call must give f2py's bits for any layout of the
-    operands it reads."""
+    """dtrtrs, dtrtri, dlauum, dtrmm, dsyrk, dgemm and dsyr run through
+    the pointers that scipy's Cython modules export at every size; dpotrf
+    and dpotrs once the largest dimension of an operand reaches
+    POINTER_MIN, and through scipy's f2py wrappers below it. Every call
+    must give f2py's bits for any layout of the operands it reads."""
 
     def test_pointer_calls_release_the_interpreter_lock(self):
         for attr in ROUTED.values():
@@ -303,17 +321,22 @@ class TestPointerRoute:
     @pytest.mark.parametrize("solve, name", [(cho_solve, "dpotrs"), (solve_lower, "dtrtrs")])
     @pytest.mark.parametrize("L_layout", LAYOUTS)
     @pytest.mark.parametrize("b_layout", [*LAYOUTS, "1-D"])
-    @pytest.mark.parametrize("n", ORDERS)
-    def test_solves_equal_f2py(self, pointer_calls, solve, name, L_layout, b_layout, n):
+    # a factor below the cut with as many columns as the cut takes the
+    # pointer too: the route follows the largest dimension of either operand
+    @pytest.mark.parametrize(
+        "n, k", [(n, 7) for n in ORDERS] + [(POINTER_MIN - 1, POINTER_MIN)],
+        ids=[*map(str, ORDERS), f"{POINTER_MIN - 1}x{POINTER_MIN}"],
+    )
+    def test_solves_equal_f2py(self, pointer_calls, solve, name, L_layout, b_layout, n, k):
         L = LAYOUTS[L_layout](factor(n))
-        b = np.random.default_rng(n).standard_normal((n, 7))
+        b = np.random.default_rng(n).standard_normal((n, k))
         b = b[:, 0] if b_layout == "1-D" else LAYOUTS[b_layout](b)
         before = (L.copy(), b.copy())
         x = solve(L, b)
         assert np.array_equal(x, getattr(lapack, name)(L, b, lower=1)[0])
         assert x.shape == b.shape
         assert np.array_equal(L, before[0]) and np.array_equal(b, before[1])
-        assert pointer_calls == [name] * (routed_on(n) or solve is solve_lower)
+        assert pointer_calls == [name] * (routed_on(max(b.shape)) or solve is solve_lower)
 
     @pytest.mark.parametrize("L_layout", LAYOUTS)
     @pytest.mark.parametrize("b_layout", [*LAYOUTS, "1-D"])
@@ -383,10 +406,10 @@ class TestPointerRoute:
         _invert_lower_reference(expected, 0, n)
         X = inverse_lower(LAYOUTS[layout](L.copy()))
         assert np.array_equal(X, expected)
-        assert pointer_calls.count("dtrtri") == leaves(n) * routed_on(n)
+        assert pointer_calls.count("dtrtri") == leaves(n)
         pointer_calls.clear()
         assert np.array_equal(chol_inverse(LAYOUTS[layout](L.copy())), lapack.dlauum(expected, lower=1)[0])
-        assert pointer_calls.count("dlauum") == routed_on(n)
+        assert pointer_calls.count("dlauum") == 1
 
     @pytest.mark.parametrize("x_layout", LAYOUTS)
     @pytest.mark.parametrize("n", DSYR_ORDERS)
@@ -620,9 +643,10 @@ class TestPackedStorage:
 
 
 class TestOneRoute:
-    """Solves with a triangle and GRBCM's BLAS updates never reach scipy's
-    f2py wrappers, on either side of POINTER_MIN; from POINTER_MIN up, the
-    SPD inverse and a fit evaluation reach none of them."""
+    """Solves with a triangle, the triangle inverse and GRBCM's BLAS
+    updates never reach scipy's f2py wrappers, on either side of
+    POINTER_MIN; from POINTER_MIN up, the SPD inverse and a fit
+    evaluation reach none of them."""
 
     @pytest.mark.parametrize(
         "sizes", [[POINTER_MIN - 22, POINTER_MIN + 22], [12] * 20], ids=["M=2 around the cut", "M=20 small"]

@@ -2,8 +2,10 @@
 error raised is that of the earliest failing item, whatever the number
 of workers and whichever share fails first in time."""
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +70,51 @@ def test_every_item_runs_once_under_fast_switching():
             assert slots == [2] * len(items)
     finally:
         sys.setswitchinterval(interval)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gpagg"
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures")
+
+
+def _thread_imports(tree: ast.AST) -> list[str]:
+    """Imports of a module that starts threads: threading, _thread or
+    concurrent.futures, in any form."""
+
+    def flagged(module):
+        return any(module == m or module.startswith(m + ".") for m in THREAD_MODULES)
+
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += [a.name for a in node.names if flagged(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = {a.name for a in node.names}
+            if flagged(node.module) or (node.module == "concurrent" and "futures" in names):
+                uses.append(f"from {node.module} import {', '.join(sorted(names))}")
+    return uses
+
+
+def test_only_the_workers_module_imports_threading():
+    """Every thread of the package starts in _workers."""
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_workers.py":
+            continue
+        uses = _thread_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if uses:
+            offenders[path.name] = uses
+    assert not offenders
+
+
+def test_thread_rule_flags_each_form():
+    for snippet in (
+        "import threading",
+        "from threading import Thread",
+        "import _thread",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import concurrent.futures",
+        "from concurrent import futures",
+    ):
+        assert _thread_imports(ast.parse(snippet)), snippet
+    for snippet in ("from ._workers import in_shares, workers_for", "import os"):
+        assert not _thread_imports(ast.parse(snippet)), snippet
