@@ -16,7 +16,6 @@ from .gp import (
     Hyperparameters,
     TrainedExpert,
     fit_shared_hyperparameters,
-    kernel_eval,
     kernel_matrix,
     lml_gradient,
     log_marginal_likelihood,
@@ -85,7 +84,6 @@ __all__ = [
     "grbcm_aggregate",
     "init_latent",
     "joint_sample_covariance",
-    "kernel_eval",
     "kernel_matrix",
     "kmeans_partition",
     "latent_function",

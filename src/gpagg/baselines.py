@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    blas_threads,
     chol_jitter,
     dgemm,
     dsyrk,
@@ -38,7 +37,7 @@ from ._linalg import (
     solve_lower,
     unpack_lower,
 )
-from ._workers import in_shares, workers_for
+from ._workers import blas_workers_for, in_shares
 from .errors import DimensionError, NumericalError
 from .gp import (
     Dataset,
@@ -214,19 +213,17 @@ class _GrbcmModel:
         v = solve_lower(L_b, wz_b, transpose=True)
         del L_b
         base_mean, base_explained = posterior_terms(wz_b)
-        slots = [None] * len(self.augmented)
 
-        def expert(i):
-            part = self.augmented[i]
+        def expert(part_packed):
+            part, packed = part_packed
             # kernel_matrix's C-ordered n_i x n_b output is the Fortran-ordered K_bi
             rhs = dgemm(kernel_matrix(part.X, base.X, hp).T, v, with_targets(part, X_star, hp))
-            L_S = unpack_lower(self.schur_packed[i], part.n)
-            mean, explained = posterior_terms(solve_lower(L_S, rhs))
-            slots[i] = (base_mean + mean, posterior_variance(hp, base_explained + explained))
+            mean, explained = posterior_terms(solve_lower(unpack_lower(packed, part.n), rhs))
+            return base_mean + mean, posterior_variance(hp, base_explained + explained)
 
         work = _prediction_work(base.n, [part.n for part in self.augmented], X_star.shape[0])
-        in_shares(expert, list(range(len(self.augmented))), workers_for(work) // blas_threads())
-        means, variances = zip(*slots)
+        experts = list(zip(self.augmented, self.schur_packed))
+        means, variances = zip(*in_shares(expert, experts, blas_workers_for(work)))
         preds = ExpertPredictions(
             np.column_stack(means),
             np.column_stack(variances),
@@ -256,10 +253,8 @@ def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> 
     base = train_expert(partitioning.subsets[base_idx], hp)
     L_b_inv = inverse_lower(base.chol_C)
     augmented = [part for i, part in enumerate(partitioning.subsets) if i != base_idx]
-    slots = [None] * len(augmented)
 
-    def expert(i):
-        part = augmented[i]
+    def expert(part):
         # kernel_matrix's C-ordered n_i x n_b and n_i x n_i outputs are
         # the Fortran-ordered K_bi and (symmetric) C_i, so BLAS writes
         # W_i and S_i's lower triangle over them in place. Each is dropped
@@ -273,17 +268,10 @@ def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> 
         # own diagonal (down to sigma^2) can undercut by orders of magnitude.
         L_S, jitter = chol_jitter(S, scale=hp.signal_variance + hp.noise_variance)
         del S
-        slots[i] = (pack_lower(L_S), jitter)
+        return pack_lower(L_S), jitter
 
-    # Every step of an expert is a BLAS or LAPACK call large enough for
-    # OpenBLAS to spread over its own threads. On 2 cores with two BLAS
-    # threads, two workers ran a serve-shape call (n = 5000, M = 20, 50
-    # queries, training and prediction) in 76-90 ms against 59-60 ms on
-    # the caller's thread alone, so the workers share the CPUs with BLAS's
-    # threads; prediction divides them the same way.
     work = _training_work(base.data.n, [part.n for part in augmented])
-    in_shares(expert, list(range(len(augmented))), workers_for(work) // blas_threads())
-    packed, jitters = zip(*slots)
+    packed, jitters = zip(*in_shares(expert, augmented, blas_workers_for(work)))
     jittered = [j for j in jitters if j > 0.0]
     if jittered:
         log.warning(
@@ -330,12 +318,12 @@ def grbcm_aggregate(
     model until the next training clears them.
 
     The augmented experts are independent given the base. Training, and
-    each call, runs them in fixed shares on ``worker_count() //
-    blas_threads()`` threads, the caller's among them, when its work on
-    them reaches ``_workers.PARALLEL_WORK`` multiply-adds; their BLAS and
-    LAPACK calls release the interpreter lock (see ``_linalg``). Each
-    expert writes its own slot, so the outputs are bitwise those of one
-    thread.
+    each call, runs them in fixed shares on ``_workers.blas_workers_for``
+    threads, the caller's among them, when its work on them reaches
+    ``_workers.PARALLEL_WORK`` multiply-adds; their BLAS and LAPACK calls
+    release the interpreter lock (see ``_linalg``). ``in_shares`` returns
+    the experts' results in order, so the outputs are bitwise those of
+    one thread.
     """
     model = _held.get(partitioning)
     if model is None or model.hp != hp or model.seed != seed:

@@ -192,6 +192,8 @@ class BenchmarkConfig:
             object.__setattr__(self, name, value)
         if self.n < 1 or self.n_t < 1:
             raise ValueError("n and n_t must be >= 1")
+        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
+            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
         for name in ("train_range", "test_range"):
             rng = getattr(self, name)
             if not (len(rng) == 2 and rng[0] < rng[1]):

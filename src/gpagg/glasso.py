@@ -33,6 +33,7 @@ iterations, end the solve unconverged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,9 +81,9 @@ def effective_covariance(S: np.ndarray) -> np.ndarray:
 def penalty_matrix(lam: float | np.ndarray, p: int) -> np.ndarray:
     """Per-entry penalty weights: scalar lambda on every off-diagonal, or a
     caller-supplied symmetric non-negative matrix (diagonal forced to zero).
-    Every value must be finite."""
+    Every value must be finite; a bool is no number."""
     if np.isscalar(lam):
-        if not (math.isfinite(lam) and lam >= 0):
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not (math.isfinite(lam) and lam >= 0):
             raise ValueError(f"lambda must be finite and non-negative, got {lam!r}")
         Lam = np.full((p, p), float(lam))
     else:

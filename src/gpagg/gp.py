@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import (
-    blas_threads,
     cho_solve,
     chol_inverse,
     chol_jitter,
@@ -28,7 +27,7 @@ from ._linalg import (
     solve_lower,
     unpack_lower,
 )
-from ._workers import in_shares, workers_for
+from ._workers import blas_workers_for, in_shares
 from .errors import DimensionError, FitError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -174,15 +173,6 @@ def kernel_matrix(X: np.ndarray, X2: np.ndarray, hp: Hyperparameters) -> np.ndar
     np.exp(K, out=K)
     K *= hp.signal_variance
     return K
-
-
-def kernel_eval(x: np.ndarray, x2: np.ndarray, hp: Hyperparameters) -> float:
-    """Kernel value between two points; symmetric, in (0, sigma_f^2]."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.size != x2.size:
-        raise DimensionError(f"points have dimensions {x.size} and {x2.size}")
-    return float(kernel_matrix(x[None, :], x2[None, :], hp)[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,10 +330,10 @@ def fit_shared_hyperparameters(
     could be scored. ``opts`` is ignored (see ``FitOptions``).
 
     Each evaluation computes the partitions' terms in fixed shares
-    (``_workers.in_shares``) on ``worker_count() // blas_threads()``
-    threads, the caller's among them, once sum_i n_i^3 reaches
-    ``_workers.PARALLEL_WORK``, and on the caller's thread alone below it.
-    The terms are summed in partition order, so theta is bit for bit that
+    (``_workers.in_shares``) on ``_workers.blas_workers_for(sum_i n_i^3)``
+    threads, the caller's among them, which is the caller's alone below
+    ``_workers.PARALLEL_WORK``. ``in_shares`` returns the terms in
+    partition order, and they are summed in it, so theta is bit for bit that
     of one thread; a partition that raises fails the evaluation as it
     would on one thread, with the error of the earliest failing
     partition. Up to that many partitions' n_i x n_i working arrays are
@@ -356,8 +346,8 @@ def fit_shared_hyperparameters(
     if any(ds.d != d for ds in datasets):
         raise DimensionError("partitions disagree on input dimension")
     k = _check_lengthscale(init, d).size
-    sqs = [_sq_dists(ds.X, k) for ds in datasets]
-    workers = workers_for(sum(ds.n**3 for ds in datasets)) // blas_threads()
+    inputs = [(ds, _sq_dists(ds.X, k)) for ds in datasets]
+    workers = blas_workers_for(sum(ds.n**3 for ds in datasets))
     last: list = []  # the latest point evaluated, its value and gradient
 
     def objective(logv: np.ndarray) -> tuple[float, np.ndarray]:
@@ -366,15 +356,10 @@ def fit_shared_hyperparameters(
         if last and np.array_equal(last[0], logv):
             return last[1], last[2].copy()
         hp = Hyperparameters.from_log_vector(logv)
-        slots: list = [None] * len(datasets)
-
-        def partition(i):
-            slots[i] = _lml_and_grad(datasets[i], hp, sqs[i])
-
-        in_shares(partition, list(range(len(datasets))), workers)
         total = 0.0
         grad = np.zeros(logv.size)
-        for v, g in slots:  # partition order keeps the reduction deterministic
+        # partition order keeps the reduction deterministic
+        for v, g in in_shares(lambda ds_sq: _lml_and_grad(ds_sq[0], hp, ds_sq[1]), inputs, workers):
             total += v
             grad += g
         last[:] = [logv.copy(), -total, -grad]

@@ -24,8 +24,8 @@ share from the same operands and BLAS calls as on one thread, so the
 predictions do not depend on the number of workers. An expert's Gamma_i
 solve takes ``_linalg``'s pointer route from ``POINTER_MIN`` points up,
 which releases the interpreter lock, so the workers' solves overlap;
-where BLAS runs each call on several threads, fewer workers share the
-per-expert phase.
+that phase takes ``_workers.blas_workers_for`` workers and the pair
+phase, on numpy's BLAS, ``_workers.workers_for``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import time
 
 import numpy as np
 
-from ._linalg import blas_threads, cho_solve, chol_jitter
-from ._workers import in_shares, workers_for
+from ._linalg import cho_solve, chol_jitter
+from ._workers import blas_workers_for, in_shares, workers_for
 from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
 
 log = logging.getLogger(__name__)
@@ -65,9 +65,10 @@ def npae_aggregate(
     all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
     one cross block with its product per worker; no n x n joint exists.
     A block whose pair work reaches ``_workers.PARALLEL_WORK`` computes the
-    pair products on ``worker_count()`` threads and the Gamma_i on
-    ``worker_count() // blas_threads()``, the caller's among them, with
-    bitwise the same results as on one.
+    pair products on ``_workers.workers_for`` threads and the Gamma_i on
+    ``_workers.blas_workers_for``, the caller's among them; the Gamma_i
+    come back in expert order and each pair writes its own K_A entries,
+    so the results are bitwise those of one thread.
     K_A is solved per point with the shared jitter policy on the
     caller's thread; a jittered call logs one warning with the number of
     jittered points and the largest jitter over all blocks. ``hp`` must
@@ -110,18 +111,14 @@ def _aggregate_block(
     jitter each of its points needed on K_A."""
     M = len(experts)
     n_t = X_star.shape[0]
-    gammas = [None] * M
-    K_A = np.empty((n_t, M, M))
-    local_means = np.empty((n_t, M))
 
-    def expert(i):
-        e = experts[i]
+    def expert(e):
+        """Gamma_i, the K_A diagonal entry and the local mean per point."""
         k_star = kernel_matrix(X_star, e.data.X, hp)
         gamma = np.ascontiguousarray(cho_solve(e.chol_C, k_star.T).T)
         row = gamma[:, None, :]
-        K_A[:, i, i] = (row @ k_star[:, :, None])[:, 0, 0]
-        local_means[:, i] = (row @ np.broadcast_to(e.data.y, gamma.shape)[:, :, None])[:, 0, 0]
-        gammas[i] = gamma
+        y = np.broadcast_to(e.data.y, gamma.shape)
+        return gamma, (row @ k_star[:, :, None])[:, 0, 0], (row @ y[:, :, None])[:, 0, 0]
 
     def pair(ij):
         i, j = ij
@@ -129,11 +126,12 @@ def _aggregate_block(
         g_i, g_j = gammas[i], gammas[j]
         K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
 
-    # Each Gamma_i solve may run on BLAS's own threads, so the expert phase
-    # shares the CPUs with them, as in ``grbcm_aggregate``; the pairs gain from every worker.
-    workers = workers_for(_pair_work([e.data.n for e in experts], n_t))
-    in_shares(expert, list(range(M)), workers // blas_threads())
-    in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers)
+    work = _pair_work([e.data.n for e in experts], n_t)
+    gammas, diagonal, local = zip(*in_shares(expert, experts, blas_workers_for(work)))
+    K_A = np.empty((n_t, M, M))
+    K_A[:, range(M), range(M)] = np.column_stack(diagonal)
+    local_means = np.column_stack(local)
+    in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers_for(work))
 
     jitters = []
     for t in range(n_t):

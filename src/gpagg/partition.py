@@ -49,26 +49,17 @@ def _steal_for_empty(assign: np.ndarray, X: np.ndarray, centers: np.ndarray, M: 
     return assign
 
 
-def _lloyd(
-    X: np.ndarray, M: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """At most _LLOYD_ITERS Lloyd iterations; returns (assignments, centers,
-    per-iteration WCSS)."""
-    n = X.shape[0]
+def _lloyd(X: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
+    """The assignments after at most _LLOYD_ITERS Lloyd iterations."""
     centers = _kmeanspp_init(X, M, rng)
     assign = None
-    wcss_trace: list[float] = []
     for _ in range(_LLOYD_ITERS):
-        d2 = sq_dists(X, centers)
-        new_assign = d2.argmin(axis=1)
-        wcss_trace.append(float(d2[np.arange(n), new_assign].sum()))
-        new_assign = _steal_for_empty(new_assign, X, centers, M)
+        new_assign = _steal_for_empty(sq_dists(X, centers).argmin(axis=1), X, centers, M)
         if assign is not None and np.array_equal(new_assign, assign):
-            assign = new_assign
             break
         assign = new_assign
         centers = np.stack([X[assign == k].mean(axis=0) for k in range(M)])
-    return assign, centers, wcss_trace
+    return new_assign
 
 
 def _build(data: Dataset, assign: np.ndarray, M: int, method: str) -> Partitioning:
@@ -92,12 +83,9 @@ def kmeans_partition(data: Dataset, M: int, seed: int) -> Partitioning:
     farthest point from the largest cluster, so no subset is empty.
     """
     _check_M(data, M)
-    if M == 1:
-        return _build(data, np.zeros(data.n, dtype=int), 1, "kmeans")
     if M == data.n:
         return _build(data, np.arange(data.n), M, "kmeans")
-    assign, _, _ = _lloyd(data.X, M, np.random.default_rng(seed))
-    return _build(data, assign, M, "kmeans")
+    return _build(data, _lloyd(data.X, M, np.random.default_rng(seed)), M, "kmeans")
 
 
 def random_partition(data: Dataset, M: int, seed: int) -> Partitioning:

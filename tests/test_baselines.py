@@ -405,7 +405,7 @@ def _bitwise(a, b):
 def one_blas_thread(monkeypatch):
     """BLAS on one thread, as the benchmark pins it, whatever this
     process's OpenBLAS runs."""
-    monkeypatch.setattr(baselines, "blas_threads", lambda: 1)
+    monkeypatch.setattr(_workers, "blas_threads", lambda: 1)
 
 
 @pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
@@ -580,7 +580,7 @@ class TestGrbcmThreadHygiene:
         # unpinned, OpenBLAS already spreads each call over the CPUs
         monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
         monkeypatch.setattr(_workers, "worker_count", lambda: cpus)
-        monkeypatch.setattr(baselines, "blas_threads", lambda: blas)
+        monkeypatch.setattr(_workers, "blas_threads", lambda: blas)
         _refuse_threads(monkeypatch)
         rng = np.random.default_rng(26)
         parts = _chunked_partitions(rng, 1, 6, 20)

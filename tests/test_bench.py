@@ -477,10 +477,13 @@ class TestCli:
             ('{"seeds": []}', "seeds must be non-empty"),
             ('{"M_list": []}', "M_list must be non-empty"),
             ('{"M_list": [0]}', "M_list entries must be >= 1"),
+            ('{"noise_sd": -1.0}', "noise_sd must be finite and >= 0"),
+            ('{"noise_sd": Infinity}', "noise_sd must be finite and >= 0"),
         ],
         ids=[
             "unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "bool-n",
             "string-max_iters", "float-max_iters", "bool-lam", "empty-seeds", "empty-M_list", "zero-M",
+            "negative-noise_sd", "infinite-noise_sd",
         ],
     )
     def test_bad_config_reported_in_one_line(self, tmp_path, capsys, command, content, named):

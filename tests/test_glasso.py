@@ -185,6 +185,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="finite"):
             glasso_solve(np.eye(3), lam)
 
+    @pytest.mark.parametrize("lam", [True, np.bool_(True), False, "0.1"], ids=["True", "numpy-True", "False", "string"])
+    def test_scalar_lambda_that_is_no_number_raises(self, lam):
+        # a bool would otherwise solve and score at lambda = 1 (or 0)
+        with pytest.raises(ValueError, match="lambda"):
+            glasso_solve(np.eye(3), lam)
+        with pytest.raises(ValueError, match="lambda"):
+            glasso_objective(np.eye(3), np.eye(3), lam)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_penalty_matrix_entry_raises(self, bad):
         Lam = np.full((3, 3), 0.1)

@@ -22,7 +22,6 @@ from gpagg import (
     collect_predictions,
     fit_shared_hyperparameters,
     grbcm_aggregate,
-    kernel_eval,
     kernel_matrix,
     kmeans_partition,
     lml_gradient,
@@ -124,30 +123,30 @@ def random_hp(rng, d=1, ard=False):
 class TestKernel:
     def test_zero_distance_gives_signal_variance(self):
         hp = Hyperparameters([0.7], 2.3, 0.1)
-        x = np.array([0.4, -1.2])
-        assert kernel_eval(x, x, hp) == pytest.approx(2.3, abs=0)
+        x = np.array([[0.4, -1.2]])
+        assert kernel_matrix(x, x, hp)[0, 0] == pytest.approx(2.3, abs=0)
 
     def test_unit_distance_frozen_value(self):
         hp = Hyperparameters([1.0], 1.0, 0.1)
-        assert kernel_eval([0.0], [1.0], hp) == pytest.approx(0.6065306597126334, abs=1e-12)
+        assert kernel_matrix([[0.0]], [[1.0]], hp)[0, 0] == pytest.approx(0.6065306597126334, abs=1e-12)
 
     def test_huge_lengthscale_approaches_signal_variance(self):
         hp = Hyperparameters([1e6], 1.5, 0.1)
-        assert abs(kernel_eval([0.0], [3.0], hp) - 1.5) < 1e-6
+        assert abs(kernel_matrix([[0.0]], [[3.0]], hp)[0, 0] - 1.5) < 1e-6
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             hp = random_hp(rng, d=3)
-            a, b = rng.standard_normal(3), rng.standard_normal(3)
-            kab = kernel_eval(a, b, hp)
-            assert kab == pytest.approx(kernel_eval(b, a, hp), rel=1e-15)
+            a, b = rng.standard_normal((1, 3)), rng.standard_normal((1, 3))
+            kab = kernel_matrix(a, b, hp)[0, 0]
+            assert kab == pytest.approx(kernel_matrix(b, a, hp)[0, 0], rel=1e-15)
             assert 0.0 < kab <= hp.signal_variance
 
     def test_dimension_mismatch_raises(self):
         hp = Hyperparameters([1.0], 1.0, 0.1)
         with pytest.raises(DimensionError):
-            kernel_eval([0.0, 1.0], [0.0], hp)
+            kernel_matrix([[0.0, 1.0]], [[0.0]], hp)
         with pytest.raises(DimensionError):
             kernel_matrix(np.zeros((3, 2)), np.zeros((3, 3)), hp)
 
@@ -566,7 +565,7 @@ def on_workers(monkeypatch, workers):
     """The fit's threads as on ``workers`` CPUs with BLAS on one thread,
     as the benchmark pins it, whatever this process's OpenBLAS runs."""
     monkeypatch.setattr(_workers, "worker_count", lambda: workers)
-    monkeypatch.setattr(gp, "blas_threads", lambda: 1)
+    monkeypatch.setattr(_workers, "blas_threads", lambda: 1)
 
 
 def sine_partitions(rng, sizes):

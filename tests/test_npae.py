@@ -452,7 +452,7 @@ def threaded(request, monkeypatch):
     BLAS counts as one thread, so both phases use every worker."""
     monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
     monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
-    monkeypatch.setattr(npae, "blas_threads", lambda: 1)
+    monkeypatch.setattr(_workers, "blas_threads", lambda: 1)
     return request.param
 
 
@@ -547,7 +547,7 @@ class TestWorkerShares:
         monkeypatch.setattr(_workers, "worker_count", lambda: 1)
         expected = npae_aggregate(experts, hp, X_star)
         monkeypatch.setattr(_workers, "worker_count", lambda: 2)
-        monkeypatch.setattr(npae, "blas_threads", lambda: 2)
+        monkeypatch.setattr(_workers, "blas_threads", lambda: 2)
         expert_inputs = {id(e.data.X) for e in experts}
         calls = []
 

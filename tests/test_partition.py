@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 import gpagg.partition as partition
-from gpagg import Dataset, kmeans_partition, random_partition
+from gpagg import Dataset, generate_synthetic, kmeans_partition, normalize, random_partition
 from gpagg.partition import _lloyd
 
 
@@ -48,12 +50,33 @@ class TestKmeans:
         assert sorted(merged) == rows_as_multiset(ds)
         assert np.bincount(part.assignments, minlength=6).min() > 0
 
-    def test_wcss_non_increasing_over_lloyd_iterations(self):
+    def test_wcss_non_increasing_over_lloyd_iterations(self, monkeypatch):
+        # iteration k assigns each point to its nearest mean of iteration
+        # k - 1's clusters, so the WCSS around each clustering's own means
+        # cannot grow from one iteration to the next
         rng = np.random.default_rng(4)
         X = rng.standard_normal((200, 2))
-        _, _, trace = _lloyd(X, 5, np.random.default_rng(0))
-        diffs = np.diff(trace)
-        assert np.all(diffs <= 1e-10)
+        trace = []
+        for iters in range(1, 40):
+            monkeypatch.setattr(partition, "_LLOYD_ITERS", iters)
+            assign = _lloyd(X, 5, np.random.default_rng(0))
+            trace.append(sum(((X[assign == k] - X[assign == k].mean(axis=0)) ** 2).sum() for k in range(5)))
+        assert trace[-1] == trace[-2] < trace[0]
+        assert np.all(np.diff(trace) <= 1e-10)
+
+    def test_assignments_of_the_benchmark_campaigns_are_pinned(self):
+        # the acceptance campaigns' partitions (n=2000, seeds 0-4, M in
+        # {1, 5, 10}) and two n=5000, M=20 ones, each on its normalized
+        # training set with the data seed as partition seed, as
+        # ``run_benchmark`` builds them; a faster Lloyd must keep them
+        digest = hashlib.sha256()
+        for n, seeds, Ms in ((2000, range(5), (1, 5, 10)), (5000, (0, 7), (20,))):
+            for seed in seeds:
+                raw = generate_synthetic(n, (0.0, 1.0), 0.2, seed)
+                train = normalize(raw, raw)[0]
+                for M in Ms:
+                    digest.update(kmeans_partition(train, M, seed).assignments.astype(np.int64).tobytes())
+        assert digest.hexdigest() == "82a177af81793867abf1d804d153786717bc14188d855528825c873f8cae47d5"
 
     def test_duplicate_points_leave_no_empty_cluster(self):
         # all-identical inputs force the empty-cluster repair path

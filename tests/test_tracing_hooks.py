@@ -90,7 +90,7 @@ def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypa
     # PARALLEL_WORK, so all run on worker threads; only the calling thread
     # may enter a hooked call
     monkeypatch.setattr(gpagg._workers, "worker_count", lambda: 3)
-    monkeypatch.setattr(gpagg.baselines, "blas_threads", lambda: 1)
+    monkeypatch.setattr(gpagg._workers, "blas_threads", lambda: 1)
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 1, (1500, 1))
     data = Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(1500))
@@ -156,7 +156,7 @@ def test_fit_on_two_workers_counts_and_fits_as_on_one(tracing, monkeypatch):
     # the fit's workers enter the hooked gp._lml_and_grad and gp.chol_jitter;
     # the counts and theta must be those of one worker
     monkeypatch.setattr(gpagg._workers, "PARALLEL_WORK", 0)
-    monkeypatch.setattr(gpagg.gp, "blas_threads", lambda: 1)
+    monkeypatch.setattr(gpagg._workers, "blas_threads", lambda: 1)
     rng = np.random.default_rng(2)
     parts = []
     for n in (40, 50, 60, 45):

@@ -1,6 +1,7 @@
-"""Fixed shares of work on worker threads: every item runs once, and the
-error raised is that of the earliest failing item, whatever the number
-of workers and whichever share fails first in time."""
+"""Fixed shares of work on worker threads: every item runs once, the
+results come back in item order, and the error raised is that of the
+earliest failing item, whatever the number of workers and whichever
+share fails first in time."""
 
 import ast
 import sys
@@ -46,7 +47,8 @@ def test_an_interrupt_is_raised_before_an_earlier_error():
 
 def test_every_item_runs_once_under_fast_switching():
     # more workers than cores and a short switch interval: each item
-    # writes its own slot, the earliest failure wins, every thread is joined
+    # writes its own slot, the earliest failure wins, the results keep
+    # item order, every thread is joined
     items = list(range(200))
     slots = [0] * len(items)
     before = threading.active_count()
@@ -55,6 +57,7 @@ def test_every_item_runs_once_under_fast_switching():
         slots[item] += 1
         if item % 50 == 49:
             raise RuntimeError(f"item {item}")
+        return -item
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -66,8 +69,9 @@ def test_every_item_runs_once_under_fast_switching():
             assert max(slots) == 1
             assert all(slots[: 50])
             assert threading.active_count() == before
-            in_shares(lambda item: slots.__setitem__(item, 2), items, workers)
-            assert slots == [2] * len(items)
+            slots[:] = [0] * len(items)
+            assert in_shares(work, items[:49], workers) == [-item for item in items[:49]]
+            assert slots == [1] * 49 + [0] * (len(items) - 49)
     finally:
         sys.setswitchinterval(interval)
 
@@ -116,5 +120,50 @@ def test_thread_rule_flags_each_form():
         "from concurrent import futures",
     ):
         assert _thread_imports(ast.parse(snippet)), snippet
-    for snippet in ("from ._workers import in_shares, workers_for", "import os"):
+    for snippet in ("from ._workers import blas_workers_for, in_shares", "import os"):
         assert not _thread_imports(ast.parse(snippet)), snippet
+
+
+def _blas_thread_uses(tree: ast.AST) -> list[int]:
+    """Lines that call ``blas_threads`` (by name or as an attribute) or
+    import it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "blas_threads") or (
+                isinstance(func, ast.Attribute) and func.attr == "blas_threads"
+            ):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "blas_threads" for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_workers_module_reads_blas_threads():
+    """The rule that divides the workers by BLAS's threads lives in
+    _workers (``blas_workers_for``); _linalg only defines the reader."""
+    offenders = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "_workers.py":
+            continue
+        lines = _blas_thread_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if lines:
+            offenders[path.name] = lines
+    assert not offenders
+
+
+def test_blas_thread_rule_flags_each_form():
+    for snippet in (
+        "workers = workers_for(work) // blas_threads()",
+        "workers = _linalg.blas_threads()",
+        "from ._linalg import blas_threads, cho_solve",
+        "from gpagg._linalg import blas_threads as threads",
+    ):
+        assert _blas_thread_uses(ast.parse(snippet)), snippet
+    for snippet in (
+        "from ._workers import blas_workers_for, in_shares",
+        "def blas_threads():\n    return 1",
+        "monkeypatch.setattr(_workers, 'blas_threads', lambda: 1)",
+    ):
+        assert not _blas_thread_uses(ast.parse(snippet)), snippet
