@@ -39,7 +39,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -58,7 +57,7 @@ from .baselines import (
     rbcm,
 )
 from .emggm import EmggmConfig, emggm_aggregate
-from .errors import DimensionError
+from .errors import DimensionError, checked
 from .gp import (
     Dataset,
     Hyperparameters,
@@ -75,6 +74,7 @@ log = logging.getLogger(__name__)
 
 METHODS = ("full_gp", "poe", "gpoe", "bcm", "rbcm", "grbcm", "npae", "emggm")
 PARTITIONERS = ("kmeans", "random")
+_MINIMA = {"n": 1, "n_t": 1, "noise_sd": 0}  # least values of BenchmarkConfig's fields
 
 # Offset separating the test-set random stream from the training stream.
 _TEST_SEED_OFFSET = 10_000_019
@@ -91,9 +91,9 @@ def latent_function(x: np.ndarray) -> np.ndarray:
 
 def generate_synthetic(n: int, value_range: tuple[float, float], noise_sd: float, seed: int) -> Dataset:
     """Draw x uniform on the range and y = f(x) + noise, deterministically per seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo, hi = value_range
+    n = checked("n", n, int, 1)
+    noise_sd = checked("noise_sd", noise_sd, float, 0)
+    lo, hi = (checked("range end", v, float) for v in value_range)
     if not lo < hi:
         raise ValueError(f"range must be increasing, got ({lo}, {hi})")
     rng = np.random.default_rng(seed)
@@ -153,17 +153,6 @@ def _known_fields(cls, obj, what: str) -> dict:
     return obj
 
 
-# A field's JSON value must be of its kind; numpy scalars count, but a
-# bool is no number and a float no integer.
-_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
-
-
-def _of_kind(name: str, value, kind: type):
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One benchmark campaign; JSON config files mirror these field names."""
@@ -186,14 +175,10 @@ class BenchmarkConfig:
             if get_origin(kind) is tuple:
                 if not isinstance(value, (list, tuple)):
                     raise ValueError(f"{name} must be a list, got {value!r}")
-                value = tuple(_of_kind(f"{name} entry", v, get_args(kind)[0]) for v in value)
-            elif kind in _KINDS:
-                value = _of_kind(name, value, kind)
+                value = tuple(checked(f"{name} entry", v, get_args(kind)[0]) for v in value)
+            elif kind in (int, float, str):
+                value = checked(name, value, kind, _MINIMA.get(name))
             object.__setattr__(self, name, value)
-        if self.n < 1 or self.n_t < 1:
-            raise ValueError("n and n_t must be >= 1")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise ValueError(f"noise_sd must be finite and >= 0, got {self.noise_sd!r}")
         for name in ("train_range", "test_range"):
             rng = getattr(self, name)
             if not (len(rng) == 2 and rng[0] < rng[1]):

@@ -18,7 +18,6 @@ built from blocks of the converged covariance. Index 0 of every
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ import numpy as np
 
 from ._linalg import cho_solve, chol_jitter
 from .baselines import ExpertPredictions
-from .errors import DimensionError
+from .errors import DimensionError, checked
 from .glasso import PrecisionEstimate, glasso_solve
 
 LATENT = 0
@@ -49,26 +48,15 @@ class EmggmConfig:
     max_iters: int = 20
 
     def __post_init__(self):
-        # BenchmarkConfig's rule: a bool is no number and a float no integer
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be of type int, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        _check_lambda(self.lam)
-
-
-def _check_lambda(lam: float | str) -> None:
-    if lam == "auto":
-        return
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lambda must be 'auto' or a finite number >= 0, got {lam!r}")
+        object.__setattr__(self, "max_iters", checked("max_iters", self.max_iters, int, 1))
+        if self.lam != "auto":
+            object.__setattr__(self, "lam", checked("lambda", self.lam, float, 0))
 
 
 def resolve_lambda(lam: float | str, n_experts: int, n_t: int) -> float:
-    _check_lambda(lam)
     if lam == "auto":
         return 0.5 * math.sqrt(math.log(n_experts + 1) / n_t)
-    return float(lam)
+    return checked("lambda", lam, float, 0)
 
 
 def init_latent(preds: ExpertPredictions) -> np.ndarray:

@@ -33,13 +33,12 @@ iterations, end the solve unconverged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import cho_solve, chol_jitter, cholesky, spd_inverse
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, checked
 
 TOL = 1e-9
 MAX_ITER = 500
@@ -83,9 +82,7 @@ def penalty_matrix(lam: float | np.ndarray, p: int) -> np.ndarray:
     caller-supplied symmetric non-negative matrix (diagonal forced to zero).
     Every value must be finite; a bool is no number."""
     if np.isscalar(lam):
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not (math.isfinite(lam) and lam >= 0):
-            raise ValueError(f"lambda must be finite and non-negative, got {lam!r}")
-        Lam = np.full((p, p), float(lam))
+        Lam = np.full((p, p), checked("lambda", lam, float, 0))
     else:
         Lam = np.asarray(lam, dtype=float).copy()
         if Lam.shape != (p, p):

@@ -28,7 +28,7 @@ from ._linalg import (
     unpack_lower,
 )
 from ._workers import blas_workers_for, in_shares
-from .errors import DimensionError, FitError, NumericalError
+from .errors import DimensionError, FitError, NumericalError, checked
 
 log = logging.getLogger(__name__)
 
@@ -57,16 +57,9 @@ class Hyperparameters:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscale, dtype=float)).ravel()
         object.__setattr__(self, "lengthscale", ls)
-        object.__setattr__(self, "signal_variance", float(self.signal_variance))
-        object.__setattr__(self, "noise_variance", float(self.noise_variance))
-        if not (
-            np.all(np.isfinite(ls))
-            and np.all(ls > 0)
-            and math.isfinite(self.signal_variance)
-            and self.signal_variance > 0
-            and math.isfinite(self.noise_variance)
-            and self.noise_variance > 0
-        ):
+        for name in ("signal_variance", "noise_variance"):
+            object.__setattr__(self, name, checked(name, getattr(self, name), float))
+        if not (np.all(np.isfinite(ls)) and np.all(ls > 0) and self.signal_variance > 0 and self.noise_variance > 0):
             raise ValueError("hyperparameters must be finite and strictly positive")
 
     def __eq__(self, other):
@@ -101,6 +94,11 @@ class Hyperparameters:
     @classmethod
     def from_json(cls, text: str) -> "Hyperparameters":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"hyperparameters JSON must be an object, got {type(obj).__name__}")
+        missing = [k for k in ("lengthscale", "signal_variance", "noise_variance") if k not in obj]
+        if missing:
+            raise ValueError(f"hyperparameters JSON lacks {missing}")
         return cls(np.asarray(obj["lengthscale"], dtype=float), obj["signal_variance"], obj["noise_variance"])
 
 

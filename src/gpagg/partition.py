@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import checked
 from .gp import Dataset, sq_dists
 
 _LLOYD_ITERS = 100
@@ -70,9 +71,11 @@ def _build(data: Dataset, assign: np.ndarray, M: int, method: str) -> Partitioni
     return Partitioning(assignments=assign, subsets=subsets, method=method)
 
 
-def _check_M(data: Dataset, M: int) -> None:
+def _check_M(data: Dataset, M: int) -> int:
+    M = checked("M", M, int)
     if not 1 <= M <= data.n:
         raise ValueError(f"M must be between 1 and n={data.n}, got {M}")
+    return M
 
 
 def kmeans_partition(data: Dataset, M: int, seed: int) -> Partitioning:
@@ -82,7 +85,7 @@ def kmeans_partition(data: Dataset, M: int, seed: int) -> Partitioning:
     stabilize. Clusters that empty out are repaired by stealing the
     farthest point from the largest cluster, so no subset is empty.
     """
-    _check_M(data, M)
+    M = _check_M(data, M)
     if M == data.n:
         return _build(data, np.arange(data.n), M, "kmeans")
     return _build(data, _lloyd(data.X, M, np.random.default_rng(seed)), M, "kmeans")
@@ -90,7 +93,7 @@ def kmeans_partition(data: Dataset, M: int, seed: int) -> Partitioning:
 
 def random_partition(data: Dataset, M: int, seed: int) -> Partitioning:
     """Seeded random partition with subset sizes differing by at most one."""
-    _check_M(data, M)
+    M = _check_M(data, M)
     perm = np.random.default_rng(seed).permutation(data.n)
     assign = np.empty(data.n, dtype=int)
     for k, chunk in enumerate(np.array_split(perm, M)):

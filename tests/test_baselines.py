@@ -59,6 +59,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             make_preds(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
+    def test_means_and_variances_need_one_shape(self):
+        with pytest.raises(DimensionError, match="identical shape"):
+            ExpertPredictions(np.zeros((3, 2)), np.ones((3, 3)), np.full(3, 2.0))
+
+    def test_prior_variance_needs_one_entry_per_test_point(self):
+        with pytest.raises(DimensionError, match="prior_variance length"):
+            ExpertPredictions(np.zeros((3, 2)), np.ones((3, 2)), np.full(2, 2.0))
+
     def test_prior_mean_needs_one_entry_per_test_point(self):
         with pytest.raises(DimensionError):
             ExpertPredictions(np.zeros((3, 2)), np.ones((3, 2)), np.full(3, 2.0), [0.0, 1.0])

@@ -62,6 +62,20 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_synthetic(10, (1.0, 0.0), 0.1, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, value_range, noise_sd, named",
+        [
+            (True, (0.0, 1.0), 0.1, "n must be of type int"),
+            (2.5, (0.0, 1.0), 0.1, "n must be of type int"),
+            (10, (0.0, math.inf), 0.1, "range end must be finite"),
+            (10, (0.0, 1.0), -1.0, "noise_sd must be finite and >= 0"),
+        ],
+        ids=["bool-n", "float-n", "infinite-range-end", "negative-noise_sd"],
+    )
+    def test_bad_number_raises_value_error_naming_it(self, n, value_range, noise_sd, named):
+        with pytest.raises(ValueError, match=named):
+            generate_synthetic(n, value_range, noise_sd, seed=0)
+
 
 class TestNormalize:
     def test_round_trip(self):
@@ -312,6 +326,10 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, methods=("gpoe", "voting"))
 
+    def test_numpy_scalars_in_the_emggm_section_serialize(self):
+        cfg = BenchmarkConfig(emggm=EmggmConfig(lam=np.float64(0.1), max_iters=np.int64(3)))
+        assert json.loads(json.dumps(cfg.to_dict()))["emggm"] == {"lam": 0.1, "max_iters": 3}
+
     def test_config_json_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path)
         path = tmp_path / "cfg.json"
@@ -473,17 +491,19 @@ class TestCli:
             ('{"n": true}', "n must be of type int"),
             ('{"emggm": {"max_iters": "x"}}', "max_iters must be of type int"),
             ('{"emggm": {"max_iters": 2.5}}', "max_iters must be of type int"),
-            ('{"emggm": {"lam": true}}', "lambda must be 'auto' or a finite number"),
+            ('{"emggm": {"lam": true}}', "lambda must be of type float"),
             ('{"seeds": []}', "seeds must be non-empty"),
             ('{"M_list": []}', "M_list must be non-empty"),
             ('{"M_list": [0]}', "M_list entries must be >= 1"),
             ('{"noise_sd": -1.0}', "noise_sd must be finite and >= 0"),
             ('{"noise_sd": Infinity}', "noise_sd must be finite and >= 0"),
+            ('{"train_range": [0, Infinity]}', "train_range entry must be finite"),
+            ('{"test_range": [-Infinity, 1.2]}', "test_range entry must be finite"),
         ],
         ids=[
             "unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "bool-n",
             "string-max_iters", "float-max_iters", "bool-lam", "empty-seeds", "empty-M_list", "zero-M",
-            "negative-noise_sd", "infinite-noise_sd",
+            "negative-noise_sd", "infinite-noise_sd", "infinite-train_range", "infinite-test_range",
         ],
     )
     def test_bad_config_reported_in_one_line(self, tmp_path, capsys, command, content, named):

@@ -296,6 +296,18 @@ class TestAggregate:
         assert [it["e_step_jitter"] for it in diag["iterations"]] == [1e-9] * diag["n_iterations"]
         assert diag["weight_jitter"] == 1e-9
 
+    def test_converged_exit_stops_the_loop(self, monkeypatch):
+        # every precision change is below an infinite tolerance, so EM
+        # stops after its first iteration, as a one-iteration budget does
+        rng = np.random.default_rng(19)
+        preds, _ = factor_model_preds(rng, 60, np.array([1.0, 0.8, 0.6]), np.full(3, 0.4))
+        one, one_diag = emggm_aggregate(preds, EmggmConfig(lam=0.05, max_iters=1))
+        monkeypatch.setattr(emggm, "CONV_TOL", math.inf)
+        means, diag = emggm_aggregate(preds, EmggmConfig(lam=0.05, max_iters=20))
+        assert diag["converged"] and not one_diag["converged"]
+        assert diag["n_iterations"] == 1
+        assert np.array_equal(means, one)
+
     def test_nan_lambda_raises(self):
         rng = np.random.default_rng(16)
         preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))

@@ -208,6 +208,17 @@ class TestSolve:
         assert not est.converged
         assert np.isfinite(est.dual_gap)
 
+    def test_failed_line_search_flags_unconverged(self, monkeypatch):
+        # an Armijo constant no step can meet: the first line search fails
+        rng = np.random.default_rng(10)
+        S = random_spd(rng, 8)
+        monkeypatch.setattr(glasso, "_ARMIJO", 1e300)
+        est = glasso_solve(S, 0.01)
+        assert not est.converged
+        assert est.n_sweeps == 1 and len(est.objective_trace) == 1
+        assert np.array_equal(est.Omega, np.diag(1.0 / np.diag(effective_covariance(S))))
+        assert np.isfinite(est.dual_gap)
+
     def test_penalty_matrix_spares_selected_entries(self):
         rng = np.random.default_rng(11)
         S = random_spd(rng, 4)

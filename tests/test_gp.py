@@ -209,6 +209,34 @@ class TestTypes:
             with pytest.raises(ValueError):
                 Hyperparameters(*bad)
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (([0.3], True, 0.1), "signal_variance must be of type float"),
+            (([0.3], 1.0, np.bool_(False)), "noise_variance must be of type float"),
+            (([0.3], "1.0", 0.1), "signal_variance must be of type float"),
+            (([0.3], 1.0, math.inf), "noise_variance must be finite"),
+        ],
+        ids=["bool-signal", "numpy-bool-noise", "string-signal", "infinite-noise"],
+    )
+    def test_variance_that_is_no_finite_number_raises(self, bad, named):
+        # True would otherwise be taken as sigma_f^2 = 1
+        with pytest.raises(ValueError, match=named):
+            Hyperparameters(*bad)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("{}", "lengthscale"),
+            ('{"lengthscale": [0.3], "signal_variance": 1.0}', "noise_variance"),
+            ("[1]", "must be an object, got list"),
+        ],
+        ids=["empty-object", "missing-noise", "list"],
+    )
+    def test_hyperparameters_from_bad_json_raises_value_error(self, text, named):
+        with pytest.raises(ValueError, match=named):
+            Hyperparameters.from_json(text)
+
     def test_hyperparameters_json_round_trip(self):
         hp = Hyperparameters([0.2, 0.4], 1.5, 0.04)
         again = Hyperparameters.from_json(hp.to_json())
@@ -553,6 +581,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_shared_hyperparameters([], Hyperparameters([1.0], 1.0, 0.1))
 
+    def test_partitions_that_disagree_on_dimension_raise(self):
+        rng = np.random.default_rng(17)
+        parts = [random_dataset(rng, 8, d=1), random_dataset(rng, 8, d=2)]
+        with pytest.raises(DimensionError, match="disagree on input dimension"):
+            fit_shared_hyperparameters(parts, Hyperparameters([0.5], 1.0, 0.1))
+
     def test_ard_flag_expands_lengthscale(self):
         rng = np.random.default_rng(11)
         data = random_dataset(rng, 20, d=2)
@@ -725,6 +759,14 @@ class TestPredict:
         expert = train_expert(data, Hyperparameters([1.0], 1.0, 0.1))
         with pytest.raises(ValueError):
             predict(expert, np.zeros((2, 1)), Hyperparameters([2.0], 1.0, 0.1))
+
+    def test_one_d_test_inputs_are_one_column(self):
+        rng = np.random.default_rng(18)
+        expert = train_expert(random_dataset(rng, 9), Hyperparameters([0.5], 1.0, 0.1))
+        x = rng.uniform(-1, 1, 6)
+        column = predict(expert, x[:, None])
+        flat = predict(expert, x)
+        assert all(np.array_equal(a, b) for a, b in zip(flat, column))
 
     def test_test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(15)

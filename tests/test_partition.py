@@ -142,3 +142,16 @@ class TestRandomPartition:
         ds = two_blobs(2)
         with pytest.raises(ValueError):
             random_partition(ds, 5, seed=0)
+
+
+@pytest.mark.parametrize("partitioner", [kmeans_partition, random_partition], ids=["kmeans", "random"])
+@pytest.mark.parametrize("M", [True, 2.5, "2"], ids=["bool", "float", "string"])
+def test_m_that_is_no_integer_raises(partitioner, M):
+    # True would otherwise run as M = 1, and 2.5 fail inside numpy
+    with pytest.raises(ValueError, match="M must be of type int"):
+        partitioner(two_blobs(5), M, 0)
+
+
+def test_numpy_integer_m_is_accepted():
+    ds = two_blobs(10, seed=2)
+    assert np.array_equal(kmeans_partition(ds, np.int64(3), 0).assignments, kmeans_partition(ds, 3, 0).assignments)
