@@ -1,5 +1,5 @@
 """Every Cholesky factorization, SPD solve and SPD inverse of the package:
-LAPACK dpotrf, dpotrs, dtrtrs, dtrtri and dlauum, and BLAS dtrmm; and
+LAPACK dpotrf, dpotrs, dposv, dtrtrs, dtrtri and dlauum, and BLAS dtrmm; and
 the packed storage that trained experts keep their factors in, LAPACK
 dtrttp and dtpttr.
 
@@ -10,21 +10,13 @@ shared jitter policy: on failure the diagonal is inflated by 1e-10, then
 tenfold up to 1e-4, times mean(diag); past that a NumericalError carries
 the last jitter tried. A non-finite matrix raises before any jitter.
 
-It is also the package's one BLAS module: gp's dgemv and ``dsyr`` come
-from here, and so do GRBCM's in-place updates ``dtrmm``, ``dsyrk`` and
-``dgemm``, each in the one form its caller uses.
-
-Two routes reach the same OpenBLAS: scipy's f2py wrappers, which hold
-the interpreter lock for the whole call, and the pointers that
-``scipy.linalg.cython_lapack`` and ``cython_blas`` export, which ctypes
-calls with the lock released and with a leading dimension, for 11-14 us
-more per call. dtrtrs, the inverse's dtrtri, dtrmm and dlauum, dtrttp,
-dtpttr, GRBCM's BLAS updates and gp's dsyr always take the pointers;
-dgemv always takes f2py; dpotrf and dpotrs take the pointers when the
-largest dimension of any operand reaches POINTER_MIN (dpotrf's order;
-dpotrs's order or its number of right-hand sides), and f2py below.
-Operands are copied to Fortran order exactly where f2py copies, so both
-routes give the same bits.
+It is also the package's one BLAS module (gp's ``dgemv`` and ``dsyr``,
+GRBCM's ``dtrmm``, ``dsyrk`` and ``dgemm``), and it alone sets the thread
+counts of the process's two OpenBLAS pools (``set_pool_threads``). Each
+routine is called by ctypes through the pointer that scipy's
+``cython_lapack`` or ``cython_blas`` exports, with the interpreter lock
+released, on operands copied to Fortran order where scipy's f2py
+wrappers copy them, so results have their bits.
 
 A packed triangle (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999)
 holds the n(n+1)/2 entries of a lower triangle column by column, half
@@ -35,8 +27,8 @@ between the two forms, so a factor comes back with its exact bits.
 import ctypes
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack, lapack
-from scipy.linalg.blas import dgemv  # noqa: F401 - gp's BLAS, imported from here
+from numpy.linalg import _umath_linalg
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import DimensionError, NumericalError
 
@@ -46,25 +38,6 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
-# ``cholesky`` and ``cho_solve`` take the pointer route when the largest
-# dimension of an operand (the matrix's order, or a solve's number of
-# right-hand sides) reaches this: dpotrf and dpotrs run hundreds of
-# times per benchmark draw on each side of it. At orders 5 / 20 / 41
-# (NPAE's K_A, the graphical lasso) dpotrf took 16 / 18 / 28 us through
-# the pointer against 1.7 / 4.0 / 14 us through f2py (2 cores, one BLAS
-# thread, OpenBLAS 0.3.30, medians of 9); from 128 up it ran 10-14%
-# faster. A one-column dpotrs there ran 11-22% slower (~90 calls, ~1 ms
-# per desk draw) but stays routed: with BLAS pinned the fit evaluates
-# its partitions on worker threads, and from this order up every LAPACK
-# and BLAS call of an evaluation releases the lock. With f2py's dtrtri, dlauum and dsyr, a
-# desk evaluation (5 partitions of 361-434) ran 1.37x faster on two
-# workers than on one; with the pointers, 1.50x (one BLAS thread,
-# medians of 80 interleaved pairs). The inverse's dtrtri and dlauum take
-# the pointer at every order: below the cut the benchmark reaches them
-# only through the graphical lasso's order-(M+1) ``spd_inverse``, about
-# 95 calls per desk draw, and at order 6 one took 32 against 26 us with
-# f2py's, under 1 ms per draw.
-POINTER_MIN = 128
 
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
@@ -84,6 +57,7 @@ def _capsule_function(module, name: str, nargs: int):
 
 _dpotrf = _capsule_function(cython_lapack, "dpotrf", 5)
 _dpotrs = _capsule_function(cython_lapack, "dpotrs", 8)
+_dposv = _capsule_function(cython_lapack, "dposv", 8)
 _dtrtri = _capsule_function(cython_lapack, "dtrtri", 6)
 _dlauum = _capsule_function(cython_lapack, "dlauum", 5)
 _dtrtrs = _capsule_function(cython_lapack, "dtrtrs", 10)
@@ -94,31 +68,25 @@ _dtrmm = _capsule_function(cython_blas, "dtrmm", 11)
 _dsyrk = _capsule_function(cython_blas, "dsyrk", 10)
 _dgemm = _capsule_function(cython_blas, "dgemm", 13)
 _dsyr = _capsule_function(cython_blas, "dsyr", 7)
+_dgemv = _capsule_function(cython_blas, "dgemv", 11)
 
 
-def _blas_thread_getter():
-    """The thread-count getter of the OpenBLAS that scipy links, found
-    through the extension module that links it; None for a BLAS without
-    one."""
-    lib = ctypes.CDLL(cython_blas.__file__)
-    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-        try:
-            getter = getattr(lib, name)
-        except AttributeError:
-            continue
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        return getter
-    return None
+# (get, set) thread-count functions of scipy's and numpy's OpenBLAS, via a module that links each; none for other BLAS.
+_POOLS = [
+    (ctypes.CFUNCTYPE(ctypes.c_int)((f"{name}_get_num_threads{sfx}", lib)),
+     ctypes.CFUNCTYPE(None, ctypes.c_int)((f"{name}_set_num_threads{sfx}", lib)))
+    for lib, sfx in ((ctypes.CDLL(cython_blas.__file__), ""), (ctypes.CDLL(_umath_linalg.__file__), "64_"))
+    for name in ("scipy_openblas", "openblas")
+    if hasattr(lib, f"{name}_set_num_threads{sfx}")
+]
 
 
-_blas_thread_count = _blas_thread_getter()
-
-
-def blas_threads() -> int:
-    """Threads scipy's BLAS may run one call on: OpenBLAS's own setting
-    (``OPENBLAS_NUM_THREADS``, else one per CPU), or 1 where it cannot be
-    read."""
-    return max(1, _blas_thread_count()) if _blas_thread_count else 1
+def set_pool_threads(counts: list[int]) -> list[int]:
+    """Set each OpenBLAS pool's thread count, scipy's first; return the old counts."""
+    had = [get() for get, _ in _POOLS]
+    for (_, put), count in zip(_POOLS, counts):
+        put(count)
+    return had
 
 
 def _int(v: int):
@@ -129,15 +97,13 @@ def _float(v: float):
     return ctypes.byref(ctypes.c_double(v))
 
 
+# Arguments LAPACK and BLAS only read, built once; the rest are built per call, as calls run on several threads.
+_ONE_INT, _ONE, _ZERO, _MINUS_ONE = _int(1), _float(1.0), _float(0.0), _float(-1.0)
+
+
 def _ld(x: np.ndarray):
     """Leading dimension of a Fortran-ordered operand."""
     return _int(max(1, x.shape[0]))
-
-
-def _large(*operands: np.ndarray) -> bool:
-    """Whether a call on these operands takes the pointer route: the
-    largest dimension of any of them reaches POINTER_MIN."""
-    return max(max(x.shape, default=0) for x in operands) >= POINTER_MIN
 
 
 def _in(x: np.ndarray) -> np.ndarray:
@@ -158,18 +124,15 @@ def _columns(x: np.ndarray) -> int:
 def cholesky(A: np.ndarray) -> np.ndarray | None:
     """Lower Cholesky factor of a symmetric matrix; None unless it is SPD."""
     A = np.asarray(A)
-    if A.ndim == 2 and A.shape[0] == A.shape[1] and _large(A):
-        n = A.shape[0]
-        L = _copy(A)
-        info = ctypes.c_int()
-        _dpotrf(b"L", _int(n), L.ctypes.data, _ld(L), ctypes.byref(info))
-        # f2py's ``clean``: the strict upper triangle is that of the
-        # (n-1) x (n-1) block from L[0, 1], diagonal included.
-        _dlaset(b"U", _int(n - 1), _int(n - 1), _float(0.0), _float(0.0), L.ctypes.data + 8 * n, _ld(L))
-        info = info.value
-    else:
-        L, info = lapack.dpotrf(A, lower=1)
-    if info != 0 or not np.isfinite(L.diagonal()).all():
+    if not (A.ndim == 2 and A.shape[0] == A.shape[1]):
+        raise DimensionError(f"cannot factor a {A.shape} matrix")
+    n, L = A.shape[0], _copy(A)
+    address, ld, info = L.ctypes.data, _ld(L), ctypes.c_int()
+    _dpotrf(b"L", _int(n), address, ld, ctypes.byref(info))
+    # f2py's ``clean`` of the strict upper triangle: that of the order n-1 block from L[0, 1]
+    rest = _int(max(n - 1, 0))
+    _dlaset(b"U", rest, rest, _ZERO, _ZERO, address + 8 * n, ld)
+    if info.value != 0 or not np.isfinite(L.diagonal()).all():
         return None
     return L
 
@@ -218,8 +181,7 @@ def pack_lower(L: np.ndarray) -> np.ndarray:
         raise DimensionError(f"cannot pack the lower triangle of a {L.shape} matrix")
     n = L.shape[0]
     ap = np.empty(n * (n + 1) // 2)
-    info = ctypes.c_int()
-    _dtrttp(b"L", _int(n), L.ctypes.data, _ld(L), ap.ctypes.data, ctypes.byref(info))
+    _dtrttp(b"L", _int(n), L.ctypes.data, _ld(L), ap.ctypes.data, _int(0))  # info, not read
     return ap
 
 
@@ -230,8 +192,7 @@ def unpack_lower(ap: np.ndarray, n: int) -> np.ndarray:
     if ap.shape != (n * (n + 1) // 2,):
         raise DimensionError(f"{ap.shape} entries do not pack an order-{n} triangle")
     L = np.zeros((n, n), order="F")
-    info = ctypes.c_int()
-    _dtpttr(b"L", _int(n), ap.ctypes.data, L.ctypes.data, _ld(L), ctypes.byref(info))
+    _dtpttr(b"L", _int(n), ap.ctypes.data, L.ctypes.data, _ld(L), _int(0))  # info, not read
     return L
 
 
@@ -239,14 +200,26 @@ def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve (L L') x = b for a lower Cholesky factor ``L``."""
     L, b = np.asarray(L), np.asarray(b)
     _check_solve(L, b)
-    if L.shape[0] and not _large(L, b):  # f2py's dpotrs refuses an order-0 factor
-        return lapack.dpotrs(L, b, lower=1)[0]  # info < 0 only flags a malformed call
     L, x = _in(L), _copy(b)
-    info = ctypes.c_int()
-    _dpotrs(
-        b"L", _int(L.shape[0]), _int(_columns(x)), L.ctypes.data, _ld(L), x.ctypes.data, _ld(x), ctypes.byref(info)
-    )
+    _dpotrs(b"L", _int(L.shape[0]), _int(_columns(x)), L.ctypes.data, _ld(L), x.ctypes.data, _ld(x), _int(0))
     return x
+
+
+def spd_solve_each(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x[t] = A[t]^-1 b[t] for k symmetric m x m ``A`` and a k x m ``b`` by one
+    dposv (dpotrf, then dpotrs) each, and whether A[t] is SPD; where it is,
+    x[t] is bitwise ``cho_solve(cholesky(A[t]), b[t])``."""
+    F = np.array(np.swapaxes(A, -1, -2), dtype=float, order="C")  # a copy, each A[t] in Fortran order
+    x = np.array(b, dtype=float, order="C")
+    k, m = x.shape
+    if F.shape != (k, m, m):
+        raise DimensionError(f"cannot solve a {F.shape} stack for a {x.shape} one")
+    order, ld, info = _int(m), _int(max(1, m)), ctypes.c_int()
+    a, b_at, status, spd = F.ctypes.data, x.ctypes.data, ctypes.byref(info), np.empty(k, dtype=bool)
+    for t in range(k):
+        _dposv(b"L", order, _ONE_INT, a + 8 * m * m * t, ld, b_at + 8 * m * t, ld, status)
+        spd[t] = info.value == 0
+    return x, spd & np.isfinite(np.diagonal(F, axis1=1, axis2=2)).all(axis=1)
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -281,16 +254,15 @@ def _invert_lower(X: np.ndarray, lo: int, hi: int) -> None:
     there too, by dtrtri.
     """
     if hi - lo <= INVERSE_BLOCK:
-        info = ctypes.c_int()
-        _dtrtri(b"L", b"N", _int(hi - lo), _at(X, lo, lo), _ld(X), ctypes.byref(info))
+        _dtrtri(b"L", b"N", _int(hi - lo), _at(X, lo, lo), _ld(X), _int(0))  # info, not read
         return
     mid = (lo + hi) // 2
     _invert_lower(X, lo, mid)
     _invert_lower(X, mid, hi)
     x11, x21, x22 = _at(X, lo, lo), _at(X, mid, lo), _at(X, mid, mid)
     rows, cols, ld = _int(hi - mid), _int(mid - lo), _ld(X)
-    _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _float(-1.0), x22, ld, x21, ld)
-    _dtrmm(b"R", b"L", b"N", b"N", rows, cols, _float(1.0), x11, ld, x21, ld)
+    _dtrmm(b"L", b"L", b"N", b"N", rows, cols, _MINUS_ONE, x22, ld, x21, ld)
+    _dtrmm(b"R", b"L", b"N", b"N", rows, cols, _ONE, x11, ld, x21, ld)
 
 
 def inverse_lower(L: np.ndarray) -> np.ndarray:
@@ -315,8 +287,7 @@ def chol_inverse(L: np.ndarray) -> np.ndarray:
     dtrtri, then dlauum forms X' X from the inverse factor X.
     """
     X = inverse_lower(L)
-    info = ctypes.c_int()
-    _dlauum(b"L", _int(X.shape[0]), X.ctypes.data, _ld(X), ctypes.byref(info))
+    _dlauum(b"L", _int(X.shape[0]), X.ctypes.data, _ld(X), _int(0))  # info, not read
     return X
 
 
@@ -346,7 +317,7 @@ def dsyr(alpha: float, x: np.ndarray, a: np.ndarray) -> np.ndarray:
     _output(a)
     if not (x.ndim == 1 and a.ndim == 2 and a.shape == (x.size, x.size)):
         raise DimensionError(f"cannot update a {a.shape} matrix by the outer product of a {x.shape} vector")
-    _dsyr(b"L", _int(x.size), _float(alpha), x.ctypes.data, _int(1), a.ctypes.data, _ld(a))
+    _dsyr(b"L", _int(x.size), _float(alpha), x.ctypes.data, _ONE_INT, a.ctypes.data, _ld(a))
     return a
 
 
@@ -358,7 +329,7 @@ def dtrmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not (a.ndim == b.ndim == 2 and a.shape[0] == a.shape[1] == b.shape[0]):
         raise DimensionError(f"cannot multiply a {b.shape} matrix by a {a.shape} triangle")
     m, n = b.shape
-    _dtrmm(b"L", b"L", b"N", b"N", _int(m), _int(n), _float(1.0), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b))
+    _dtrmm(b"L", b"L", b"N", b"N", _int(m), _int(n), _ONE, a.ctypes.data, _ld(a), b.ctypes.data, _ld(b))
     return b
 
 
@@ -370,7 +341,7 @@ def dsyrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     if not (a.ndim == c.ndim == 2 and c.shape == (a.shape[1], a.shape[1])):
         raise DimensionError(f"cannot update a {c.shape} matrix by the Gram matrix of a {a.shape} one")
     k, n = a.shape
-    _dsyrk(b"L", b"T", _int(n), _int(k), _float(-1.0), a.ctypes.data, _ld(a), _float(1.0), c.ctypes.data, _ld(c))
+    _dsyrk(b"L", b"T", _int(n), _int(k), _MINUS_ONE, a.ctypes.data, _ld(a), _ONE, c.ctypes.data, _ld(c))
     return c
 
 
@@ -383,6 +354,16 @@ def dgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     (k, m), n = a.shape, b.shape[1]
     _dgemm(
         b"T", b"N", _int(m), _int(n), _int(k),
-        _float(-1.0), a.ctypes.data, _ld(a), b.ctypes.data, _ld(b), _float(1.0), c.ctypes.data, _ld(c),
+        _MINUS_ONE, a.ctypes.data, _ld(a), b.ctypes.data, _ld(b), _ONE, c.ctypes.data, _ld(c),
     )
     return c
+
+
+def dgemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a' x for a 2-D ``a`` and a 1-D ``x``, as a new array."""
+    a, x = _in(a), _in(x)
+    if not (a.ndim == 2 and x.ndim == 1 and x.size == a.shape[0]):
+        raise DimensionError(f"cannot multiply the transpose of a {a.shape} matrix by a {x.shape} vector")
+    (m, n), y = a.shape, np.zeros(a.shape[1])  # f2py's y, which BLAS scales by beta = 0
+    _dgemv(b"T", _int(m), _int(n), _ONE, a.ctypes.data, _ld(a), x.ctypes.data, _ONE_INT, _ZERO, y.ctypes.data, _ONE_INT)
+    return y

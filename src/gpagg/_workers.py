@@ -1,4 +1,5 @@
-"""Fixed shares of independent work on worker threads, and how many.
+"""Fixed shares of independent work on worker threads, how many, and the
+one BLAS setting of every package call.
 
 The shared fit's per-partition lml terms, NPAE's per-expert and pair
 phases and GRBCM's augmented experts are lists of independent items.
@@ -6,17 +7,19 @@ phases and GRBCM's augmented experts are lists of independent items.
 item runs the same operands and calls whatever the number of workers,
 and returns the items' results in item order for the caller to sum or
 stack. A call starts threads only when its work, counted in
-multiply-adds, reaches ``PARALLEL_WORK`` (``workers_for``). Items that
-call scipy's BLAS share the CPUs with its threads (``blas_workers_for``).
+multiply-adds, reaches ``PARALLEL_WORK`` (``workers_for``). Every public
+entry point that computes runs both OpenBLAS pools on one thread
+(``one_blas_thread``), so the workers alone take the cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from typing import Sequence
 
-from ._linalg import blas_threads
+from ._linalg import set_pool_threads
 
 # Work (multiply-adds) below which a call runs on the caller's thread
 # alone and starts no thread. On 2 cores with one BLAS thread, two
@@ -40,13 +43,27 @@ def workers_for(work: int) -> int:
     return worker_count() if work >= PARALLEL_WORK else 1
 
 
-def blas_workers_for(work: int) -> int:
-    """``workers_for(work)`` shared with the ``blas_threads()`` threads that
-    scipy's BLAS may run each call of an item on. On 2 cores with two BLAS
-    threads, two workers ran a serve-shape GRBCM call (n = 5000, M = 20,
-    50 queries) in 76-90 ms against 59-60 ms on one. NPAE's pair products
-    run on numpy's BLAS, not scipy's, and take ``workers_for``."""
-    return workers_for(work) // blas_threads()
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Every OpenBLAS pool on one thread for the length of a call. The
+    settings are process-wide: while any call is in, on any thread, they
+    stay at one; the last out restores those from before the first."""
+
+    lock, depth, caller = threading.Lock(), 0, []
+
+    def __enter__(self):
+        with self.lock:
+            if self.depth == 0:
+                self.caller = set_pool_threads([1, 1])
+            self.depth += 1
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0:
+                set_pool_threads(self.caller)
+
+
+one_blas_thread = _OneBlasThread()
 
 
 def in_shares(fn, items: Sequence, workers: int) -> list:

@@ -37,7 +37,7 @@ from ._linalg import (
     solve_lower,
     unpack_lower,
 )
-from ._workers import blas_workers_for, in_shares
+from ._workers import in_shares, one_blas_thread, workers_for
 from .errors import DimensionError, NumericalError
 from .gp import (
     Dataset,
@@ -99,6 +99,7 @@ class ExpertPredictions:
         return self.means.shape[1]
 
 
+@one_blas_thread
 def collect_predictions(
     experts: list[TrainedExpert], X_star: np.ndarray, hp: Hyperparameters | None = None
 ) -> ExpertPredictions:
@@ -223,7 +224,7 @@ class _GrbcmModel:
 
         work = _prediction_work(base.n, [part.n for part in self.augmented], X_star.shape[0])
         experts = list(zip(self.augmented, self.schur_packed))
-        means, variances = zip(*in_shares(expert, experts, blas_workers_for(work)))
+        means, variances = zip(*in_shares(expert, experts, workers_for(work)))
         preds = ExpertPredictions(
             np.column_stack(means),
             np.column_stack(variances),
@@ -271,7 +272,7 @@ def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> 
         return pack_lower(L_S), jitter
 
     work = _training_work(base.data.n, [part.n for part in augmented])
-    packed, jitters = zip(*in_shares(expert, augmented, blas_workers_for(work)))
+    packed, jitters = zip(*in_shares(expert, augmented, workers_for(work)))
     jittered = [j for j in jitters if j > 0.0]
     if jittered:
         log.warning(
@@ -282,6 +283,7 @@ def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> 
     return _GrbcmModel(hp, seed, base, augmented, list(packed))
 
 
+@one_blas_thread
 def grbcm_aggregate(
     partitioning: Partitioning,
     hp: Hyperparameters,
@@ -318,12 +320,10 @@ def grbcm_aggregate(
     model until the next training clears them.
 
     The augmented experts are independent given the base. Training, and
-    each call, runs them in fixed shares on ``_workers.blas_workers_for``
-    threads, the caller's among them, when its work on them reaches
-    ``_workers.PARALLEL_WORK`` multiply-adds; their BLAS and LAPACK calls
-    release the interpreter lock (see ``_linalg``). ``in_shares`` returns
-    the experts' results in order, so the outputs are bitwise those of
-    one thread.
+    each call, runs them in fixed shares (``_workers.in_shares``) on
+    ``_workers.workers_for`` threads once its work on them reaches
+    ``_workers.PARALLEL_WORK`` multiply-adds, with outputs bitwise those
+    of one thread.
     """
     model = _held.get(partitioning)
     if model is None or model.hp != hp or model.seed != seed:

@@ -57,6 +57,7 @@ from .baselines import (
     rbcm,
 )
 from .emggm import EmggmConfig, emggm_aggregate
+from ._workers import one_blas_thread
 from .errors import DimensionError, checked
 from .gp import (
     Dataset,
@@ -74,7 +75,7 @@ log = logging.getLogger(__name__)
 
 METHODS = ("full_gp", "poe", "gpoe", "bcm", "rbcm", "grbcm", "npae", "emggm")
 PARTITIONERS = ("kmeans", "random")
-_MINIMA = {"n": 1, "n_t": 1, "noise_sd": 0}  # least values of BenchmarkConfig's fields
+_MINIMA = {"n": 1, "n_t": 1, "noise_sd": 0, "seeds": 0}  # least values of BenchmarkConfig's fields or entries
 
 # Offset separating the test-set random stream from the training stream.
 _TEST_SEED_OFFSET = 10_000_019
@@ -175,7 +176,7 @@ class BenchmarkConfig:
             if get_origin(kind) is tuple:
                 if not isinstance(value, (list, tuple)):
                     raise ValueError(f"{name} must be a list, got {value!r}")
-                value = tuple(checked(f"{name} entry", v, get_args(kind)[0]) for v in value)
+                value = tuple(checked(f"{name} entry", v, get_args(kind)[0], _MINIMA.get(name)) for v in value)
             elif kind in (int, float, str):
                 value = checked(name, value, kind, _MINIMA.get(name))
             object.__setattr__(self, name, value)
@@ -352,6 +353,7 @@ _AGGREGATORS = {
 }
 
 
+@one_blas_thread
 def run_benchmark(cfg: BenchmarkConfig) -> list[BenchmarkRow]:
     """Run every (seed, M, method) cell and write results.csv (plus
     emggm_diagnostics.json) to the output dir.

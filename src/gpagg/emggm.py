@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import cho_solve, chol_jitter
+from ._workers import one_blas_thread
 from .baselines import ExpertPredictions
 from .errors import DimensionError, checked
 from .glasso import PrecisionEstimate, glasso_solve
@@ -65,6 +66,7 @@ def init_latent(preds: ExpertPredictions) -> np.ndarray:
     return preds.means.mean(axis=1)
 
 
+@one_blas_thread
 def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> tuple[np.ndarray, np.ndarray]:
     """Centered sample covariance S of (y0, expert means), and the column means.
 
@@ -96,6 +98,7 @@ def _regression(Sigma: np.ndarray) -> tuple[np.ndarray, float]:
     return cho_solve(L, Sigma[1:, LATENT]), jitter
 
 
+@one_blas_thread
 def e_step(S: np.ndarray, Sigma: np.ndarray) -> float:
     """Overwrite S's latent blocks with their conditional expectations and
     return the diagonal jitter factoring Sigma_mm needed (0.0 if none).
@@ -119,6 +122,7 @@ def e_step(S: np.ndarray, Sigma: np.ndarray) -> float:
     return jitter
 
 
+@one_blas_thread
 def m_step(S: np.ndarray, lam: float, init: np.ndarray | None = None) -> PrecisionEstimate:
     """Solve the penalized likelihood on S, warm-starting from ``init`` (the
     previous precision) as ``glasso_solve`` does; neither is modified. The
@@ -146,6 +150,7 @@ def _solve_stats(est: PrecisionEstimate) -> dict:
     }
 
 
+@one_blas_thread
 def emggm_aggregate(
     preds: ExpertPredictions, cfg: EmggmConfig | None = None
 ) -> tuple[np.ndarray, dict]:

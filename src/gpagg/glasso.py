@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import cho_solve, chol_jitter, cholesky, spd_inverse
+from ._workers import one_blas_thread
 from .errors import DimensionError, NumericalError, checked
 
 TOL = 1e-9
@@ -102,6 +103,7 @@ def _objective(Omega: np.ndarray, S: np.ndarray, Lam: np.ndarray) -> float:
     return -logdet + float(np.sum(S * Omega)) + float(np.sum(Lam * np.abs(Omega)))
 
 
+@one_blas_thread
 def glasso_objective(Omega: np.ndarray, S: np.ndarray, lam: float | np.ndarray) -> float:
     """-log|Omega| + tr(S Omega) + sum_ij Lam_ij |Omega_ij| (diagonal unpenalized).
 
@@ -238,6 +240,7 @@ def _dual_gap(S: np.ndarray, Omega: np.ndarray, Lam: np.ndarray) -> float:
     return float(np.sum(S * Omega)) - p + float(np.sum(Lam * np.abs(Omega)))
 
 
+@one_blas_thread
 def glasso_solve(
     S: np.ndarray, lam: float | np.ndarray, init: np.ndarray | None = None
 ) -> PrecisionEstimate:

@@ -27,7 +27,7 @@ from ._linalg import (
     solve_lower,
     unpack_lower,
 )
-from ._workers import blas_workers_for, in_shares
+from ._workers import in_shares, one_blas_thread, workers_for
 from .errors import DimensionError, FitError, NumericalError, checked
 
 log = logging.getLogger(__name__)
@@ -55,7 +55,7 @@ class Hyperparameters:
     noise_variance: float
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.lengthscale, dtype=float)).ravel()
+        ls = np.array([checked("lengthscale", v, float) for v in np.ravel(np.asarray(self.lengthscale, dtype=object))])
         object.__setattr__(self, "lengthscale", ls)
         for name in ("signal_variance", "noise_variance"):
             object.__setattr__(self, name, checked(name, getattr(self, name), float))
@@ -99,7 +99,7 @@ class Hyperparameters:
         missing = [k for k in ("lengthscale", "signal_variance", "noise_variance") if k not in obj]
         if missing:
             raise ValueError(f"hyperparameters JSON lacks {missing}")
-        return cls(np.asarray(obj["lengthscale"], dtype=float), obj["signal_variance"], obj["noise_variance"])
+        return cls(obj["lengthscale"], obj["signal_variance"], obj["noise_variance"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +197,7 @@ class TrainedExpert:
         return unpack_lower(self.chol_packed, self.data.n)
 
 
+@one_blas_thread
 def train_expert(data: Dataset, hp: Hyperparameters) -> TrainedExpert:
     """Factorize one partition's covariance for O(n^2) prediction and
     keep the factor packed."""
@@ -211,6 +212,7 @@ def _lml_from_factors(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
     return float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * LOG_2PI)
 
 
+@one_blas_thread
 def log_marginal_likelihood(data: Dataset, hp: Hyperparameters) -> float:
     """Gaussian log-marginal likelihood of ``data`` under ``hp``.
 
@@ -283,6 +285,7 @@ def _lml_and_grad(
     return value, grad
 
 
+@one_blas_thread
 def lml_gradient(data: Dataset, hp: Hyperparameters) -> np.ndarray:
     """Analytic lml gradient in log-parameter space."""
     return _lml_and_grad(data, hp)[1]
@@ -310,6 +313,7 @@ class FitOptions:
     seed: int = 0
 
 
+@one_blas_thread
 def fit_shared_hyperparameters(
     partitions: Sequence[Dataset],
     init: Hyperparameters,
@@ -328,14 +332,10 @@ def fit_shared_hyperparameters(
     could be scored. ``opts`` is ignored (see ``FitOptions``).
 
     Each evaluation computes the partitions' terms in fixed shares
-    (``_workers.in_shares``) on ``_workers.blas_workers_for(sum_i n_i^3)``
-    threads, the caller's among them, which is the caller's alone below
-    ``_workers.PARALLEL_WORK``. ``in_shares`` returns the terms in
-    partition order, and they are summed in it, so theta is bit for bit that
-    of one thread; a partition that raises fails the evaluation as it
-    would on one thread, with the error of the earliest failing
-    partition. Up to that many partitions' n_i x n_i working arrays are
-    alive at once.
+    (``_workers.in_shares``) on ``_workers.workers_for(sum_i n_i^3)``
+    threads and sums them in partition order, so theta, and the error of
+    a partition that raises, are those of one thread. Up to that many
+    partitions' n_i x n_i working arrays are alive at once.
     """
     datasets = list(partitions)
     if not datasets or any(ds.n == 0 for ds in datasets):
@@ -345,7 +345,7 @@ def fit_shared_hyperparameters(
         raise DimensionError("partitions disagree on input dimension")
     k = _check_lengthscale(init, d).size
     inputs = [(ds, _sq_dists(ds.X, k)) for ds in datasets]
-    workers = blas_workers_for(sum(ds.n**3 for ds in datasets))
+    workers = workers_for(sum(ds.n**3 for ds in datasets))
     last: list = []  # the latest point evaluated, its value and gradient
 
     def objective(logv: np.ndarray) -> tuple[float, np.ndarray]:
@@ -404,6 +404,7 @@ def check_test_inputs(X_star: np.ndarray, d: int) -> np.ndarray:
     return X_star
 
 
+@one_blas_thread
 def predict(
     expert: TrainedExpert,
     X_star: np.ndarray,
@@ -433,11 +434,9 @@ def with_targets(data: Dataset, X_star: np.ndarray, hp: Hyperparameters) -> np.n
 
 def posterior_terms(wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per test point, w'z = k' C^-1 y (the mean) and |w|^2 = k' C^-1 k
-    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L'.
-    An empty batch gives empty arrays; dgemv refuses an empty output."""
+    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L'."""
     w, z = wz[:, :-1], wz[:, -1]
-    means = dgemv(1.0, w, z, trans=1) if w.shape[1] else np.empty(0)
-    return means, np.sum(w**2, axis=0)
+    return dgemv(w, z), np.sum(w**2, axis=0)
 
 
 def posterior_variance(hp: Hyperparameters, explained: np.ndarray) -> np.ndarray:

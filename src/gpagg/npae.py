@@ -16,16 +16,10 @@ once per block of at most ``QUERY_BLOCK`` test points.
 
 The experts' weight matrices and the cross blocks are independent of
 one another, so a block large enough to repay a thread start splits
-both phases into fixed shares over the CPUs the process may run on
-(``_workers.in_shares``): the caller's thread runs one share and a thread per
-other share runs the rest, all joined before the per-point K_A solves,
-which stay on the caller's thread. Every K_A entry is written by one
-share from the same operands and BLAS calls as on one thread, so the
-predictions do not depend on the number of workers. An expert's Gamma_i
-solve takes ``_linalg``'s pointer route from ``POINTER_MIN`` points up,
-which releases the interpreter lock, so the workers' solves overlap;
-that phase takes ``_workers.blas_workers_for`` workers and the pair
-phase, on numpy's BLAS, ``_workers.workers_for``.
+both phases into fixed shares (``_workers.in_shares``), joined before
+the per-point K_A solves, which stay on the caller's thread. Every K_A
+entry is written by one share from the same operands and BLAS calls as
+on one thread, so the predictions do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -35,8 +29,8 @@ import time
 
 import numpy as np
 
-from ._linalg import cho_solve, chol_jitter
-from ._workers import blas_workers_for, in_shares, workers_for
+from ._linalg import cho_solve, chol_jitter, spd_solve_each
+from ._workers import in_shares, one_blas_thread, workers_for
 from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
 
 log = logging.getLogger(__name__)
@@ -49,6 +43,7 @@ log = logging.getLogger(__name__)
 QUERY_BLOCK = 256
 
 
+@one_blas_thread
 def npae_aggregate(
     experts: list[TrainedExpert], hp: Hyperparameters, X_star: np.ndarray
 ) -> np.ndarray:
@@ -65,14 +60,11 @@ def npae_aggregate(
     all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
     one cross block with its product per worker; no n x n joint exists.
     A block whose pair work reaches ``_workers.PARALLEL_WORK`` computes the
-    pair products on ``_workers.workers_for`` threads and the Gamma_i on
-    ``_workers.blas_workers_for``, the caller's among them; the Gamma_i
-    come back in expert order and each pair writes its own K_A entries,
-    so the results are bitwise those of one thread.
-    K_A is solved per point with the shared jitter policy on the
-    caller's thread; a jittered call logs one warning with the number of
-    jittered points and the largest jitter over all blocks. ``hp`` must
-    match the parameters every expert was factorized with.
+    Gamma_i, then the pair products, on ``_workers.workers_for`` threads.
+    K_A is solved per point on the caller's thread, with the shared jitter
+    policy where it is not SPD; a jittered call logs one warning with the
+    number of jittered points and the largest jitter over all blocks.
+    ``hp`` must match the parameters every expert was factorized with.
     """
     if not experts:
         raise ValueError("need at least one expert")
@@ -127,16 +119,17 @@ def _aggregate_block(
         K_A[:, i, j] = K_A[:, j, i] = (g_i[:, None, :] @ (cross @ g_j[:, :, None]))[:, 0, 0]
 
     work = _pair_work([e.data.n for e in experts], n_t)
-    gammas, diagonal, local = zip(*in_shares(expert, experts, blas_workers_for(work)))
+    gammas, diagonal, local = zip(*in_shares(expert, experts, workers_for(work)))
     K_A = np.empty((n_t, M, M))
     K_A[:, range(M), range(M)] = np.column_stack(diagonal)
     local_means = np.column_stack(local)
     in_shares(pair, [(i, j) for i in range(M) for j in range(i + 1, M)], workers_for(work))
 
-    jitters = []
+    weights, spd = spd_solve_each(K_A, K_A[:, range(M), range(M)])
+    jitters = [0.0] * n_t
+    for t in np.flatnonzero(~spd):
+        L, jitters[t] = chol_jitter(K_A[t])
+        weights[t] = cho_solve(L, K_A[t].diagonal())
     for t in range(n_t):
-        L, jitter = chol_jitter(K_A[t])
-        jitters.append(jitter)
-        w = cho_solve(L, K_A[t].diagonal())
-        means[t] = w @ local_means[t]
+        means[t] = weights[t] @ local_means[t]
     return jitters

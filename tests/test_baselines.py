@@ -32,7 +32,6 @@ from gpagg import (
     rbcm,
     train_expert,
 )
-from gpagg._linalg import POINTER_MIN
 from gpagg.baselines import entropy_weights, grbcm_base_index
 
 
@@ -410,20 +409,12 @@ def _bitwise(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def one_blas_thread(monkeypatch):
-    """BLAS on one thread, as the benchmark pins it, whatever this
-    process's OpenBLAS runs."""
-    monkeypatch.setattr(_workers, "blas_threads", lambda: 1)
-
-
 @pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
 def threaded(request, monkeypatch):
     """Every GRBCM call on ``request.param`` workers, however small: the
-    threshold is 0, BLAS runs one thread, and 3 workers split the
-    augmented experts unevenly."""
+    threshold is 0, and 3 workers split the augmented experts unevenly."""
     monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
     monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
-    one_blas_thread(monkeypatch)
     return request.param
 
 
@@ -460,10 +451,9 @@ class TestGrbcmWorkerShares:
     training and in every call, so any number of workers gives the bits
     of one."""
 
-    # M = 2 has one augmented expert, of POINTER_MIN + 22 points, so its
-    # calls take _linalg's pointer route; M = 20's take the f2py one
+    # M = 2 has one augmented expert of 150 points, M = 20 nineteen of 12
     @pytest.mark.parametrize("n_t", [0, 1, 50, 400])
-    @pytest.mark.parametrize("M, n_per", [(2, POINTER_MIN + 22), (20, 12)])
+    @pytest.mark.parametrize("M, n_per", [(2, 150), (20, 12)])
     @pytest.mark.parametrize("d", [1, 2])
     def test_threaded_outputs_equal_one_worker(self, threaded, monkeypatch, d, M, n_per, n_t):
         rng = np.random.default_rng(100 * d + M)
@@ -489,7 +479,6 @@ class TestGrbcmWorkerShares:
     def test_call_above_the_threshold_runs_on_every_worker(self, monkeypatch):
         # unpatched threshold: training the augmented experts is above
         # PARALLEL_WORK and a call's prediction below it
-        one_blas_thread(monkeypatch)
         rng = np.random.default_rng(23)
         parts = _chunked_partitions(rng, 1, 6, 200)
         hp = Hyperparameters([0.1], 1.0, 0.01)
@@ -511,7 +500,6 @@ class TestGrbcmWorkerShares:
         # to the slots as often as they can, in training and in a warm
         # call; a lost or misplaced write would change the bits
         monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
-        one_blas_thread(monkeypatch)
         rng = np.random.default_rng(24)
         parts = _chunked_partitions(rng, 1, 12, 20)
         hp = Hyperparameters([0.3], 1.0, 0.05)
@@ -582,18 +570,6 @@ class TestGrbcmThreadHygiene:
         for _ in range(2):
             grbcm_aggregate(parts, Hyperparameters([0.5], 1.3, 0.01), rng.uniform(0, 1, (300, 3)), 0)
         assert len(trainings) == 1
-
-    @pytest.mark.parametrize("cpus, blas", [(2, 2), (3, 2), (4, 4)])
-    def test_blas_threads_on_every_cpu_leave_no_worker(self, monkeypatch, cpus, blas):
-        # unpinned, OpenBLAS already spreads each call over the CPUs
-        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
-        monkeypatch.setattr(_workers, "worker_count", lambda: cpus)
-        monkeypatch.setattr(_workers, "blas_threads", lambda: blas)
-        _refuse_threads(monkeypatch)
-        rng = np.random.default_rng(26)
-        parts = _chunked_partitions(rng, 1, 6, 20)
-        for _ in range(2):
-            grbcm_aggregate(parts, Hyperparameters([0.3], 1.0, 0.05), rng.uniform(0, 1, (9, 1)), 0)
 
 
 class TestGrbcmHeldModel:

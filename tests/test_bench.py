@@ -322,6 +322,12 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="make_svg"):
             BenchmarkConfig.from_dict({"make_svg": True})
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator would refuse it only once a campaign starts
+        with pytest.raises(ValueError, match="seeds entry must be >= 0, got -1"):
+            BenchmarkConfig(seeds=(-1,))
+        assert BenchmarkConfig(seeds=(0, np.int64(3))).seeds == (0, 3)
+
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, methods=("gpoe", "voting"))
@@ -488,6 +494,7 @@ class TestCli:
             ('{"n": "abc"}', "n must be of type int"),
             ('{"M_list": 5}', "M_list must be a list"),
             ('{"seeds": [1.5]}', "seeds entry must be of type int"),
+            ('{"seeds": [0, -1]}', "seeds entry must be >= 0"),
             ('{"n": true}', "n must be of type int"),
             ('{"emggm": {"max_iters": "x"}}', "max_iters must be of type int"),
             ('{"emggm": {"max_iters": 2.5}}', "max_iters must be of type int"),
@@ -501,7 +508,7 @@ class TestCli:
             ('{"test_range": [-Infinity, 1.2]}', "test_range entry must be finite"),
         ],
         ids=[
-            "unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "bool-n",
+            "unknown-key", "unknown-emggm-key", "not-an-object", "string-n", "scalar-M_list", "float-seed", "negative-seed", "bool-n",
             "string-max_iters", "float-max_iters", "bool-lam", "empty-seeds", "empty-M_list", "zero-M",
             "negative-noise_sd", "infinite-noise_sd", "infinite-train_range", "infinite-test_range",
         ],

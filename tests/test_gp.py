@@ -216,11 +216,18 @@ class TestTypes:
             (([0.3], 1.0, np.bool_(False)), "noise_variance must be of type float"),
             (([0.3], "1.0", 0.1), "signal_variance must be of type float"),
             (([0.3], 1.0, math.inf), "noise_variance must be finite"),
+            (([True], 1.0, 0.1), "lengthscale must be of type float"),
+            ((["0.5"], 1.0, 0.1), "lengthscale must be of type float"),
+            ((np.array([0.3, True], dtype=object), 1.0, 0.1), "lengthscale must be of type float"),
+            (([0.3, math.nan], 1.0, 0.1), "lengthscale must be finite"),
         ],
-        ids=["bool-signal", "numpy-bool-noise", "string-signal", "infinite-noise"],
+        ids=[
+            "bool-signal", "numpy-bool-noise", "string-signal", "infinite-noise",
+            "bool-lengthscale", "string-lengthscale", "bool-second-lengthscale", "nan-lengthscale",
+        ],
     )
-    def test_variance_that_is_no_finite_number_raises(self, bad, named):
-        # True would otherwise be taken as sigma_f^2 = 1
+    def test_hyperparameter_that_is_no_finite_number_raises(self, bad, named):
+        # True would otherwise be taken as sigma_f^2 = 1, or as lengthscale 1
         with pytest.raises(ValueError, match=named):
             Hyperparameters(*bad)
 
@@ -230,8 +237,9 @@ class TestTypes:
             ("{}", "lengthscale"),
             ('{"lengthscale": [0.3], "signal_variance": 1.0}', "noise_variance"),
             ("[1]", "must be an object, got list"),
+            ('{"lengthscale": ["0.5"], "signal_variance": 1.0, "noise_variance": 0.1}', "lengthscale must be of type float"),
         ],
-        ids=["empty-object", "missing-noise", "list"],
+        ids=["empty-object", "missing-noise", "list", "string-lengthscale"],
     )
     def test_hyperparameters_from_bad_json_raises_value_error(self, text, named):
         with pytest.raises(ValueError, match=named):
@@ -285,7 +293,9 @@ class TestPackedFactor:
         data, hp = random_dataset(rng, n), Hyperparameters([0.3], 1.0, 0.05)
         expert = train_expert(data, hp)
         assert expert.jitter == 0.0
-        assert np.array_equal(expert.chol_C, cholesky(expert_covariance(data, hp)))
+        # train_expert factors with BLAS on one thread, so the reference does too
+        reference = _workers.one_blas_thread(cholesky)(expert_covariance(data, hp))
+        assert np.array_equal(expert.chol_C, reference)
         assert expert.chol_packed.nbytes == 8 * n * (n + 1) // 2
         assert set(vars(expert)) == {"data", "hp", "chol_packed", "jitter"}  # no full factor is kept
 
@@ -596,10 +606,8 @@ class TestFit:
 
 
 def on_workers(monkeypatch, workers):
-    """The fit's threads as on ``workers`` CPUs with BLAS on one thread,
-    as the benchmark pins it, whatever this process's OpenBLAS runs."""
+    """The fit's threads as on ``workers`` CPUs."""
     monkeypatch.setattr(_workers, "worker_count", lambda: workers)
-    monkeypatch.setattr(_workers, "blas_threads", lambda: 1)
 
 
 def sine_partitions(rng, sizes):
@@ -614,7 +622,7 @@ class TestThreadedFit:
     """The fit evaluates its partitions on worker threads once sum n_i^3
     reaches PARALLEL_WORK, with theta and its failures as on one thread."""
 
-    # sum n_i^3 = 26.8 M, on both sides of POINTER_MIN (128)
+    # sum n_i^3 = 26.8 M
     SIZES = [100, 170, 190, 215, 160]
 
     def test_theta_bitwise_on_one_two_and_three_workers(self, monkeypatch):

@@ -23,7 +23,7 @@ from gpagg import (
 )
 from gpagg import _workers, npae
 from gpagg._linalg import cho_solve as linalg_cho_solve
-from gpagg._linalg import chol_jitter
+from gpagg._linalg import chol_jitter, spd_solve_each
 
 
 def make_experts(rng, hp, M, n_per, d=1):
@@ -209,8 +209,9 @@ class TestPointwiseCov:
 
     def test_duplicated_experts_jitter_is_reported(self, caplog, monkeypatch):
         # at 1e-16 noise the duplicates' K_A is singular to rounding at most
-        # points; each call counts those points over all its query blocks
-        # and warns once
+        # points, which the stacked solve refuses and chol_jitter jitters;
+        # each call counts those points over all its query blocks and warns
+        # once
         rng = np.random.default_rng(2)
         hp = Hyperparameters([0.5], 1.0, 1e-16)
         data = Dataset(rng.uniform(0, 1, (6, 1)), rng.standard_normal(6))
@@ -232,7 +233,7 @@ class TestPointwiseCov:
             expert_mean, _ = predict(experts[0], X_star, hp)
             assert np.allclose(mean, expert_mean, atol=1e-6)
             jittered = [j for j in jitters if j > 0.0]
-            assert len(jitters) == n_t and jittered
+            assert jittered == jitters and 0 < len(jitters) < n_t
             assert [r.getMessage() for r in caplog.records] == [
                 f"npae_aggregate: {len(jittered)} of {n_t} test points needed Cholesky jitter"
                 f" on K_A (largest {max(jittered):.3e})"
@@ -448,11 +449,10 @@ class TestLoopReference:
 @pytest.fixture(params=[2, 3], ids=["2 workers", "3 workers"])
 def threaded(request, monkeypatch):
     """Every block on ``request.param`` workers, however small: the
-    threshold is 0, and 3 workers split the experts and pairs unevenly.
-    BLAS counts as one thread, so both phases use every worker."""
+    threshold is 0, and 3 workers split the experts and pairs unevenly;
+    both phases use every worker."""
     monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
     monkeypatch.setattr(_workers, "worker_count", lambda: request.param)
-    monkeypatch.setattr(_workers, "blas_threads", lambda: 1)
     return request.param
 
 
@@ -535,34 +535,6 @@ class TestWorkerShares:
         assert threading.main_thread() in threads
         assert len(set(threads)) >= min(_workers.worker_count(), 12)
 
-    def test_blas_threads_on_every_cpu_keep_the_expert_phase_on_the_caller(self, monkeypatch):
-        # with BLAS on two threads per call and two CPUs, the Gamma_i
-        # solves run on the calling thread alone while the pair phase
-        # still starts a worker; the means do not change
-        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
-        rng = np.random.default_rng(23)
-        hp = Hyperparameters([0.3], 1.0, 0.05)
-        _, experts = make_experts(rng, hp, 6, 20)
-        X_star = rng.uniform(0, 1, (30, 1))
-        monkeypatch.setattr(_workers, "worker_count", lambda: 1)
-        expected = npae_aggregate(experts, hp, X_star)
-        monkeypatch.setattr(_workers, "worker_count", lambda: 2)
-        monkeypatch.setattr(_workers, "blas_threads", lambda: 2)
-        expert_inputs = {id(e.data.X) for e in experts}
-        calls = []
-
-        def recording(X, X2, hp):
-            calls.append((id(X) in expert_inputs, threading.current_thread()))
-            return kernel_matrix(X, X2, hp)
-
-        monkeypatch.setattr(npae, "kernel_matrix", recording)
-        assert np.array_equal(npae_aggregate(experts, hp, X_star), expected)
-        expert_threads = {t for pair, t in calls if not pair}
-        pair_threads = {t for pair, t in calls if pair}
-        assert len([c for c in calls if not c[0]]) == 6
-        assert expert_threads == {threading.main_thread()}
-        assert len(pair_threads) == 2
-
 
 class TestThreadHygiene:
     def test_worker_exception_reaches_the_caller(self, threaded, monkeypatch):
@@ -593,17 +565,18 @@ class TestThreadHygiene:
         rng = np.random.default_rng(19)
         hp = Hyperparameters([0.3], 1.0, 0.05)
         _, experts = make_experts(rng, hp, 5, 20)
-        callers = []
+        callers, solved = [], []
 
-        def recording(A):
+        def recording(A, b):
             callers.append(threading.current_thread())
-            return chol_jitter(A)
+            solved.append(len(b))
+            return spd_solve_each(A, b)
 
-        monkeypatch.setattr(npae, "chol_jitter", recording)
+        monkeypatch.setattr(npae, "spd_solve_each", recording)
         threads = recording_kernel_matrix(monkeypatch)
         npae_aggregate(experts, hp, rng.uniform(0, 1, (300, 1)))
         assert len(set(threads)) >= threaded
-        assert len(callers) == 300
+        assert solved == [npae.QUERY_BLOCK, 300 - npae.QUERY_BLOCK]
         assert all(c is threading.main_thread() for c in callers)
 
     def test_block_below_the_threshold_starts_no_thread(self, monkeypatch):

@@ -90,7 +90,6 @@ def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypa
     # PARALLEL_WORK, so all run on worker threads; only the calling thread
     # may enter a hooked call
     monkeypatch.setattr(gpagg._workers, "worker_count", lambda: 3)
-    monkeypatch.setattr(gpagg._workers, "blas_threads", lambda: 1)
     rng = np.random.default_rng(1)
     X = rng.uniform(0, 1, (1500, 1))
     data = Dataset(X, np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(1500))
@@ -147,7 +146,9 @@ def test_threaded_calls_leave_every_hook_to_the_calling_thread(tracing, monkeypa
                 setattr(m, key, value)
 
     assert len(set(workers)) > 2
-    assert {"gpagg.baselines.train_expert", "gpagg.gp.chol_jitter", "gpagg.npae.chol_jitter"} <= callers.keys()
+    # NPAE enters its chol_jitter only for a K_A that its stacked solve
+    # refuses, and every K_A here is positive definite
+    assert {"gpagg.baselines.train_expert", "gpagg.gp.chol_jitter"} <= callers.keys()
     for name, threads in callers.items():
         assert threads == {threading.main_thread()}, name
 
@@ -156,7 +157,6 @@ def test_fit_on_two_workers_counts_and_fits_as_on_one(tracing, monkeypatch):
     # the fit's workers enter the hooked gp._lml_and_grad and gp.chol_jitter;
     # the counts and theta must be those of one worker
     monkeypatch.setattr(gpagg._workers, "PARALLEL_WORK", 0)
-    monkeypatch.setattr(gpagg._workers, "blas_threads", lambda: 1)
     rng = np.random.default_rng(2)
     parts = []
     for n in (40, 50, 60, 45):
