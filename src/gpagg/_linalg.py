@@ -1,5 +1,5 @@
 """Every Cholesky factorization, SPD solve and SPD inverse of the package:
-LAPACK dpotrf, dpotrs, dposv, dtrtrs, dtrtri and dlauum, and BLAS dtrmm; and
+LAPACK dpotrf, dpotrs, dposv, dtrtri and dlauum, and BLAS dtrsm and dtrmm; and
 the packed storage that trained experts keep their factors in, LAPACK
 dtrttp and dtpttr.
 
@@ -10,8 +10,8 @@ shared jitter policy: on failure the diagonal is inflated by 1e-10, then
 tenfold up to 1e-4, times mean(diag); past that a NumericalError carries
 the last jitter tried. A non-finite matrix raises before any jitter.
 
-It is also the package's one BLAS module (gp's ``dgemv`` and ``dsyr``,
-GRBCM's ``dtrmm``, ``dsyrk`` and ``dgemm``), and it alone sets the thread
+It is also the package's one BLAS module (``solve_lower``'s dtrsm, gp's
+``dsyr``, GRBCM's ``dtrmm``, ``dsyrk`` and ``dgemm``), and it alone sets the thread
 counts of the process's two OpenBLAS pools (``set_pool_threads``). Each
 routine is called by ctypes through the pointer that scipy's
 ``cython_lapack`` or ``cython_blas`` exports, with the interpreter lock
@@ -60,15 +60,14 @@ _dpotrs = _capsule_function(cython_lapack, "dpotrs", 8)
 _dposv = _capsule_function(cython_lapack, "dposv", 8)
 _dtrtri = _capsule_function(cython_lapack, "dtrtri", 6)
 _dlauum = _capsule_function(cython_lapack, "dlauum", 5)
-_dtrtrs = _capsule_function(cython_lapack, "dtrtrs", 10)
 _dlaset = _capsule_function(cython_lapack, "dlaset", 7)
 _dtrttp = _capsule_function(cython_lapack, "dtrttp", 6)
 _dtpttr = _capsule_function(cython_lapack, "dtpttr", 6)
+_dtrsm = _capsule_function(cython_blas, "dtrsm", 11)
 _dtrmm = _capsule_function(cython_blas, "dtrmm", 11)
 _dsyrk = _capsule_function(cython_blas, "dsyrk", 10)
 _dgemm = _capsule_function(cython_blas, "dgemm", 13)
 _dsyr = _capsule_function(cython_blas, "dsyr", 7)
-_dgemv = _capsule_function(cython_blas, "dgemv", 11)
 
 
 # (get, set) thread-count functions of scipy's and numpy's OpenBLAS, via a module that links each; none for other BLAS.
@@ -223,17 +222,19 @@ def spd_solve_each(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve L x = b, or L' x = b with ``transpose``, for a lower-triangular ``L``."""
+    """Solve L x = b, or L' x = b with ``transpose``, for a lower-triangular
+    ``L`` by one dtrsm; up to order 384 each column of ``x`` has the bits it
+    has solved alone. A zero on the diagonal raises, as in LAPACK's dtrtrs."""
     L, b = np.asarray(L), np.asarray(b)
     _check_solve(L, b)
     L, x = _in(L), _copy(b)
-    info = ctypes.c_int()
-    _dtrtrs(
-        b"L", b"T" if transpose else b"N", b"N", _int(L.shape[0]), _int(_columns(x)),
-        L.ctypes.data, _ld(L), x.ctypes.data, _ld(x), ctypes.byref(info),
+    zero = np.flatnonzero(L.diagonal() == 0.0)
+    if zero.size:
+        raise NumericalError(f"triangular factor is singular at diagonal entry {zero[0]}")
+    _dtrsm(
+        b"L", b"L", b"T" if transpose else b"N", b"N", _int(L.shape[0]), _int(_columns(x)),
+        _ONE, L.ctypes.data, _ld(L), x.ctypes.data, _ld(x),
     )
-    if info.value > 0:
-        raise NumericalError(f"triangular factor is singular at diagonal entry {info.value - 1}")
     return x
 
 
@@ -358,12 +359,3 @@ def dgemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     )
     return c
 
-
-def dgemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a' x for a 2-D ``a`` and a 1-D ``x``, as a new array."""
-    a, x = _in(a), _in(x)
-    if not (a.ndim == 2 and x.ndim == 1 and x.size == a.shape[0]):
-        raise DimensionError(f"cannot multiply the transpose of a {a.shape} matrix by a {x.shape} vector")
-    (m, n), y = a.shape, np.zeros(a.shape[1])  # f2py's y, which BLAS scales by beta = 0
-    _dgemv(b"T", _int(m), _int(n), _ONE, a.ctypes.data, _ld(a), x.ctypes.data, _ONE_INT, _ZERO, y.ctypes.data, _ONE_INT)
-    return y

@@ -21,7 +21,6 @@ from ._linalg import (
     cho_solve,
     chol_inverse,
     chol_jitter,
-    dgemv,
     dsyr,
     pack_lower,
     solve_lower,
@@ -414,7 +413,8 @@ def predict(
 
     mean = k(X_i, x*)' C^-1 y_i; variance = k(x*,x*) + sigma^2 - k' C^-1 k,
     floored just below sigma^2 against roundoff, both read from L^-1 [k | y_i]
-    (``posterior_terms``). ``hp`` must match the expert's factorization.
+    by ``posterior_terms``, which NPAE and GRBCM share. ``hp`` must match
+    the expert's factorization.
     """
     if hp is not None and hp != expert.hp:
         raise ValueError("hyperparameters differ from those used to factorize the expert")
@@ -434,9 +434,11 @@ def with_targets(data: Dataset, X_star: np.ndarray, hp: Hyperparameters) -> np.n
 
 def posterior_terms(wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per test point, w'z = k' C^-1 y (the mean) and |w|^2 = k' C^-1 k
-    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L'."""
+    (the explained variance) from [w | z] = L^-1 [k | y] for C = L L', as
+    column sums: each point's pair depends on its own column alone. Every
+    expert posterior of the package (predict, GRBCM, NPAE) is read here."""
     w, z = wz[:, :-1], wz[:, -1]
-    return dgemv(w, z), np.sum(w**2, axis=0)
+    return np.sum(w * z[:, None], axis=0), np.sum(w**2, axis=0)
 
 
 def posterior_variance(hp: Hyperparameters, explained: np.ndarray) -> np.ndarray:

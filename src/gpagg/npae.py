@@ -10,7 +10,9 @@ and the aggregated mean is the conditional mean k_A' K_A^-1 mu(x*),
 solved fresh at every test point (an M x M system each time, so the
 aggregation cost scales with n_t * M^3 plus the covariance assembly).
 A diagonal entry needs no block of Cov(y_i, y_i): Gamma_i C_i Gamma_i'
-cancels one inverse and reduces to k_A[i]. Only the cross blocks
+cancels one inverse and reduces to k_A[i], the explained variance that
+``gp.posterior_terms`` reads with the local means, as for ``gp.predict``;
+Gamma_i takes one more triangular solve. Only the cross blocks
 Cov(y_i, y_j) = k(X_i, X_j), i != j, are built, never all at once, and
 once per block of at most ``QUERY_BLOCK`` test points.
 
@@ -29,9 +31,9 @@ import time
 
 import numpy as np
 
-from ._linalg import cho_solve, chol_jitter, spd_solve_each
+from ._linalg import cho_solve, chol_jitter, solve_lower, spd_solve_each
 from ._workers import in_shares, one_blas_thread, workers_for
-from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix
+from .gp import Hyperparameters, TrainedExpert, check_test_inputs, kernel_matrix, posterior_terms, with_targets
 
 log = logging.getLogger(__name__)
 
@@ -54,8 +56,9 @@ def npae_aggregate(
     i < j, is built once per block and serves all of its test points in
     two stacked matmuls (one gemv, then one dot call per point). Each
     stacked item is the BLAS call a lone query makes on the same
-    contiguous rows, so no prediction depends on the batch or its
-    blocking. A block holds the M weight matrices Gamma_i (n x
+    contiguous rows, so for experts of up to 384 points (see
+    ``solve_lower``) no prediction depends on the batch or its blocking.
+    A block holds the M weight matrices Gamma_i (n x
     min(n_t, QUERY_BLOCK) in total; every pair needs both of its own, so
     all M stay alive), the K_A stack (min(n_t, QUERY_BLOCK) x M x M) and
     one cross block with its product per worker; no n x n joint exists.
@@ -106,11 +109,10 @@ def _aggregate_block(
 
     def expert(e):
         """Gamma_i, the K_A diagonal entry and the local mean per point."""
-        k_star = kernel_matrix(X_star, e.data.X, hp)
-        gamma = np.ascontiguousarray(cho_solve(e.chol_C, k_star.T).T)
-        row = gamma[:, None, :]
-        y = np.broadcast_to(e.data.y, gamma.shape)
-        return gamma, (row @ k_star[:, :, None])[:, 0, 0], (row @ y[:, :, None])[:, 0, 0]
+        L = e.chol_C
+        wz = solve_lower(L, with_targets(e.data, X_star, hp))
+        local, diagonal = posterior_terms(wz)
+        return np.ascontiguousarray(solve_lower(L, wz[:, :-1], transpose=True).T), diagonal, local
 
     def pair(ij):
         i, j = ij

@@ -194,6 +194,63 @@ def test_empty_query_batch_gives_empty_outputs():
         emggm_aggregate(preds)
 
 
+# From one point to 384, the largest order at which each column of
+# OpenBLAS's multi-column triangular solve (dtrsm) has the bits it has
+# when solved alone; one expert of exactly that order
+BATCH_SIZES = [1, 7, 129, 250, 384]
+
+
+def batch_experts(d):
+    rng = np.random.default_rng(d)
+    hp = Hyperparameters([0.3, 0.4][:d], 1.0, 0.05)
+    experts = [train_expert(Dataset(rng.uniform(0, 1, (k, d)), rng.standard_normal(k)), hp) for k in BATCH_SIZES]
+    return experts, hp, rng.uniform(-0.2, 1.2, (60, d))
+
+
+def assert_batch_independent(f, X):
+    """Each array ``f`` returns holds one row per query, and every row has
+    the same bits in one batch, one query per call, in pieces and
+    permuted; an empty batch gives empty arrays of the same shape."""
+    batch = f(X)
+    perm = np.random.default_rng(1).permutation(len(X))
+    runs = {
+        "one query per call": (np.arange(len(X)), [f(X[t : t + 1]) for t in range(len(X))]),
+        "split": (np.arange(len(X)), [f(X[a:b]) for a, b in ((0, 23), (23, 24), (24, len(X)))]),
+        "permuted": (perm, [f(X[perm[a:b]]) for a, b in ((0, 37), (37, len(X)))]),
+    }
+    for name, (order, calls) in runs.items():
+        for k, whole in enumerate(batch):
+            assert np.array_equal(np.concatenate([c[k] for c in calls]), whole[order]), (name, k)
+    for whole, empty in zip(batch, f(X[:0])):
+        assert empty.shape == (0, *whole.shape[1:])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+class TestBatchIndependence:
+    """An expert's posterior, and every rule built on it alone, does not
+    depend on which other queries share the call, for experts of up to
+    384 points."""
+
+    def test_predict(self, d):
+        experts, hp, X_star = batch_experts(d)
+        for e in experts:
+            assert_batch_independent(lambda X: predict(e, X, hp), X_star)
+
+    def test_collect_predictions(self, d):
+        experts, hp, X_star = batch_experts(d)
+
+        def collected(X):
+            preds = collect_predictions(experts, X, hp)
+            return preds.means, preds.variances, preds.prior_variance
+
+        assert_batch_independent(collected, X_star)
+
+    @pytest.mark.parametrize("rule", [poe, gpoe, bcm, rbcm])
+    def test_poe_rules(self, d, rule):
+        experts, hp, X_star = batch_experts(d)
+        assert_batch_independent(lambda X: rule(collect_predictions(experts, X, hp)), X_star)
+
+
 def _grbcm_merged_reference(partitioning, hp, X_star, seed):
     """GRBCM as it was computed before the base-factor conditioning:
     every augmented expert factors its merged covariance."""

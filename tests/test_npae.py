@@ -21,9 +21,10 @@ from gpagg import (
     predict,
     train_expert,
 )
-from gpagg import _workers, npae
+from gpagg import _workers, gp, npae
 from gpagg._linalg import cho_solve as linalg_cho_solve
-from gpagg._linalg import chol_jitter, spd_solve_each
+from gpagg._linalg import chol_jitter, solve_lower, spd_solve_each
+from gpagg.gp import posterior_terms, with_targets
 
 
 def make_experts(rng, hp, M, n_per, d=1):
@@ -70,9 +71,12 @@ def npae_pointwise_cov(experts, hp, x_star) -> PointwiseCovariances:
 
 def _npae_loop_reference(experts, hp, X_star):
     """The loop form of ``npae_aggregate``: one Python-level product per
-    test point. Each stacked item must be the same BLAS call on the same
-    operands, so the two agree bit for bit; a numpy whose stacked matmul
-    leaves the per-item BLAS path breaks that."""
+    test point. Each expert's K_A diagonal and local means are
+    ``posterior_terms`` of each point's column alone, and Gamma_i is one
+    transposed solve, as in ``predict``'s route. Each stacked item must
+    be the same BLAS call on the same operands, so the two agree bit for
+    bit; a numpy whose stacked matmul leaves the per-item BLAS path
+    breaks that."""
     X_star = np.asarray(X_star, dtype=float)
     M = len(experts)
     n_t = X_star.shape[0]
@@ -80,12 +84,10 @@ def _npae_loop_reference(experts, hp, X_star):
     K_A = np.empty((n_t, M, M))
     local_means = np.empty((n_t, M))
     for i, e in enumerate(experts):
-        k_star = kernel_matrix(X_star, e.data.X, hp)
-        gamma = np.ascontiguousarray(linalg_cho_solve(e.chol_C, k_star.T).T)
+        wz = solve_lower(e.chol_C, with_targets(e.data, X_star, hp))
         for t in range(n_t):
-            K_A[t, i, i] = gamma[t] @ k_star[t]
-            local_means[t, i] = gamma[t] @ e.data.y
-        gammas.append(gamma)
+            (local_means[t, i],), (K_A[t, i, i],) = posterior_terms(wz[:, [t, -1]])
+        gammas.append(np.ascontiguousarray(solve_lower(e.chol_C, wz[:, :-1], transpose=True).T))
 
     for i in range(M):
         for j in range(i + 1, M):
@@ -317,6 +319,37 @@ class TestAggregate:
     def test_split_and_permuted_batches_match_on_2d_inputs(self):
         assert_split_and_permuted_batches_match_on_2d_inputs()
 
+    def test_local_means_and_diagonal_are_predicts_bits(self, monkeypatch):
+        # NPAE reads each expert's posterior where predict does: the
+        # local means are predict's means, and the K_A diagonal that the
+        # stacked solve receives is predict's explained variance
+        rng = np.random.default_rng(23)
+        hp = Hyperparameters([0.3, 0.4], 1.0, 0.05)
+        experts = [train_expert(Dataset(rng.uniform(0, 1, (k, 2)), rng.standard_normal(k)), hp) for k in (1, 120, 384)]
+        X_star = rng.uniform(-0.2, 1.2, (40, 2))
+        terms, diagonals = [], []
+
+        def recording(wz):
+            terms.append(posterior_terms(wz))
+            return terms[-1]
+
+        def solving(A, b):
+            diagonals.append(b.copy())
+            return spd_solve_each(A, b)
+
+        monkeypatch.setattr(gp, "posterior_terms", recording)
+        monkeypatch.setattr(npae, "posterior_terms", recording)
+        monkeypatch.setattr(npae, "spd_solve_each", solving)
+        npae_aggregate(experts, hp, X_star)
+        in_npae = terms[:]
+        terms.clear()
+        means = [predict(e, X_star, hp)[0] for e in experts]
+        assert len(in_npae) == len(terms) == len(experts) and len(diagonals) == 1
+        for i, ((local, diagonal), (mean, explained)) in enumerate(zip(in_npae, terms)):
+            assert np.array_equal(local, means[i]) and np.array_equal(local, mean)
+            assert np.array_equal(diagonal, explained)
+            assert np.array_equal(diagonals[0][:, i], explained)
+
     def test_matches_pointwise_oracle_on_2d_inputs(self):
         # wider inputs take the cdist route through kernel_matrix
         rng = np.random.default_rng(9)
@@ -456,16 +489,19 @@ def threaded(request, monkeypatch):
     return request.param
 
 
-def recording_kernel_matrix(monkeypatch):
-    """Patch ``npae.kernel_matrix`` to record the thread of every call."""
-    threads = []
+def recording_kernel_matrix(monkeypatch, record=lambda X, X2: threading.current_thread()):
+    """Patch the kernel of both phases, the cross blocks' ``npae.kernel_matrix``
+    and the one ``gp.with_targets`` builds for each expert, to record
+    ``record(X, X2)`` of every call; by default its thread."""
+    calls = []
 
     def recording(X, X2, hp):
-        threads.append(threading.current_thread())
+        calls.append(record(X, X2))
         return kernel_matrix(X, X2, hp)
 
     monkeypatch.setattr(npae, "kernel_matrix", recording)
-    return threads
+    monkeypatch.setattr(gp, "kernel_matrix", recording)
+    return calls
 
 
 class TestWorkerShares:
@@ -484,21 +520,15 @@ class TestWorkerShares:
 
     def test_each_block_builds_every_kernel_block_once(self, threaded, monkeypatch):
         # two shares that wrote the same pair would give the same bits,
-        # so the work itself is counted: per query block, one k(X*, X_i)
+        # so the work itself is counted: per query block, one k(X_i, X*)
         # per expert and one k(X_i, X_j) per pair i < j
         rng = np.random.default_rng(21)
         hp = Hyperparameters([0.3], 1.0, 0.05)
         _, experts = make_experts(rng, hp, 7, 15)
         index = {id(e.data.X): i for i, e in enumerate(experts)}
-        calls = []
-
-        def recording(X, X2, hp):
-            calls.append((index.get(id(X), "X*"), index[id(X2)]))
-            return kernel_matrix(X, X2, hp)
-
-        monkeypatch.setattr(npae, "kernel_matrix", recording)
+        calls = recording_kernel_matrix(monkeypatch, lambda X, X2: (index[id(X)], index.get(id(X2), "X*")))
         npae_aggregate(experts, hp, rng.uniform(0, 1, (npae.QUERY_BLOCK + 5, 1)))
-        expected = [("X*", i) for i in range(7)] + [(i, j) for i in range(7) for j in range(i + 1, 7)]
+        expected = [(i, "X*") for i in range(7)] + [(i, j) for i in range(7) for j in range(i + 1, 7)]
         assert sorted(calls, key=str) == sorted(2 * expected, key=str)
 
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):

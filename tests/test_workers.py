@@ -365,13 +365,16 @@ def test_every_computing_entry_point_runs_in_the_scope():
 @pytest.fixture
 def pointers_need_the_scope(monkeypatch):
     """Every LAPACK and BLAS pointer of _linalg raises unless a scoped
-    call is in progress."""
+    call is in progress; returns the names of those that ran."""
+    ran = set()
     for attr in [a for a in vars(_linalg) if a.startswith("_d") and callable(getattr(_linalg, a))]:
         def checked(*args, _fn=getattr(_linalg, attr), _name=attr):
             assert _workers.one_blas_thread.depth > 0, f"{_name} called outside the scope"
+            ran.add(_name)
             return _fn(*args)
 
         monkeypatch.setattr(_linalg, attr, checked)
+    return ran
 
 
 def test_lapack_and_blas_run_only_inside_the_scope(pointers_need_the_scope, tmp_path):
@@ -396,6 +399,7 @@ def test_lapack_and_blas_run_only_inside_the_scope(pointers_need_the_scope, tmp_
     cfg = gpagg.BenchmarkConfig(n=60, n_t=12, M_list=(2,), output_dir=str(tmp_path))
     assert all(np.isfinite(row.mae) for row in gpagg.run_benchmark(cfg))
     assert _workers.one_blas_thread.depth == 0
+    assert {"_dtrsm", "_dpotrf", "_dpotrs", "_dgemm"} <= pointers_need_the_scope
 
 
 def test_unscoped_functions_reach_no_lapack_or_scipy_blas(pointers_need_the_scope, tmp_path):
