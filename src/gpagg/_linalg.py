@@ -18,6 +18,15 @@ routine is called by ctypes through the pointer that scipy's
 released, on operands copied to Fortran order where scipy's f2py
 wrappers copy them, so results have their bits.
 
+The two Cython modules are loaded from their own files
+(``_scipy_linalg_module``): ``from scipy.linalg import`` would run
+``scipy/linalg/__init__.py``, whose Python API (with ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``) took more than half of
+``import gpagg``. Registered in ``sys.modules`` under their own names,
+they serve a later scipy.linalg, scipy.optimize or ``cimport`` as well;
+only the attributes ``scipy.linalg.cython_blas`` and ``.cython_lapack``
+stay unbound when scipy.linalg is imported after this module.
+
 A packed triangle (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999)
 holds the n(n+1)/2 entries of a lower triangle column by column, half
 the memory of the full array. ``pack_lower`` and ``unpack_lower`` copy
@@ -25,10 +34,13 @@ between the two forms, so a factor comes back with its exact bits.
 """
 
 import ctypes
+import importlib.machinery
+import importlib.util
+import sys
 
 import numpy as np
+import scipy
 from numpy.linalg import _umath_linalg
-from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import DimensionError, NumericalError
 
@@ -38,6 +50,21 @@ JITTER_MAX = 1e-4
 # Up to it the inverse is bitwise dpotri's; above it OpenBLAS's dtrtri
 # is slower than splitting in halves and joining them with dtrmm.
 INVERSE_BLOCK = 128
+
+
+def _scipy_linalg_module(name: str):
+    """scipy.linalg's compiled module ``name``: the one in ``sys.modules``,
+    else one loaded from its own file and registered there."""
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules:
+        spec = importlib.machinery.PathFinder.find_spec(full, [f"{scipy.__path__[0]}/linalg"])
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+    return sys.modules[full]
+
+
+cython_blas = _scipy_linalg_module("cython_blas")
+cython_lapack = _scipy_linalg_module("cython_lapack")
 
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))

@@ -178,9 +178,10 @@ class TestSqDists:
         assert got.tobytes() == want.tobytes()
 
     def test_one_d_prediction_loads_neither_optimizer_nor_spatial(self):
-        # a process that partitions, trains and predicts on 1-D inputs
-        # must not pay for scipy.optimize or scipy.spatial; the first fit
-        # still loads the optimizer
+        # a process that partitions, trains, predicts and aggregates on 1-D
+        # inputs must not pay for scipy.linalg's Python API (and the
+        # numpy.f2py it pulls in), scipy.optimize or scipy.spatial; the
+        # first fit still loads the optimizer
         src = Path(gp.__file__).resolve().parent.parent
         code = (
             "import sys\n"
@@ -192,7 +193,15 @@ class TestSqDists:
             "hp0 = gpagg.Hyperparameters([0.3], 1.0, 0.1)\n"
             "part = gpagg.kmeans_partition(data, 2, seed=0)\n"
             "gpagg.predict(gpagg.train_expert(part.subsets[0], hp0), np.array([[0.5]]), hp0)\n"
-            "loaded = sorted(m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules)\n"
+            "experts = [gpagg.train_expert(s, hp0) for s in part.subsets]\n"
+            "X_star = np.array([[0.25], [0.5], [0.75]])\n"
+            "preds = gpagg.collect_predictions(experts, X_star, hp0)\n"
+            "for rule in (gpagg.poe, gpagg.gpoe, gpagg.bcm, gpagg.rbcm):\n"
+            "    rule(preds)\n"
+            "gpagg.grbcm_aggregate(part, hp0, X_star, seed=0)\n"
+            "gpagg.npae_aggregate(experts, hp0, X_star)\n"
+            "heavy = ('scipy.linalg', 'numpy.f2py', 'scipy.optimize', 'scipy.spatial')\n"
+            "loaded = sorted(m for m in heavy if m in sys.modules)\n"
             "assert not loaded, loaded\n"
             "hp = gpagg.fit_shared_hyperparameters([data], hp0)\n"
             "assert 'scipy.optimize' in sys.modules\n"

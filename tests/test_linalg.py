@@ -2,6 +2,8 @@
 
 import ast
 import ctypes
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -723,11 +725,57 @@ def test_linalg_imports_no_f2py_wrapper():
     assert not imported
 
 
+def _fresh_process(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports the package from source."""
+    code = f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n{code}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_imported_after_the_package_reuses_its_cython_modules():
+    # the package loads scipy's two Cython modules without scipy.linalg's
+    # Python API; a later scipy.linalg, scipy.optimize or scipy.spatial
+    # import finds them registered and loads no second copy
+    _fresh_process(
+        "import numpy as np\n"
+        "from gpagg import _linalg\n"
+        "assert 'scipy.linalg' not in sys.modules and 'numpy.f2py' not in sys.modules\n"
+        "import scipy.linalg, scipy.optimize\n"
+        "import scipy.linalg.cython_lapack as named\n"
+        "from scipy.linalg import cython_blas, cython_lapack, lapack\n"
+        "from scipy.spatial.distance import cdist\n"
+        "assert cython_lapack is named is _linalg.cython_lapack and cython_blas is _linalg.cython_blas\n"
+        "B = np.random.default_rng(0).standard_normal((50, 50))\n"
+        "A = B @ B.T + 50 * np.eye(50)\n"
+        "c, info = lapack.dpotrf(A, lower=1)\n"
+        "assert info == 0 and _linalg.cholesky(A).tobytes() == c.tobytes()\n"
+        "assert scipy.optimize.minimize(lambda x: (x - 1.0) @ (x - 1.0), np.zeros(2)).success\n"
+        "assert cdist(A[:3], A[:2]).shape == (3, 2)\n"
+    )
+
+
+def test_the_package_imported_after_scipy_linalg_reuses_its_cython_modules():
+    # no second load: the package looks neither module up again (a second
+    # load of a Cython module hands back the first one, so identity alone
+    # would not tell)
+    _fresh_process(
+        "import importlib.machinery\n"
+        "from scipy.linalg import cython_blas, cython_lapack\n"
+        "looked_up, find_spec = [], importlib.machinery.PathFinder.find_spec\n"
+        "importlib.machinery.PathFinder.find_spec = lambda name, *a: looked_up.append(name) or find_spec(name, *a)\n"
+        "from gpagg import _linalg\n"
+        "assert not [name for name in looked_up if name.startswith('scipy.')], looked_up\n"
+        "assert _linalg.cython_lapack is cython_lapack and _linalg.cython_blas is cython_blas\n"
+        "assert sys.modules['scipy.linalg.cython_lapack'] is cython_lapack\n"
+    )
+
+
 def _linalg_uses(tree: ast.AST) -> list[str]:
     """Dense linear algebra a module reaches without going through _linalg:
     numpy.linalg in any form, scipy.linalg in any form (its LAPACK and BLAS
-    wrappers and its Cython exports belong to _linalg alone), and ctypes,
-    which _linalg calls those exports through."""
+    wrappers and its Cython exports belong to _linalg alone), ctypes,
+    which _linalg calls those exports through, and importlib and
+    ``__import__`` in any form, as _linalg loads the exports by name."""
     forbidden = (
         "numpy.linalg",
         "scipy.linalg",
@@ -738,7 +786,7 @@ def _linalg_uses(tree: ast.AST) -> list[str]:
     )
 
     def flagged(module):
-        return module in forbidden or module == "ctypes" or module.startswith("ctypes.")
+        return module in forbidden or module.split(".")[0] in ("ctypes", "importlib")
 
     uses = []
     for node in ast.walk(tree):
@@ -750,8 +798,12 @@ def _linalg_uses(tree: ast.AST) -> list[str]:
                 uses.append(f"from {node.module} import {', '.join(sorted(names))}")
         elif isinstance(node, ast.Attribute):
             dotted = ast.unparse(node)
-            if dotted in ("np.linalg", "numpy.linalg", "scipy.linalg"):
+            if dotted in ("np.linalg", "numpy.linalg", "scipy.linalg") or node.attr == "__import__":
                 uses.append(dotted)
+        elif (isinstance(node, ast.Name) and node.id == "__import__") or (
+            isinstance(node, ast.Constant) and node.value == "__import__"
+        ):
+            uses.append("__import__")
     return uses
 
 
@@ -793,6 +845,15 @@ def test_source_rule_flags_each_forbidden_form():
         "import ctypes",
         "from ctypes import CFUNCTYPE",
         "import ctypes.util",
+        "import importlib",
+        "import importlib.util",
+        "import importlib.machinery as machinery",
+        "from importlib import import_module",
+        "from importlib.machinery import PathFinder",
+        "from importlib.util import module_from_spec",
+        "__import__('scipy.linalg')",
+        "import builtins\nbuiltins.__import__('scipy.linalg')",
+        "import builtins\ngetattr(builtins, '__import__')('scipy.linalg')",
     ):
         assert _linalg_uses(ast.parse(snippet)), snippet
     for snippet in (
