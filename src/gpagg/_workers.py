@@ -1,8 +1,10 @@
 """Fixed shares of independent work on worker threads, how many, and the
 one BLAS setting of every package call.
 
-The shared fit's per-partition lml terms, NPAE's per-expert and pair
-phases and GRBCM's augmented experts are lists of independent items.
+The shared fit's per-partition lml terms, the experts that
+``collect_predictions`` runs for the PoE family and EMGGM, NPAE's
+per-expert and pair phases and GRBCM's augmented experts are lists of
+independent items.
 ``in_shares`` splits such a list into fixed shares by position, so every
 item runs the same operands and calls whatever the number of workers,
 and returns the items' results in item order for the caller to sum or

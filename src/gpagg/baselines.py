@@ -103,17 +103,18 @@ class ExpertPredictions:
 def collect_predictions(
     experts: list[TrainedExpert], X_star: np.ndarray, hp: Hyperparameters | None = None
 ) -> ExpertPredictions:
-    """Run every expert on the test inputs and stack the results."""
-    cols = []
-    for expert in experts:
-        hp = hp or expert.hp
-        cols.append(predict(expert, X_star, hp))
-    if not cols:
+    """Column i is ``predict(experts[i], X_star, hp)``, ``hp`` defaulting to
+    the first expert's. The experts run in fixed shares (``_workers.in_shares``)
+    on ``_workers.workers_for(n_t * sum_i n_i^2)`` threads, so the outputs, and
+    the earliest failing expert's error, are bitwise those of one thread."""
+    if not experts:
         raise ValueError("need at least one expert")
-    means = np.column_stack([m for m, _ in cols])
-    variances = np.column_stack([v for _, v in cols])
-    prior = np.full(means.shape[0], hp.signal_variance + hp.noise_variance)
-    return ExpertPredictions(means, variances, prior)
+    hp = hp or experts[0].hp
+    X_star = check_test_inputs(X_star, experts[0].data.d)
+    work = X_star.shape[0] * sum(e.data.n**2 for e in experts)
+    means, variances = zip(*in_shares(lambda e: predict(e, X_star, hp), experts, workers_for(work)))
+    prior = np.full(X_star.shape[0], hp.signal_variance + hp.noise_variance)
+    return ExpertPredictions(np.column_stack(means), np.column_stack(variances), prior)
 
 
 def entropy_weights(preds: ExpertPredictions) -> np.ndarray:
@@ -248,8 +249,6 @@ def _train_grbcm(partitioning: Partitioning, hp: Hyperparameters, seed: int) -> 
     M = len(partitioning.subsets)
     if M < 2:
         raise ValueError("GRBCM needs at least 2 partitions")
-    # a copy, so that writing into the caller's lengthscale cannot change the key
-    hp = Hyperparameters(hp.lengthscale.copy(), hp.signal_variance, hp.noise_variance)
     base_idx = grbcm_base_index(M, seed)
     base = train_expert(partitioning.subsets[base_idx], hp)
     L_b_inv = inverse_lower(base.chol_C)

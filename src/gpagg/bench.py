@@ -30,8 +30,9 @@ complement or its unpacked factor (max n_i^2) and a right-hand side
 still the largest single matrix when the augmented experts run on
 several worker threads (each holds one expert's at a time), and not
 counting the packed Schur factors that its trained model holds; for
-the rest, the stacked predictions
-(n_t M) and one expert's [k(X, X*) | y] (max n_i (n_t + 1)).
+the rest, the stacked predictions (n_t M) and one expert's
+[k(X, X*) | y] (max n_i (n_t + 1)), still the largest single matrix
+when the experts run on several worker threads at once (each holds one).
 """
 
 from __future__ import annotations

@@ -46,7 +46,7 @@ class Hyperparameters:
 
     ``lengthscale`` holds one entry per input dimension, or a single
     entry shared by every dimension (isotropic, the default). All values
-    are strictly positive.
+    are strictly positive; ``lengthscale`` is a read-only array of its own.
     """
 
     lengthscale: np.ndarray
@@ -55,6 +55,7 @@ class Hyperparameters:
 
     def __post_init__(self):
         ls = np.array([checked("lengthscale", v, float) for v in np.ravel(np.asarray(self.lengthscale, dtype=object))])
+        ls.flags.writeable = False
         object.__setattr__(self, "lengthscale", ls)
         for name in ("signal_variance", "noise_variance"):
             object.__setattr__(self, name, checked(name, getattr(self, name), float))
@@ -82,13 +83,7 @@ class Hyperparameters:
         return cls(np.exp(v[:-2]), math.exp(v[-2]), math.exp(v[-1]))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lengthscale": self.lengthscale.tolist(),
-                "signal_variance": self.signal_variance,
-                "noise_variance": self.noise_variance,
-            }
-        )
+        return json.dumps({**vars(self), "lengthscale": self.lengthscale.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "Hyperparameters":
@@ -396,6 +391,8 @@ def check_test_inputs(X_star: np.ndarray, d: int) -> np.ndarray:
     X_star = np.asarray(X_star, dtype=float)
     if X_star.ndim == 1:
         X_star = X_star[:, None]
+    if X_star.ndim != 2:
+        raise DimensionError(f"test inputs must be 1-D or 2-D, got ndim={X_star.ndim}")
     if X_star.shape[1] != d:
         raise DimensionError(f"test inputs have {X_star.shape[1]} columns, experts were trained on {d}")
     if not np.all(np.isfinite(X_star)):

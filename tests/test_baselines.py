@@ -169,6 +169,71 @@ class TestCollectPredictions:
         assert np.allclose(preds.prior_variance, 1.1)
         assert np.all(preds.prior_mean == 0.0)
 
+    @staticmethod
+    def _setup(M, n_per, n_t, seed=5):
+        rng = np.random.default_rng(seed)
+        hp = Hyperparameters([0.3], 1.0, 0.05)
+        experts = [train_expert(s, hp) for s in _chunked_partitions(rng, 1, M, n_per).subsets]
+        return experts, hp, rng.uniform(-0.2, 1.2, (n_t, 1))
+
+    def test_worker_counts_give_the_bits_of_one(self, monkeypatch):
+        # threshold 0: every call runs on the workers, and 3 workers split
+        # 7 experts unevenly
+        experts, hp, X_star = self._setup(7, 40, 30)
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        threads = _recording_threads(monkeypatch, "predict")
+        outputs = []
+        for workers in (1, 3):
+            monkeypatch.setattr(_workers, "worker_count", lambda: workers)
+            threads.clear()
+            preds = collect_predictions(experts, X_star, hp)
+            outputs.append((preds.means, preds.variances, preds.prior_variance))
+            assert len(set(threads)) == workers
+        assert _bitwise(*outputs)
+        for i, e in enumerate(experts):
+            assert _bitwise((outputs[1][0][:, i], outputs[1][1][:, i]), gp.predict(e, X_star, hp))
+
+    @pytest.mark.parametrize(
+        "M, n_per, n_t, threaded", [(20, 250, 50, True), (4, 75, 10, False)], ids=["serve batch", "tiny batch"]
+    )
+    def test_threshold_decides_who_runs_the_experts(self, monkeypatch, M, n_per, n_t, threaded):
+        # unpatched PARALLEL_WORK, two workers on any machine: a serve batch
+        # (n_t sum_i n_i^2 = 6.25e7 multiply-adds) reaches it, a tiny one
+        # (2.25e5) stays on the caller's thread and starts no thread
+        experts, hp, X_star = self._setup(M, n_per, n_t)
+        monkeypatch.setattr(_workers, "worker_count", lambda: 2)
+        if not threaded:
+            _refuse_threads(monkeypatch)
+        threads = _recording_threads(monkeypatch, "predict")
+        collect_predictions(experts, X_star, hp)
+        assert threading.current_thread() in threads
+        assert len(set(threads)) == (2 if threaded else 1)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_earliest_mismatched_expert_raises(self, monkeypatch, workers):
+        # experts 2 and 4 of 6 were factorized under another theta; on 3
+        # workers they fall in shares 2 and 1, so expert 4 may fail first
+        monkeypatch.setattr(_workers, "PARALLEL_WORK", 0)
+        monkeypatch.setattr(_workers, "worker_count", lambda: workers)
+        experts, hp, X_star = self._setup(6, 20, 15)
+        other = Hyperparameters([0.4], 1.0, 0.05)
+        experts[2], experts[4] = (train_expert(experts[i].data, other) for i in (2, 4))
+        index = {id(e): i for i, e in enumerate(experts)}
+
+        def naming(e, X, hp):
+            try:
+                return gp.predict(e, X, hp)
+            except ValueError as exc:
+                raise ValueError(f"expert {index[id(e)]}: {exc}") from exc
+
+        monkeypatch.setattr(baselines, "predict", naming)
+        with pytest.raises(ValueError, match="^expert 2: hyperparameters differ"):
+            collect_predictions(experts, X_star)
+
+    def test_no_experts_raises(self):
+        with pytest.raises(ValueError, match="need at least one expert"):
+            collect_predictions([], np.zeros((3, 1)))
+
 
 def test_empty_query_batch_gives_empty_outputs():
     # a (0, d) batch is a valid query: every method that can answer it
@@ -365,7 +430,7 @@ def _numpy_blas_uses(tree: ast.AST) -> list[str]:
 def test_collect_loop_and_grbcm_run_on_scipy_blas_alone():
     # numpy's and scipy's OpenBLAS each keep a thread pool; a loop that
     # alternates between them leaves one pool's threads holding the cores.
-    # collect_predictions' loop and GRBCM's two phases call _linalg on scipy's.
+    # collect_predictions' experts and GRBCM's two phases call _linalg on scipy's.
     for fn in (
         baselines.grbcm_aggregate,
         baselines._train_grbcm,
@@ -653,7 +718,7 @@ class TestGrbcmHeldModel:
             warm = grbcm_aggregate(parts, Hyperparameters([0.3], 1.0, 0.05), X_star, 3)
         assert _bitwise(warm, grbcm_aggregate(_fresh(parts), hp, X_star, 3))
 
-    @pytest.mark.parametrize("change", ["seed", "theta", "theta in place", "partitioning"])
+    @pytest.mark.parametrize("change", ["seed", "theta", "partitioning"])
     def test_another_key_retrains(self, monkeypatch, change):
         parts, hp, X_star = self._setup()
         trainings = _recording_threads(monkeypatch, "train_expert")
@@ -663,13 +728,23 @@ class TestGrbcmHeldModel:
             seed = 1
         elif change == "theta":
             hp = Hyperparameters([0.3], 1.0, 0.06)
-        elif change == "theta in place":
-            hp.lengthscale[0] = 0.4
         else:
             parts = _fresh(parts)
         retrained = grbcm_aggregate(parts, hp, X_star, seed)
         assert len(trainings) == 2
         assert _bitwise(retrained, grbcm_aggregate(_fresh(parts), hp, X_star, seed))
+
+    def test_theta_cannot_change_in_place(self):
+        # a held model's key is the caller's theta itself: its lengthscale
+        # is read-only, and a copy of the array it was built from
+        parts, _, X_star = self._setup()
+        source = np.array([0.3])
+        hp = Hyperparameters(source, 1.0, 0.05)
+        source[0] = 0.4
+        grbcm_aggregate(parts, hp, X_star, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            hp.lengthscale[0] = 0.4
+        assert _holds_only(parts, Hyperparameters([0.3], 1.0, 0.05), 0)
 
     def test_second_partitioning_evicts_the_first_before_training(self, monkeypatch):
         parts, hp, X_star = self._setup()

@@ -107,6 +107,10 @@ def _predict_reference(expert, X_star):
     return means, gp.posterior_variance(hp, np.sum(w * w, axis=0))
 
 
+# every public entry point that takes test inputs
+QUERY_ENTRIES = ["predict", "collect_predictions", "npae_aggregate", "grbcm_aggregate"]
+
+
 def random_dataset(rng, n, d=1):
     return Dataset(rng.uniform(-1, 1, (n, d)), rng.standard_normal(n))
 
@@ -792,20 +796,30 @@ class TestPredict:
         with pytest.raises(DimensionError):
             predict(expert, np.zeros((2, 3)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("entry", ["predict", "collect_predictions", "npae_aggregate", "grbcm_aggregate"])
-    def test_non_finite_test_inputs_raise(self, entry, bad):
+    @staticmethod
+    def _query(entry, X_star):
+        """``entry`` on two 1-D experts over 12 points at ``X_star``."""
         rng = np.random.default_rng(16)
         data = random_dataset(rng, 12)
         hp = Hyperparameters([0.5], 1.0, 0.1)
         parts = kmeans_partition(data, 2, seed=0)
         experts = [train_expert(s, hp) for s in parts.subsets]
-        X_star = np.array([[0.1], [bad], [0.3]])
         calls = {
             "predict": lambda: predict(experts[0], X_star),
             "collect_predictions": lambda: collect_predictions(experts, X_star, hp),
             "npae_aggregate": lambda: npae_aggregate(experts, hp, X_star),
             "grbcm_aggregate": lambda: grbcm_aggregate(parts, hp, X_star, seed=0),
         }
+        return calls[entry]()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", QUERY_ENTRIES)
+    def test_non_finite_test_inputs_raise(self, entry, bad):
         with pytest.raises(ValueError, match="test inputs contain NaN or Inf"):
-            calls[entry]()
+            self._query(entry, np.array([[0.1], [bad], [0.3]]))
+
+    @pytest.mark.parametrize("X_star", [np.float64(0.5), np.zeros((3, 1, 1))], ids=["0-D", "3-D"])
+    @pytest.mark.parametrize("entry", QUERY_ENTRIES)
+    def test_queries_neither_1d_nor_2d_raise(self, entry, X_star):
+        with pytest.raises(DimensionError, match="test inputs must be 1-D or 2-D, got ndim="):
+            self._query(entry, X_star)
