@@ -5,13 +5,14 @@ are modeled as one (M+1)-variate Gaussian whose sparse precision is
 estimated by graphical lasso. Because the target column is unobserved,
 its sample-covariance blocks are filled in by EM: the E-step overwrites
 the latent row/column of S with its conditional expectation under the
-current covariance, the M-step re-solves the penalized likelihood. The
+current precision, the M-step re-solves the penalized likelihood. The
 loop's state is S and the latest ``PrecisionEstimate``, nothing else.
-The final aggregated mean is the conditional-Gaussian map
+The aggregated mean is the conditional-Gaussian map, read from the
+precision's latent row with no factorization:
 
-    y_A(x*) = latent_mean + Sigma_{ y mu }' Sigma_{ mu mu }^-1 (mu(x*) - expert_means)
+    y_A(x*) = ybar_0 - Omega_yy^-1 Omega_{ y mu } (mu(x*) - mubar)
 
-built from blocks of the converged covariance. Index 0 of every
+with ybar_0, mubar the latent and expert column means. Index 0 of every
 (M+1)-sized structure is the latent target, throughout.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import cho_solve, chol_jitter
+from ._linalg import chol_jitter  # noqa: F401  perfbench/tracing.py hooks this name; EMGGM factors nothing
 from ._workers import one_blas_thread
 from .baselines import ExpertPredictions
 from .errors import DimensionError, checked
@@ -91,35 +92,31 @@ def joint_sample_covariance(y0: np.ndarray, preds: ExpertPredictions) -> tuple[n
     return Zc.T @ Zc / n_t, col_means
 
 
-def _regression(Sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    """A = Sigma_mm^-1 Sigma_my under the covariance ``Sigma``, and the
-    diagonal jitter the Cholesky factorization of Sigma_mm needed."""
-    L, jitter = chol_jitter(Sigma[1:, 1:])
-    return cho_solve(L, Sigma[1:, LATENT]), jitter
+def _regression(Omega: np.ndarray) -> np.ndarray:
+    """A = -Omega_my / Omega_yy, the coefficients of E[y | mu] under the
+    precision ``Omega``."""
+    return -Omega[1:, LATENT] / Omega[LATENT, LATENT]
 
 
 @one_blas_thread
-def e_step(S: np.ndarray, Sigma: np.ndarray) -> float:
-    """Overwrite S's latent blocks with their conditional expectations and
-    return the diagonal jitter factoring Sigma_mm needed (0.0 if none).
+def e_step(S: np.ndarray, Omega: np.ndarray) -> None:
+    """Overwrite S's latent blocks with their conditional expectations
+    under the current precision estimate ``Omega``.
 
-    With A = Sigma_mm^-1 Sigma_my under the current estimate ``Sigma``:
+    With A = -Omega_my / Omega_yy, the coefficients of E[y | mu]:
         S_my <- S_mm A
-        S_yy <- Sigma_yy - Sigma_ym A + A' S_mm A
-    The expert-expert block S_mm is left untouched.
+        S_yy <- 1 / Omega_yy + A' S_mm A
+    The expert-expert block S_mm is left untouched. Raises ValueError
+    unless Omega_yy is finite and positive.
     """
-    Sigma_my = Sigma[1:, LATENT]
-    Sigma_yy = Sigma[LATENT, LATENT]
-    S_mm = S[1:, 1:]
-
-    A, jitter = _regression(Sigma)
-    S_my = S_mm @ A
-    S_yy = Sigma_yy - Sigma_my @ A + A @ (S_mm @ A)
-
+    omega_yy = float(Omega[LATENT, LATENT])
+    if not (math.isfinite(omega_yy) and omega_yy > 0.0):
+        raise ValueError(f"Omega's latent diagonal must be finite and positive, got {omega_yy}")
+    A = _regression(Omega)
+    S_my = S[1:, 1:] @ A
     S[LATENT, 1:] = S_my
     S[1:, LATENT] = S_my
-    S[LATENT, LATENT] = S_yy
-    return jitter
+    S[LATENT, LATENT] = 1.0 / omega_yy + A @ S_my
 
 
 @one_blas_thread
@@ -158,10 +155,10 @@ def emggm_aggregate(
 
     Returns the per-test-point means and a JSON-serializable diagnostics
     dict: resolved lambda, per-iteration penalized objective before and
-    after each M-step, precision change, wall time, the M-step solver's
-    iterations, convergence and dual gap, and the E-step's jitter; the
-    initial M-step's solver stats and the jitter of the final weight
-    solve sit at the top level. Iterations stop
+    after each M-step, precision change, largest change of the
+    aggregated means (``mean_change``, normalized units), wall time, and
+    the M-step solver's iterations, convergence and dual gap; the
+    initial M-step's solver stats sit at the top level. Iterations stop
     at ``cfg.max_iters`` or when the relative max-norm change of Omega
     drops below ``CONV_TOL`` (1e-4); if the loop exhausts its budget the
     last iterate is returned with ``converged`` set to False.
@@ -171,41 +168,41 @@ def emggm_aggregate(
     y0 = init_latent(preds)
     S, col_means = joint_sample_covariance(y0, preds)
     lam = resolve_lambda(cfg.lam, M, n_t)
+    centered = preds.means - col_means[1:]
 
     initial = est = m_step(S, lam)
+    w = _regression(est.Omega)
     iterations: list[dict] = []
     converged = False
     for t in range(1, cfg.max_iters + 1):
         tic = time.perf_counter()
-        e_step_jitter = e_step(S, est.Sigma)
+        e_step(S, est.Omega)
         previous = est.Omega
         est = m_step(S, lam, previous)
         scale = max(float(np.max(np.abs(previous))), 1e-300)
         change = float(np.max(np.abs(est.Omega - previous))) / scale
+        previous_w, w = w, _regression(est.Omega)
         iterations.append(
             {
                 "iteration": t,
                 "objective_start": est.objective_trace[0],
                 "objective": est.objective_trace[-1],
                 "omega_change": change,
+                "mean_change": float(np.max(np.abs(centered @ (w - previous_w)))),
                 "wall_time_s": time.perf_counter() - tic,
                 **_solve_stats(est),
-                "e_step_jitter": e_step_jitter,
             }
         )
         if change < CONV_TOL:
             converged = True
             break
 
-    w, weight_jitter = _regression(est.Sigma)
-    means = col_means[LATENT] + (preds.means - col_means[1:]) @ w
-
+    means = col_means[LATENT] + centered @ w
     diagnostics = {
         "lambda": lam,
         "converged": converged,
         "n_iterations": len(iterations),
         "iterations": iterations,
         "initial_m_step": _solve_stats(initial),
-        "weight_jitter": weight_jitter,
     }
     return means, diagnostics

@@ -50,7 +50,7 @@ _MAX_BACKTRACKS = 50
 
 @dataclass(eq=False)
 class PrecisionEstimate:
-    """Solver output: SPD precision Omega, its inverse Sigma, and diagnostics.
+    """Solver output: the SPD precision Omega and diagnostics.
 
     ``objective_trace`` starts at the initial point and records one value
     per accepted Newton iteration, all evaluated on the preprocessed
@@ -59,7 +59,6 @@ class PrecisionEstimate:
     """
 
     Omega: np.ndarray
-    Sigma: np.ndarray
     dual_gap: float
     converged: bool = True
     n_sweeps: int = 0
@@ -244,7 +243,7 @@ def _dual_gap(S: np.ndarray, Omega: np.ndarray, Lam: np.ndarray) -> float:
 def glasso_solve(
     S: np.ndarray, lam: float | np.ndarray, init: np.ndarray | None = None
 ) -> PrecisionEstimate:
-    """Solve the penalized problem on sample covariance ``S``.
+    """Solve the penalized problem on sample covariance ``S`` for Omega alone.
 
     ``lam`` is a scalar penalty on every off-diagonal entry or a full
     per-entry penalty matrix. ``init`` warm-starts from a symmetric
@@ -281,9 +280,7 @@ def glasso_solve(
             ) from exc
         trace = [] if init is None else [_objective(init, S_eff, Lam)]
         trace.append(_objective(Omega, S_eff, Lam))
-        return PrecisionEstimate(
-            Omega=Omega, Sigma=S_eff, dual_gap=_dual_gap(S_eff, Omega, Lam), objective_trace=trace
-        )
+        return PrecisionEstimate(Omega=Omega, dual_gap=_dual_gap(S_eff, Omega, Lam), objective_trace=trace)
 
     if np.any(np.diag(S_eff) <= 0):
         raise NumericalError("S must have positive diagonal entries")
@@ -307,7 +304,6 @@ def glasso_solve(
 
     return PrecisionEstimate(
         Omega=Omega,
-        Sigma=spd_inverse(Omega),
         dual_gap=_dual_gap(S_eff, Omega, Lam),
         converged=converged,
         n_sweeps=iters,

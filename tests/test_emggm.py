@@ -15,7 +15,6 @@ from gpagg import (
     joint_sample_covariance,
     m_step,
 )
-from gpagg._linalg import chol_jitter
 from gpagg.emggm import resolve_lambda
 
 
@@ -94,14 +93,15 @@ class TestJointSampleCovariance:
 class TestESteps:
     @staticmethod
     def model_with(S, Sigma):
-        """Float copies of (S, Sigma), so e_step's in-place writes stay local."""
-        return np.asarray(S, dtype=float).copy(), np.asarray(Sigma, dtype=float).copy()
+        """Float copies of S and of the precision inv(Sigma), so e_step's
+        in-place writes stay local."""
+        return np.asarray(S, dtype=float).copy(), np.linalg.inv(np.asarray(Sigma, dtype=float))
 
     def test_independent_latent_blocks_stay_trivial(self):
         S = np.array([[9.0, 9.0, 9.0], [9.0, 2.0, 0.3], [9.0, 0.3, 1.5]])
         Sigma = np.array([[1.2, 0.0, 0.0], [0.0, 2.0, 0.3], [0.0, 0.3, 1.5]])
-        S, Sigma = self.model_with(S, Sigma)
-        e_step(S, Sigma)
+        S, Omega = self.model_with(S, Sigma)
+        e_step(S, Omega)
         assert np.allclose(S[0, 1:], 0.0, atol=1e-12)
         assert S[0, 0] == pytest.approx(1.2, abs=1e-12)
 
@@ -109,20 +109,48 @@ class TestESteps:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 3))
         Sigma = A @ A.T + np.eye(3)
-        S, Sigma_est = self.model_with(Sigma, Sigma)
-        e_step(S, Sigma_est)
+        S, Omega = self.model_with(Sigma, Sigma)
+        e_step(S, Omega)
         assert np.allclose(S, Sigma, atol=1e-10)
 
     def test_scalar_case_matches_transcription(self):
-        # S_mm=4, Sigma=[[3, 1.2],[1.2, 2]]: S_my = 4*(1.2/2) = 2.4,
-        # S_yy = 3 - 1.2^2/2 + (1.2/2)*4*(1.2/2) = 3.72
+        # S_mm=4, Omega = inv([[3, 1.2],[1.2, 2]]): A = 1.2/2, S_my = 4*0.6 = 2.4,
+        # S_yy = 1/Omega_yy + 0.6*4*0.6 = (3 - 1.2^2/2) + 1.44 = 3.72
         S = np.array([[0.0, 0.0], [0.0, 4.0]])
         Sigma = np.array([[3.0, 1.2], [1.2, 2.0]])
-        S, Sigma = self.model_with(S, Sigma)
-        e_step(S, Sigma)
+        S, Omega = self.model_with(S, Sigma)
+        e_step(S, Omega)
         assert S[0, 1] == pytest.approx(2.4, abs=1e-12)
         assert S[1, 0] == pytest.approx(2.4, abs=1e-12)
         assert S[0, 0] == pytest.approx(3.72, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 4, 11, 21])
+    def test_precision_route_matches_covariance_route(self, p):
+        # oracle: the conditional Gaussian from the covariance Sigma = inv(Omega),
+        # A = Sigma_mm^-1 Sigma_my and S_yy = Sigma_yy - Sigma_ym A + A' S_mm A
+        rng = np.random.default_rng(p)
+        B = rng.standard_normal((p, p))
+        Omega = B @ B.T / p + 0.5 * np.eye(p)
+        C = rng.standard_normal((3 * p, p))
+        S = C.T @ C / (3 * p)
+        Sigma = np.linalg.inv(Omega)
+        A = np.linalg.solve(Sigma[1:, 1:], Sigma[1:, 0])
+        S_my = S[1:, 1:] @ A
+        S_yy = Sigma[0, 0] - Sigma[0, 1:] @ A + A @ S_my
+        assert np.allclose(emggm._regression(Omega), A, rtol=1e-10, atol=0)
+        e_step(S, Omega)
+        assert np.allclose(S[0, 1:], S_my, rtol=1e-10, atol=0)
+        assert np.allclose(S[1:, 0], S_my, rtol=1e-10, atol=0)
+        assert S[0, 0] == pytest.approx(S_yy, rel=1e-10)
+
+    @pytest.mark.parametrize("omega_yy", [0.0, -1.0, math.nan])
+    def test_rejects_a_latent_precision_that_is_not_positive(self, omega_yy):
+        S = np.eye(3)
+        Omega = np.eye(3)
+        Omega[0, 0] = omega_yy
+        with pytest.raises(ValueError, match="finite and positive"):
+            e_step(S, Omega)
+        assert np.array_equal(S, np.eye(3))
 
     def test_expert_block_bit_identical_across_steps(self):
         rng = np.random.default_rng(5)
@@ -131,7 +159,7 @@ class TestESteps:
         block_before = S[1:, 1:].copy()
         est = m_step(S, 0.05)
         for _ in range(4):
-            e_step(S, est.Sigma)
+            e_step(S, est.Omega)
             est = m_step(S, 0.05, est.Omega)
         assert np.array_equal(S[1:, 1:], block_before)
 
@@ -140,13 +168,12 @@ class TestESteps:
         preds = make_preds(rng.standard_normal((30, 3)))
         S, _ = joint_sample_covariance(rng.standard_normal(30), preds)
         est = m_step(S, 0.05)
-        S_before, Sigma_before = S.copy(), est.Sigma.copy()
-        jitter = e_step(S, est.Sigma)
-        assert jitter == 0.0
+        S_before, Omega_before = S.copy(), est.Omega.copy()
+        e_step(S, est.Omega)
         assert np.array_equal(S[1:, 1:], S_before[1:, 1:])
         assert not np.array_equal(S[0], S_before[0])
         assert np.array_equal(S[0], S[:, 0])
-        assert np.array_equal(est.Sigma, Sigma_before)
+        assert np.array_equal(est.Omega, Omega_before)
 
 
 class TestMStep:
@@ -181,7 +208,7 @@ class TestMStep:
         preds = make_preds(rng.standard_normal((30, 3)))
         S, _ = joint_sample_covariance(rng.standard_normal(30), preds)
         init = m_step(S, lam).Omega
-        e_step(S, np.linalg.inv(init))
+        e_step(S, init)
         S_before, init_before = S.copy(), init.copy()
         est = m_step(S, lam, init)
         assert np.array_equal(S, S_before)
@@ -257,11 +284,10 @@ class TestAggregate:
         _, diag = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
         payload = json.loads(json.dumps(diag))
         assert payload["n_iterations"] == len(payload["iterations"])
-        assert {"iteration", "objective_start", "objective", "omega_change", "wall_time_s"} <= set(
-            payload["iterations"][0]
-        )
+        keys = {"iteration", "objective_start", "objective", "omega_change", "mean_change", "wall_time_s"}
+        assert keys <= set(payload["iterations"][0])
 
-    def test_diagnostics_report_every_solve_and_jitter(self, monkeypatch):
+    def test_diagnostics_report_every_solve(self, monkeypatch):
         rng = np.random.default_rng(16)
         preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))
         solves = []
@@ -278,23 +304,32 @@ class TestAggregate:
             assert entry["n_sweeps"] == est.n_sweeps
             assert entry["converged"] == est.converged
             assert entry["dual_gap"] == est.dual_gap
-        assert all(it["e_step_jitter"] >= 0.0 for it in diag["iterations"])
-        assert diag["weight_jitter"] >= 0.0
 
-    def test_jitter_reported_when_cholesky_needs_it(self, monkeypatch):
+    def test_aggregates_without_a_cholesky(self, monkeypatch):
+        # the conditional Gaussian is read from Omega, so EMGGM never factors;
+        # chol_jitter stays bound in emggm as a hook for perfbench's tracer
         rng = np.random.default_rng(16)
         preds, _ = factor_model_preds(rng, 60, np.array([1.0, 1.0]), np.full(2, 0.4))
         plain, _ = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
 
-        def jittered(A):
-            L, _ = chol_jitter(A)
-            return L, 1e-9
+        def refuse(A):
+            raise AssertionError("EMGGM factored a matrix")
 
-        monkeypatch.setattr(emggm, "chol_jitter", jittered)
-        means, diag = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
+        monkeypatch.setattr(emggm, "chol_jitter", refuse)
+        means, _ = emggm_aggregate(preds, EmggmConfig(lam=0.03, max_iters=3))
         assert np.array_equal(means, plain)
-        assert [it["e_step_jitter"] for it in diag["iterations"]] == [1e-9] * diag["n_iterations"]
-        assert diag["weight_jitter"] == 1e-9
+
+    def test_mean_change_is_the_change_of_the_returned_means(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        preds, _ = factor_model_preds(rng, 80, np.array([1.0, 0.8, 0.6]), np.full(3, 0.4))
+        monkeypatch.setattr(emggm, "CONV_TOL", 0.0)
+        K = 5
+        runs = [emggm_aggregate(preds, EmggmConfig(lam=0.05, max_iters=k)) for k in range(1, K + 1)]
+        iterations = runs[-1][1]["iterations"]
+        assert len(iterations) == K
+        for k in range(2, K + 1):
+            step = float(np.max(np.abs(runs[k - 1][0] - runs[k - 2][0])))
+            assert iterations[k - 1]["mean_change"] == pytest.approx(step, rel=0, abs=1e-12)
 
     def test_converged_exit_stops_the_loop(self, monkeypatch):
         # every precision change is below an infinite tolerance, so EM

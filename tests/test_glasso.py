@@ -145,12 +145,6 @@ class TestSolve:
         est = glasso_solve(S, 0.0)
         assert np.max(np.abs(S @ est.Omega - np.eye(5))) < 1e-5
 
-    def test_omega_sigma_inverse_pair(self):
-        rng = np.random.default_rng(8)
-        S = random_spd(rng, 6)
-        est = glasso_solve(S, 0.1)
-        assert np.max(np.abs(est.Omega @ est.Sigma - np.eye(6))) < 1e-6
-
     def test_sparsity_roughly_monotone_in_lambda(self):
         # heuristic, not a theorem: tolerate up to 5% violating pairs
         rng = np.random.default_rng(9)
@@ -227,9 +221,9 @@ class TestSolve:
         Lam[0, :] = 0.0
         Lam[:, 0] = 0.0
         est = glasso_solve(S, Lam)
-        # unpenalized row 0 keeps its covariance fit exact: Sigma row matches S
+        # unpenalized row 0 keeps its covariance fit exact: Omega^-1 row matches S
         S_eff = effective_covariance(S)
-        assert np.allclose(est.Sigma[0], S_eff[0], atol=1e-5)
+        assert np.allclose(np.linalg.inv(est.Omega)[0], S_eff[0], atol=1e-5)
         # penalized block is fully shrunk
         inner = est.Omega[1:, 1:]
         assert np.max(np.abs(inner - np.diag(np.diag(inner)))) == 0.0
@@ -242,7 +236,7 @@ class TestSolve:
             est = glasso_solve(S, Lam)
             scale = np.max(np.abs(est.Omega))
             # inverting an Omega this large loses about eps * max|Omega| in Sigma
-            violation = subgradient_violation(est.Omega, est.Sigma, S_eff, Lam)
+            violation = subgradient_violation(est.Omega, np.linalg.inv(est.Omega), S_eff, Lam)
             assert np.max(violation) <= 1e-10 * scale, (M, np.max(violation) / scale)
             best = est.objective_trace[-1]
             for _ in range(3):

@@ -394,7 +394,7 @@ def test_lapack_and_blas_run_only_inside_the_scope(pointers_need_the_scope, tmp_
     gpagg.emggm_aggregate(preds)
     S, _ = gpagg.joint_sample_covariance(gpagg.init_latent(preds), preds)
     est = gpagg.m_step(S, 0.1)
-    gpagg.e_step(S, est.Sigma)
+    gpagg.e_step(S, est.Omega)
     gpagg.glasso_objective(gpagg.glasso_solve(S, 0.1).Omega, S, 0.1)
     cfg = gpagg.BenchmarkConfig(n=60, n_t=12, M_list=(2,), output_dir=str(tmp_path))
     assert all(np.isfinite(row.mae) for row in gpagg.run_benchmark(cfg))
